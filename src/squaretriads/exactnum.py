@@ -19,7 +19,6 @@ from .errors import DomainError, VerificationError
 __all__ = [
     "isqrt",
     "is_perfect_square",
-    "is_square_fraction",
     "sqrt_fraction",
     "factorize",
     "is_prime",
@@ -62,10 +61,6 @@ def is_perfect_square(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
-
-
-def is_square_fraction(x: Fraction | int) -> bool:
-    return sqrt_fraction(x) is not None
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction | None:

@@ -2,26 +2,29 @@
 
 The pruning rests on the squarefree-kernel identity: abc is a square iff
 kernel(c) = kernel(ab), so for each pair a <= b only c = kernel(ab) * j^2
-ever needs testing.  A naive unpruned triple loop is kept as the
-correctness oracle for small bounds.
+ever needs testing.  The kernel runs in numpy: one pass over b per a
+finds the pairs with kernel(ab) <= bound, and the c-candidates of many pairs
+are tested together with an exact float64 square test (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 1.7.3, with the float test in
+place of residue tables).  Survivors are re-checked in exact integers.  A
+naive unpruned triple loop is kept as the correctness oracle for small
+bounds.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, VerificationError
 from .exactnum import is_perfect_square
 from .families import evaluate_family
 from .triads import SquareCertificate, Triad, canonicalize, verify_triad
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "SearchConfig",
@@ -35,6 +38,15 @@ __all__ = [
     "CorpusReport",
 ]
 
+# Every tested value, up to e2 = ab + c(a + b) <= 3 * bound**2, must stay
+# below 2**53: there float64 holds integers exactly and a correctly rounded
+# sqrt decides squareness exactly.
+_EXACT_FLOAT = 1 << 53
+# Pairs (a, b) with K <= bound gathered before their c-candidates are made.
+_PAIR_BATCH = 1 << 11
+# Most c-candidates expanded at once; bounds the kernel's temporary arrays.
+_CANDIDATE_BATCH = 1 << 12
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -45,75 +57,130 @@ class SearchConfig:
     def __post_init__(self):
         if self.bound < 1:
             raise DomainError("search bound must be >= 1")
+        if 3 * self.bound * self.bound >= _EXACT_FLOAT:
+            raise DomainError("search bound %d is too large: 3 * bound**2 must stay below 2**53" % self.bound)
         if self.workers < 1:
             raise DomainError("worker count must be >= 1")
 
 
-def _kernel_sieve(n: int) -> list[int]:
-    """kernels[i] = squarefree kernel of i, for 0 <= i <= n."""
-    spf = list(range(n + 1))
+def _kernel_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Squarefree kernels and smallest prime factors of 0..n, as int32.
+
+    int32 holds every bound SearchConfig accepts.  Entries 0 and 1 of both
+    arrays are 0 and 1.
+    """
+    spf = np.zeros(n + 1, dtype=np.int32)
+    kernels = np.arange(n + 1, dtype=np.int32)
     for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == p:
-            for q in range(p * p, n + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    kernels = [1] * (n + 1)
-    kernels[0] = 0
-    for i in range(2, n + 1):
-        k, v = 1, i
-        while v > 1:
-            p = spf[v]
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            if e & 1:
-                k *= p
-        kernels[i] = k
-    return kernels
+        if spf[p] == 0:
+            tail = spf[p * p :: p]
+            tail[tail == 0] = p
+            q = p * p
+            while q <= n:
+                kernels[::q] //= p * p
+                q *= p * p
+    unset = spf == 0
+    spf[unset] = np.flatnonzero(unset)
+    return kernels, spf
 
 
-def _scan_pair(a: int, b: int, K: int, bound: int, out: list):
-    """Exact checks along c = K * j^2 >= b; abc is square by construction."""
-    ab = a * b
-    j = math.isqrt((b - 1) // K) + 1 if K < b else 1
-    c = K * j * j
-    while c <= bound:
-        e1 = a + b + c
-        if is_perfect_square(e1) is not None:
-            e2 = ab + c * (a + b)
-            if is_perfect_square(e2) is not None:
-                if is_perfect_square(ab * c) is None:
-                    raise VerificationError("kernel pruning produced a non-square product")
-                out.append((a, b, c))
-        j += 1
-        c = K * j * j
+def _kernel_primes(spf: np.ndarray, k: int) -> tuple[int, ...]:
+    """Ascending primes of a squarefree k, read off the smallest-factor sieve."""
+    primes = []
+    while k > 1:
+        p = int(spf[k])
+        primes.append(p)
+        k //= p
+    return tuple(primes)
+
+
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """Elementwise floor square root of int64 values below 2**53."""
+    r = np.sqrt(x).astype(np.int64)
+    r -= r * r > x
+    r += (r + 1) * (r + 1) <= x
+    return r
+
+
+def _is_square(x: np.ndarray) -> np.ndarray:
+    """Exact elementwise square test for int64 values below 2**53."""
+    r = np.sqrt(x)
+    np.rint(r, out=r)
+    r = r.astype(np.int64)
+    r *= r
+    return r == x
+
+
+def _test_candidates(a, b, K, j0, n, out: list):
+    """Test c = K * j^2 for j0 <= j < j0 + n on each pair (a, b)."""
+    ends = np.cumsum(n)
+    c = np.arange(int(ends[-1]), dtype=np.int64)
+    c += np.repeat(j0 - (ends - n), n)
+    c *= c
+    c *= np.repeat(K, n)
+    e1 = np.repeat(a + b, n)
+    e1 += c
+    hit = np.flatnonzero(_is_square(e1))
+    pair = np.searchsorted(ends, hit, side="right")
+    ha, hb, hc = a[pair], b[pair], c[hit]
+    keep = _is_square(ha * hb + hc * (ha + hb))
+    for a, b, c in zip(ha[keep].tolist(), hb[keep].tolist(), hc[keep].tolist()):
+        # exact re-checks of the float survivors; abc is square by construction
+        ab = a * b
+        if is_perfect_square(a + b + c) is None or is_perfect_square(ab + c * (a + b)) is None:
+            raise VerificationError("float square test passed a non-square at %s" % ((a, b, c),))
+        if is_perfect_square(ab * c) is None:
+            raise VerificationError("kernel pruning produced a non-square product")
+        out.append((a, b, c))
+
+
+def _scan_pairs(a, b, K, bound: int, out: list):
+    """c-scan along c = K * j^2 with b <= c <= bound for each pair (a, b)."""
+    j0 = _isqrt((b - 1) // K) + 1
+    n = _isqrt(bound // K) - j0 + 1
+    live = n > 0
+    a, b, K, j0, n = a[live], b[live], K[live], j0[live], n[live]
+    ends = np.cumsum(n)
+    lo = 0
+    while lo < n.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _CANDIDATE_BATCH, side="right")))
+        _test_candidates(a[lo:hi], b[lo:hi], K[lo:hi], j0[lo:hi], n[lo:hi], out)
+        lo = hi
 
 
 def _search_block(args) -> list[tuple[int, int, int]]:
     a_lo, a_hi, bound = args
-    kernels = _kernel_sieve(bound)
+    kernels, spf = _kernel_sieve(bound)
     out: list[tuple[int, int, int]] = []
-    if _np is not None:
-        karr = _np.array(kernels, dtype=_np.int64)
-        for a in range(a_lo, a_hi):
-            ka = kernels[a]
-            kb = karr[a : bound + 1]
-            g = _np.gcd(ka, kb)
-            K = (ka // g) * (kb // g)
-            hits = _np.nonzero(K <= bound)[0]
-            for off in hits:
-                b = a + int(off)
-                _scan_pair(a, b, int(K[off]), bound, out)
-    else:  # pragma: no cover - exercised only without numpy
-        for a in range(a_lo, a_hi):
-            ka = kernels[a]
-            for b in range(a, bound + 1):
-                g = math.gcd(ka, kernels[b])
-                K = (ka // g) * (kernels[b] // g)
-                if K <= bound:
-                    _scan_pair(a, b, K, bound, out)
+    rows: list[int] = []
+    bs: list[np.ndarray] = []
+    Ks: list[np.ndarray] = []
+    pending = 0
+    for a in range(a_lo, a_hi):
+        # K = kernel(ab) = ka * kb / gcd(ka, kb)^2, the gcd being the
+        # primes of the squarefree ka that divide kb
+        ka = int(kernels[a])
+        kb = kernels[a:]
+        K = np.multiply(kb, ka, dtype=np.int64)
+        for p in _kernel_primes(spf, ka):
+            np.floor_divide(K, p * p, out=K, where=kb % p == 0)
+        off = np.flatnonzero(K <= bound)
+        rows.append(off.size)
+        bs.append(off + a)
+        Ks.append(K[off])
+        pending += off.size
+        if pending >= _PAIR_BATCH or a == a_hi - 1:
+            first = a + 1 - len(rows)
+            a_arr = np.repeat(np.arange(first, a + 1, dtype=np.int64), rows)
+            _scan_pairs(a_arr, np.concatenate(bs), np.concatenate(Ks), bound, out)
+            rows, bs, Ks, pending = [], [], [], 0
     return out
+
+
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Worker processes actually started: never more than CPUs or chunks."""
+    return min(workers, os.cpu_count() or 1, n_chunks)
 
 
 def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
@@ -124,18 +191,20 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     dropped (their canonical form is enumerated on its own).
     """
     bound = cfg.bound
-    if cfg.workers == 1 or bound < 256:
-        raw = _search_block((1, bound + 1, bound))
-    else:
+    chunks = []
+    if cfg.workers > 1 and bound >= 256:
         # contiguous a-ranges; small a carries most work, so split finely
-        chunks = []
         step = max(16, bound // (cfg.workers * 8))
         lo = 1
         while lo <= bound:
             hi = min(lo + step, bound + 1)
             chunks.append((lo, hi, bound))
             lo = hi
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = _pool_size(cfg.workers, len(chunks))
+    if workers <= 1:
+        raw = _search_block((1, bound + 1, bound))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = [t for block in pool.map(_search_block, chunks) for t in block]
     raw.sort()
     results = []

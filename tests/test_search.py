@@ -1,7 +1,14 @@
+import math
+import os
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaretriads import search as sr
 from squaretriads.errors import DomainError
+from squaretriads.exactnum import factorize, squarefree_decompose
 from squaretriads.triads import Triad, verify_triad
 
 
@@ -54,6 +61,70 @@ class TestSearch:
         assert sr.search_triads(sr.SearchConfig(1)) == []
         assert sr.search_triads(sr.SearchConfig(2)) == []
         assert sr.naive_search(2) == []
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(min_value=1, max_value=400))
+    def test_pruned_equals_naive_property(self, n):
+        pruned = [t.members() for t, _ in sr.search_triads(sr.SearchConfig(n))]
+        assert pruned == [t.members() for t in sr.naive_search(n)]
+
+    def test_largest_exact_bound(self):
+        # e2 <= 3 * bound**2 must stay below 2**53; no search is run here
+        edge = math.isqrt((2**53 - 1) // 3)
+        assert sr.SearchConfig(edge).bound == edge
+        with pytest.raises(DomainError):
+            sr.SearchConfig(edge + 1)
+
+    def test_pool_size_clamped(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sr._pool_size(64, 100) == 2
+        assert sr._pool_size(64, 1) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sr._pool_size(64, 100) == 1
+
+    def test_search_starts_clamped_pool(self, monkeypatch):
+        started = []
+
+        class InlinePool:
+            # records the pool size and runs the chunks in this process
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(sr, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = sr.search_triads(sr.SearchConfig(600))
+        assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
+        assert started == [3]
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
+        assert started == [3]
+
+
+class TestKernel:
+    def test_sieve_matches_squarefree_decompose(self):
+        kernels, spf = sr._kernel_sieve(2000)
+        assert kernels[0] == 0
+        for n in range(1, 2001):
+            kernel, _root = squarefree_decompose(n)
+            assert kernels[n] == kernel
+            assert sr._kernel_primes(spf, int(kernels[n])) == tuple(sorted(factorize(kernel)))
+
+    def test_float_square_tests_exact_below_2_53(self):
+        top = math.isqrt(2**53 - 1)
+        roots = [0, 1, 2, 3, 1000, 2**26 - 1, 2**26, top - 1, top]
+        xs = sorted({x for r in roots for x in (r * r - 1, r * r, r * r + 1) if 0 <= x < 2**53})
+        arr = np.array(xs, dtype=np.int64)
+        assert sr._isqrt(arr).tolist() == [math.isqrt(x) for x in xs]
+        assert sr._is_square(arr).tolist() == [math.isqrt(x) ** 2 == x for x in xs]
 
 
 class TestTable1:
