@@ -1,8 +1,9 @@
 """Command-line front end with machine-readable output.
 
 Exit codes: 0 success, 1 mathematical negative or degeneracy, 2 usage
-error.  All numeric JSON fields are decimal strings so arbitrary-precision
-values survive any consumer.
+error, 3 internal error (a failed certificate check).  All numeric JSON
+fields are decimal strings so arbitrary-precision values survive any
+consumer.
 """
 
 from __future__ import annotations
@@ -410,9 +411,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (DomainError, VerificationError, ZeroDivisionError) as exc:
+    except (DomainError, ZeroDivisionError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 1
+    except VerificationError as exc:
+        # a failed internal certificate is a bug, not a mathematical "no"
+        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
-from .families import ALL_SQUARES, NO_SQUARES, ONE_SQUARE, ParametricFamily
-from .multipoly import Poly, RatFunc, poly_sqrt, var
+from .families import ParametricFamily, square_classification
+from .multipoly import Poly, RatFunc, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import solution_family_polys, square_witnesses
 
 __all__ = [
@@ -330,8 +330,7 @@ def generate_family(k: int) -> ParametricFamily:
     u, v = line_to_plane(U, V)
     members = solution_family_polys(u, v)
     witnesses = square_witnesses(*members)
-    squares = sum(1 for mp in members if poly_sqrt(mp) is not None)
-    classification = {3: ALL_SQUARES, 1: ONE_SQUARE, 0: NO_SQUARES}[squares]
+    _, classification = square_classification(members)
     s, t = var("s"), var("t")
     return ParametricFamily(
         name="ecgen%d" % k,

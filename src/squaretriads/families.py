@@ -43,6 +43,7 @@ __all__ = [
     "get_family",
     "evaluate_family",
     "verify_family_symbolic",
+    "square_classification",
     "pythagorean_substitute",
     "gensol1_pipeline",
     "gensol1_steps",
@@ -71,6 +72,21 @@ class ParametricFamily:
 
     def members(self) -> tuple[Poly, Poly, Poly]:
         return (self.a, self.b, self.c)
+
+
+_CLASS_BY_SQUARES = {3: ALL_SQUARES, 1: ONE_SQUARE, 0: NO_SQUARES}
+
+
+def square_classification(members) -> tuple[int, str]:
+    """(number of members that are polynomial squares, classification).
+
+    Exactly two square members is an internal error: the product of the
+    members is a square, so two square members force the third to be one.
+    """
+    squares = sum(1 for mp in members if poly_sqrt(mp) is not None)
+    if squares not in _CLASS_BY_SQUARES:
+        raise VerificationError("unexpected number of square members: %d" % squares)
+    return squares, _CLASS_BY_SQUARES[squares]
 
 
 @dataclass(frozen=True)
@@ -316,8 +332,8 @@ def verify_family_symbolic(fam: ParametricFamily) -> FamilyReport:
 
     The witnesses must square exactly to the three symmetric functions.
     Classification counts members that are polynomial squares (3, exactly
-    1, or 0); no-squares families additionally get numeric two-rational-
-    squares spot checks at ten in-domain points.
+    1, or 0; 2 raises VerificationError); no-squares families additionally
+    get numeric two-rational-squares spot checks at ten in-domain points.
     """
     msgs = []
     ok = True
@@ -327,11 +343,10 @@ def verify_family_symbolic(fam: ParametricFamily) -> FamilyReport:
         if w * w != val:
             ok = False
             msgs.append("witness for %s does not square to it" % label)
-    squares = sum(1 for mp in fam.members() if poly_sqrt(mp) is not None)
-    expected = {ALL_SQUARES: 3, ONE_SQUARE: 1, NO_SQUARES: 0}[fam.classification]
-    cls_ok = squares == expected
+    squares, found = square_classification(fam.members())
+    cls_ok = found == fam.classification
     if not cls_ok:
-        msgs.append("expected %d square members, found %d" % (expected, squares))
+        msgs.append("classified %s, but %d members are squares" % (fam.classification, squares))
     if fam.classification == NO_SQUARES and cls_ok:
         for point in _sample_points(fam, 10):
             for mp in fam.members():
@@ -468,10 +483,7 @@ def _two_squares_chain(second_root: bool) -> TwoSquaresPipelineSteps:
     x2 = second_root_vieta(Ax, Bx, Cx, x0)
     roots = (S * S + t_val * t_val, x0, x2)
     members = polynomialize_roots(roots)
-    squares = sum(1 for mp in members if poly_sqrt(mp) is not None)
-    classification = {3: ALL_SQUARES, 1: ONE_SQUARE, 0: NO_SQUARES}.get(squares)
-    if classification is None:
-        raise VerificationError("unexpected number of square members: %d" % squares)
+    _, classification = square_classification(members)
     fam = ParametricFamily(
         name="gensol1" if not second_root else "gensol2",
         params=("r", "s"),

@@ -14,7 +14,9 @@ integer contents, and a positive leading denominator coefficient.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, PoleError
@@ -415,14 +417,16 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
         inv = Fraction(1) / Fraction(b.terms[()])
         return a * inv
     vars, ta, tb = a._aligned_with(b)
-    rem = dict(ta)
-    lb = max(tb, key=lambda e: (sum(e), e))
-    lbc = tb[lb]
-    items_b = list(tb.items())
+    # keys lead with the total degree, so plain max() finds the graded-lex
+    # leading term; adding or subtracting keys keeps that form
+    rem = {(sum(e),) + e: c for e, c in ta.items()}
+    items_b = [((sum(e),) + e, c) for e, c in tb.items()]
+    lb = max(e for e, _ in items_b)
+    lbc = tb[lb[1:]]
     quot: dict[tuple[int, ...], Coeff] = {}
     while rem:
-        la = max(rem, key=lambda e: (sum(e), e))
-        qe = tuple(x - y for x, y in zip(la, lb))
+        la = max(rem)
+        qe = tuple(map(sub, la, lb))
         if any(k < 0 for k in qe):
             return None
         ra = rem[la]
@@ -430,9 +434,9 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
             qc = ra // lbc
         else:
             qc = _canon_coeff(Fraction(ra) / Fraction(lbc))
-        quot[qe] = qc
+        quot[qe[1:]] = qc
         for e, c in items_b:
-            key = tuple(x + y for x, y in zip(qe, e))
+            key = tuple(map(add, qe, e))
             s = rem.get(key, 0) - qc * c
             if s:
                 rem[key] = s
@@ -450,22 +454,15 @@ def _divexact(a: Poly, b: Poly) -> Poly:
 
 # ---------------------------------------------------------------------------
 # GCD machinery
+#
+# One modular algorithm (Brown, J. ACM 18, 1971).  _gcd_modular works over
+# Z: it computes images of the gcd modulo primes above 2^62, combines them
+# by CRT and accepts a candidate only after exact trial division of both
+# inputs.  _gf_mgcd computes one image mod p: it evaluates the last
+# variable at random points, recurses, and interpolates the images back.
+# Homogeneous bivariate inputs are first dehomogenized to one variable,
+# which is far cheaper than two-variable interpolation on the generator.
 # ---------------------------------------------------------------------------
-
-
-def _int_coeff_lists(a: Poly, name: str) -> list[int]:
-    """Dense integer coefficient list of a univariate poly after clearing content."""
-    cont = a.rational_content()
-    prim = a * (Fraction(1) / cont)
-    deg = prim.degree_in(name)
-    out = [0] * (deg + 1)
-    if prim.is_const:
-        out[0] = int(prim.terms[()])
-        return out
-    i = prim.vars.index(name)
-    for e, c in prim.terms.items():
-        out[e[i]] = int(c)
-    return out
 
 
 def _int_list_degree(a: list[int]) -> int:
@@ -473,38 +470,6 @@ def _int_list_degree(a: list[int]) -> int:
         if a[i]:
             return i
     return -1
-
-
-def _int_list_primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    if g == 0:
-        return [0]
-    d = _int_list_degree(a)
-    sign = -1 if a[d] < 0 else 1
-    return [c // (sign * g) for c in a[: d + 1]]
-
-def _int_list_divexact(a: list[int], b: list[int]) -> list[int] | None:
-    da, db = _int_list_degree(a), _int_list_degree(b)
-    if da < 0:
-        return [0]
-    if db < 0:
-        return None
-    rem = list(a[: da + 1])
-    lead = b[db]
-    q = [0] * (da - db + 1)
-    for i in range(da - db, -1, -1):
-        c = rem[db + i]
-        if c == 0:
-            continue
-        if c % lead:
-            return None
-        qc = c // lead
-        q[i] = qc
-        for j in range(db + 1):
-            rem[i + j] -= qc * b[j]
-    return q if all(c == 0 for c in rem) else None
 
 
 _GCD_PRIME_START = (1 << 62) + 135  # first prime above 2^62 is found from here
@@ -516,61 +481,6 @@ def _gcd_primes():
         if is_prime(p):
             yield p
         p += 2
-
-
-def _int_list_gcd(A: list[int], B: list[int]) -> list[int]:
-    """Primitive gcd of integer coefficient lists via modular images + CRT."""
-    da, db = _int_list_degree(A), _int_list_degree(B)
-    if da < 0:
-        return _int_list_primitive(B)
-    if db < 0:
-        return _int_list_primitive(A)
-    A = _int_list_primitive(A)
-    B = _int_list_primitive(B)
-    da, db = _int_list_degree(A), _int_list_degree(B)
-    lc_gcd = math.gcd(A[da], B[db])
-    best_deg = None
-    acc: list[int] = []
-    acc_mod = 1
-    primes_in_acc = 0
-    for p in _gcd_primes():
-        if A[da] % p == 0 or B[db] % p == 0:
-            continue
-        g = _gf_gcd([c % p for c in A], [c % p for c in B], p)
-        dg = _int_list_degree(g)
-        if dg == 0:
-            return [1]
-        if primes_in_acc > 24:
-            # an unlucky prime may have poisoned the accumulator; start over
-            best_deg = None
-        if best_deg is None or dg < best_deg:
-            best_deg = dg
-            acc = [0] * (dg + 1)
-            acc_mod = 1
-            primes_in_acc = 0
-        elif dg > best_deg:
-            continue
-        primes_in_acc += 1
-        # scale image so its leading coefficient is lc_gcd mod p
-        scale = lc_gcd * pow(g[dg], -1, p) % p
-        img = [c * scale % p for c in g]
-        if acc_mod == 1:
-            acc = img
-            acc_mod = p
-        else:
-            inv = pow(acc_mod, -1, p)
-            new = []
-            for old, gi in zip(acc, img):
-                t = (gi - old) * inv % p
-                new.append(old + acc_mod * t)
-            acc = new
-            acc_mod *= p
-        # symmetric lift then trial division
-        half = acc_mod >> 1
-        cand = [c - acc_mod if c > half else c for c in acc]
-        cand = _int_list_primitive(cand)
-        if _int_list_divexact(A, cand) is not None and _int_list_divexact(B, cand) is not None:
-            return cand
 
 
 def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
@@ -594,9 +504,172 @@ def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _gcd_univar(a: Poly, b: Poly, name: str) -> Poly:
-    g = _int_list_gcd(_int_coeff_lists(a, name), _int_coeff_lists(b, name))
-    return Poly.from_univariate(name, [Poly.const(c) for c in g])
+# Univariate helpers mod p on dense lists [c0, c1, ...] without trailing zeros.
+
+
+def _gf_eval(a: list[int], x: int, p: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = (v * x + c) % p
+    return v
+
+
+def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return [c % p for c in out]
+
+
+def _gf_divexact(a: list[int], b: list[int], p: int) -> list[int]:
+    """Quotient a / b mod p, for b dividing a."""
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    rem = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(q) - 1, -1, -1):
+        c = rem[i + db] * inv % p
+        q[i] = c
+        if c:
+            for j in range(db + 1):
+                rem[i + j] -= c * b[j]
+    return q
+
+
+def _gf_split(A: dict) -> dict:
+    """{exponents: c} as {exponents without the last: dense list in the last variable}."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for e, c in A.items():
+        lst = out.setdefault(e[:-1], [])
+        if len(lst) <= e[-1]:
+            lst.extend([0] * (e[-1] + 1 - len(lst)))
+        lst[e[-1]] = c
+    return out
+
+
+def _gf_primitive(R: dict, p: int) -> tuple[list[int], dict]:
+    """(content, primitive part) of a split polynomial, content in the last variable."""
+    cont = None
+    for lst in R.values():
+        cont = lst if cont is None else _gf_gcd(cont, lst, p)
+        if len(cont) == 1:
+            return [1], R
+    return cont, {m: _gf_divexact(lst, cont, p) for m, lst in R.items()}
+
+
+def _gf_mgcd(A: dict, B: dict, p: int, rng: random.Random) -> dict:
+    """Lex-monic gcd of nonzero {exponents: c} dicts mod p (Brown's algorithm)."""
+    if len(next(iter(A))) == 1:
+        g = _gf_gcd(_gf_split(A)[()], _gf_split(B)[()], p)
+        inv = pow(g[-1], -1, p)
+        return {(k,): c * inv % p for k, c in enumerate(g) if c}
+    ca, RA = _gf_primitive(_gf_split(A), p)
+    cb, RB = _gf_primitive(_gf_split(B), p)
+    cont = _gf_gcd(ca, cb, p)
+    lca, lcb = RA[max(RA)], RB[max(RB)]
+    gamma = _gf_gcd(lca, lcb, p)
+    deg_a = max(len(lst) for lst in RA.values()) - 1
+    deg_b = max(len(lst) for lst in RB.values()) - 1
+    # degree bound, in the last variable, of gamma * gcd / lc(gcd)
+    bound = len(gamma) - 1 + min(deg_a, deg_b)
+    lm = None
+    while True:
+        x = rng.randrange(p)
+        if lm is not None and _gf_eval(q, x, p) == 0:
+            continue  # point already used
+        if _gf_eval(lca, x, p) == 0 or _gf_eval(lcb, x, p) == 0:
+            continue
+        Ax = {m: v for m, lst in RA.items() if (v := _gf_eval(lst, x, p))}
+        Bx = {m: v for m, lst in RB.items() if (v := _gf_eval(lst, x, p))}
+        g = _gf_mgcd(Ax, Bx, p, rng)
+        glm = max(g)
+        if not any(glm):
+            # a constant image at a point where no leading coefficient
+            # vanishes makes the primitive parts coprime
+            H = {glm: [1]}
+            break
+        if lm is None or glm < lm:
+            lm, H, q = glm, {}, [1]  # first image, or all earlier ones were unlucky
+        elif glm > lm:
+            continue  # this point is unlucky
+        # Newton step: H += (g*gamma(x) - H(x)) / q(x) * q
+        scale = _gf_eval(gamma, x, p)
+        inv_q = pow(_gf_eval(q, x, p), -1, p)
+        for m in set(H) | set(g):
+            lst = H.setdefault(m, [])
+            d = (g.get(m, 0) * scale - _gf_eval(lst, x, p)) * inv_q % p
+            if d:
+                lst.extend([0] * (len(q) - len(lst)))
+                for i, c in enumerate(q):
+                    lst[i] = (lst[i] + d * c) % p
+        q = _gf_mul(q, [-x % p, 1], p)
+        if len(q) > bound + 1:
+            break
+    H = {m: lst[: _int_list_degree(lst) + 1] for m, lst in H.items() if any(lst)}
+    _, H = _gf_primitive(H, p)
+    inv = pow(H[max(H)][-1] * cont[-1], -1, p)
+    scale = [c * inv % p for c in cont]
+    return {
+        m + (k,): c
+        for m, lst in H.items()
+        for k, c in enumerate(_gf_mul(lst, scale, p))
+        if c
+    }
+
+
+def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
+    """Primitive gcd over Z of primitive integer {exponents: c} dicts.
+
+    Each image mod p is scaled so that its lex-leading coefficient is the
+    gcd of the inputs' lex-leading coefficients; images then agree with
+    one fixed integer polynomial and combine by CRT.  Primes dividing a
+    lex-leading coefficient are skipped, an image with a smaller leading
+    monomial discards the others (they came from unlucky primes), and the
+    accumulation restarts after 24 primes in case it was poisoned.
+    """
+    lca, lcb = A[max(A)], B[max(B)]
+    lc_gcd = math.gcd(lca, lcb)
+    best, primes_in_acc = None, 0
+    for p in _gcd_primes():
+        if lca % p == 0 or lcb % p == 0:
+            continue
+        g = _gf_mgcd(
+            {e: c % p for e, c in A.items() if c % p},
+            {e: c % p for e, c in B.items() if c % p},
+            p,
+            random.Random(p),
+        )
+        lm = max(g)
+        if not any(lm):
+            return {lm: 1}
+        if primes_in_acc > 24:
+            best = None
+        if best is None or lm < best:
+            best, acc, acc_mod, primes_in_acc = lm, {}, 1, 0
+        elif lm > best:
+            continue
+        primes_in_acc += 1
+        # the image is lex-monic; scale it to lead with lc_gcd, then CRT
+        inv = pow(acc_mod, -1, p)
+        for e in set(acc) | set(g):
+            old = acc.get(e, 0)
+            acc[e] = old + acc_mod * ((g.get(e, 0) * lc_gcd - old) * inv % p)
+        acc_mod *= p
+        half = acc_mod >> 1
+        cand = {e: c - acc_mod if c > half else c for e, c in acc.items() if c}
+        # an image still changing under CRT has coefficients spread up to
+        # acc_mod/2; trial-divide only once all are 2^16 times smaller
+        if max(abs(c) for c in cand.values()).bit_length() + 16 > acc_mod.bit_length():
+            continue
+        cont = 0
+        for c in cand.values():
+            cont = math.gcd(cont, c)
+        cand = {e: c // cont for e, c in cand.items()}
+        gp = Poly._make(vars, cand)
+        if all(poly_divide_exact(Poly._make(vars, F), gp) is not None for F in (A, B)):
+            return cand
 
 
 def _split_monomial_pair(p: Poly, v1: str, v2: str) -> tuple[int, int, Poly]:
@@ -633,22 +706,14 @@ def _gcd_bivar_homogeneous(a: Poly, b: Poly, v1: str, v2: str) -> Poly:
     if ca.is_const or cb.is_const:
         return _normalize_gcd(mono)
 
-    def dehom(p: Poly) -> list[int]:
-        cont = p.rational_content()
-        prim = p * (Fraction(1) / cont)
-        d = prim.total_degree()
-        out = [0] * (d + 1)
+    def dehom(p: Poly) -> dict:
+        prim = p * (Fraction(1) / p.rational_content())
         iv2 = prim.vars.index(v2)
-        for e, c in prim.terms.items():
-            out[e[iv2]] = int(c)
-        return out
+        return {(e[iv2],): c for e, c in prim.terms.items()}
 
-    g = _int_list_gcd(dehom(ca), dehom(cb))
-    dg = _int_list_degree(g)
-    terms = {}
-    for k in range(dg + 1):
-        if g[k]:
-            terms[(dg - k + e1, k + e2)] = g[k]
+    g = _gcd_modular((v2,), dehom(ca), dehom(cb))
+    dg = max(g)[0]
+    terms = {(dg - k + e1, k + e2): c for (k,), c in g.items()}
     return _normalize_gcd(Poly._make((v1, v2), terms))
 
 
@@ -663,141 +728,6 @@ def _content_wrt(p: Poly, name: str) -> tuple[Poly, Poly]:
     if cont.is_const:
         cont = _ONE
     return cont, _divexact(p, cont)
-
-
-def _pseudo_rem(A: list[Poly], B: list[Poly]) -> list[Poly]:
-    """Pseudo-remainder of coefficient lists (univariate over a poly ring).
-
-    Eliminates the top term via rem <- lead(B)*rem - c*x^i*B, so no
-    coefficient division is ever needed.
-    """
-    da, db = len(A) - 1, len(B) - 1
-    lead = B[db]
-    rem = list(A)
-    for i in range(da - db, -1, -1):
-        c = rem[db + i]
-        if c.is_zero:
-            continue
-        rem = [r * lead for r in rem]
-        for j in range(db + 1):
-            rem[i + j] = rem[i + j] - c * B[j]
-    while rem and rem[-1].is_zero:
-        rem.pop()
-    return rem
-
-
-def _max_abs_coeff(p: Poly) -> int:
-    return max(abs(int(c)) for c in p.terms.values())
-
-
-def _int_content_split(p: Poly) -> tuple[int, Poly]:
-    """(signed content, primitive part) of an integer-coefficient poly."""
-    g = 0
-    for c in p.terms.values():
-        g = math.gcd(g, int(c))
-    if p.leading_coeff() < 0:
-        g = -g
-    if g in (1, 0):
-        return (g or 1), p
-    return g, Poly(p.vars, {e: int(c) // g for e, c in p.terms.items()})
-
-
-def _subst_int(p: Poly, name: str, xi: int) -> Poly:
-    """Evaluate one variable at an integer, exactly."""
-    if name not in p.vars:
-        return p
-    i = p.vars.index(name)
-    powers = {0: 1}
-    out: dict[tuple[int, ...], Coeff] = {}
-    for e, c in p.terms.items():
-        k = e[i]
-        pw = powers.get(k)
-        if pw is None:
-            pw = xi**k
-            powers[k] = pw
-        e2 = e[:i] + e[i + 1 :]
-        out[e2] = out.get(e2, 0) + c * pw
-    return Poly._make(p.vars[:i] + p.vars[i + 1 :], out)
-
-
-def _mods(c: int, xi: int) -> int:
-    r = c % xi
-    return r - xi if r > xi >> 1 else r
-
-
-def _interpolate_digits(gamma: Poly, xi: int, name: str) -> Poly:
-    """Rebuild the polynomial in `name` from balanced base-xi digits of gamma."""
-    digits: list[Poly] = []
-    g = gamma
-    while not g.is_zero:
-        digit = Poly(g.vars, {e: _mods(int(c), xi) for e, c in g.terms.items()})
-        digit = Poly._make(digit.vars, digit.terms)
-        digits.append(digit)
-        g = Poly._make(g.vars, {e: (int(c) - _mods(int(c), xi)) // xi for e, c in g.terms.items()})
-    return Poly.from_univariate(name, digits)
-
-
-def _heugcd(a: Poly, b: Poly, depth: int = 0) -> Poly | None:
-    """Heuristic gcd of integer-coefficient polys: evaluate one variable at a
-    large integer, take the gcd one level down, lift the digits back, and
-    verify by trial division.  Returns the content-inclusive gcd, or None
-    if six evaluation points all fail (callers then use the slow path).
-    """
-    ca, pa = _int_content_split(a)
-    cb, pb = _int_content_split(b)
-    content = math.gcd(ca, cb)
-    vars = tuple(sorted(set(pa.vars) | set(pb.vars), key=_var_key))
-    if not vars:
-        return Poly.const(content)
-    if len(vars) == 1:
-        return _gcd_univar(pa, pb, vars[0]) * content
-    if depth > 8:
-        return None
-    name = vars[-1]
-    xi = 2 * min(_max_abs_coeff(pa), _max_abs_coeff(pb)) + 29
-    for _ in range(6):
-        A = _subst_int(pa, name, xi)
-        B = _subst_int(pb, name, xi)
-        if not (A.is_zero or B.is_zero):
-            gamma = _heugcd(A, B, depth + 1)
-            if gamma is None:
-                return None
-            cand = _interpolate_digits(gamma, xi, name)
-            if not cand.is_zero:
-                _, cand = _int_content_split(cand)
-                if (
-                    poly_divide_exact(pa, cand) is not None
-                    and poly_divide_exact(pb, cand) is not None
-                ):
-                    return cand * content
-        xi = 73794 * xi // 27011
-    return None
-
-
-def _gcd_recursive(a: Poly, b: Poly) -> Poly:
-    vars = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
-    name = vars[0]
-    ca, pa = _content_wrt(a, name)
-    cb, pb = _content_wrt(b, name)
-    cont = _poly_gcd_core(ca, cb)
-    A = pa.as_univariate(name)
-    B = pb.as_univariate(name)
-    if len(A) < len(B):
-        A, B = B, A
-    while True:
-        R = _pseudo_rem(A, B)
-        if not R:
-            g = Poly.from_univariate(name, B)
-            break
-        if len(R) == 1:
-            g = _ONE
-            break
-        rpoly = Poly.from_univariate(name, R)
-        _, rprim = _content_wrt(rpoly, name)
-        A, B = B, rprim.as_univariate(name)
-    if not g.is_const:
-        _, g = _content_wrt(g, name)
-    return cont * g
 
 
 def _normalize_gcd(g: Poly) -> Poly:
@@ -818,19 +748,13 @@ def _poly_gcd_core(a: Poly, b: Poly) -> Poly:
     if a.is_const or b.is_const:
         return _ONE
     vars = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
-    if len(vars) == 1:
-        return _gcd_univar(a, b, vars[0])
     if len(vars) == 2 and a.is_homogeneous() and b.is_homogeneous():
         return _gcd_bivar_homogeneous(a, b, vars[0], vars[1])
     if not (set(a.vars) & set(b.vars)):
         return _ONE
-    # general case: heuristic evaluation gcd, primitive PRS as fallback
     ia = a * (Fraction(1) / a.rational_content())
     ib = b * (Fraction(1) / b.rational_content())
-    heu = _heugcd(ia, ib)
-    if heu is not None:
-        return heu
-    return _gcd_recursive(a, b)
+    return Poly._make(vars, _gcd_modular(vars, _embed(ia, vars), _embed(ib, vars)))
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:

@@ -95,7 +95,10 @@ def canonical_triple(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
     root = largest_square_root_divisor(g)
     if not root.is_const:
         sq = root * root
-        members = tuple(_divexact(mp, sq) for mp in members)
+        stripped = tuple(poly_divide_exact(mp, sq) for mp in members)
+        if any(q is None for q in stripped):
+            raise VerificationError("canonical square factor did not divide a member")
+        members = stripped
     contents = [mp.rational_content() for mp in members]
     for c in contents:
         if c.denominator != 1:
@@ -108,13 +111,6 @@ def canonical_triple(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
         inv = Fraction(1, croot * croot)
         members = tuple(mp * inv for mp in members)
     return tuple(sorted(members, key=canonical_sort_key))
-
-
-def _divexact(a: Poly, b: Poly) -> Poly:
-    q = poly_divide_exact(a, b)
-    if q is None:
-        raise VerificationError("canonical square factor did not divide a member")
-    return q
 
 
 def square_witnesses(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly, Poly]:

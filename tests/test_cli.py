@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from squaretriads import cli
 from squaretriads.cli import main
+from squaretriads.errors import VerificationError
 
 
 @pytest.fixture
@@ -184,6 +186,16 @@ class TestDeterminism:
         _, before, _ = run("--format", "csv", "verify", "45", "64", "180")
         _, after, _ = run("verify", "45", "64", "180", "--format", "csv")
         assert before == after and before.startswith("a,b,c,f,g,h")
+
+
+def test_internal_error_exit_3(run, monkeypatch):
+    def broken(args):
+        raise VerificationError("injected certificate failure")
+
+    monkeypatch.setitem(cli._DISPATCH, "verify", broken)
+    code, _, err = run("verify", "45", "64", "180")
+    assert code == 3
+    assert json.loads(err) == {"error": "injected certificate failure"}
 
 
 def test_console_script_entry_point():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from squaretriads import families as fam
-from squaretriads.errors import DomainError, ExcludedLocusError
+from squaretriads.errors import DomainError, ExcludedLocusError, VerificationError
 from squaretriads.multipoly import RatFunc, evaluate, poly_sqrt, var
 from squaretriads.triads import Triad, is_sum_two_rational_squares, verify_triad
 
@@ -133,6 +133,15 @@ class TestSymbolicVerification:
         )
         report = fam.verify_family_symbolic(bad)
         assert not report.ok
+
+    def test_square_classification(self):
+        s, t = var("s"), var("t")
+        assert fam.square_classification((s**2, t**2, (s * t) ** 2)) == (3, fam.ALL_SQUARES)
+        assert fam.square_classification((s**2, t, s + t)) == (1, fam.ONE_SQUARE)
+        assert fam.square_classification((s, t, s + t)) == (0, fam.NO_SQUARES)
+        # two square members cannot occur in a triad: an internal error
+        with pytest.raises(VerificationError):
+            fam.square_classification((s**2, t**2, s**2 + t**2))
 
 
 class TestPythagoreanSubstitution:

@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,96 @@ class TestGcd:
         # of one variable's coefficient view and must not be lost
         assert poly_gcd(t * (s + t), t * (s - t)) == t
         assert poly_gcd(m * s + m, m * s - m) == m
+
+    def test_univariate_large_coefficients(self):
+        # the gcd's coefficients exceed one prime, so images combine by CRT
+        g0 = m**3 + (2**70 + 1) * m + 3**50
+        assert poly_gcd(g0 * (m**2 + 7), g0 * (2**40 * m - 1)) == g0
+
+    def test_homogeneous_bivariate_with_monomial_factors(self):
+        a = s**3 * t * (s**2 + t**2) * (s - t)
+        b = s * t**2 * (s**2 + t**2) * (s + 2 * t)
+        assert poly_gcd(a, b) == s * t * (s**2 + t**2)
+
+    def test_trivariate_general(self):
+        g0 = s * t + m + 1
+        assert poly_gcd(g0 * (s - m * t), g0 * (t**2 + s)) == g0
+
+    def test_content_only(self):
+        # the primitive parts are coprime, so the gcd is the common content
+        # in the evaluation variable t: the constant-image exit
+        assert poly_gcd(t * (s + 1), t * (s + 2)) == t
+        assert poly_gcd(m * t * (s + 1), t * (s + 2) * (m + 1)) == t
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(23)
+        names = ("s", "t", "m")
+        syms = sympy.symbols(names)
+
+        def monomial(c, exps):
+            mono = const(c)
+            for name, k in zip(names, exps):
+                mono = mono * var(name) ** k
+            return mono
+
+        def rand(nv, deg, terms, homogeneous):
+            p = Poly.zero()
+            for _ in range(terms):
+                if homogeneous:
+                    cuts = sorted(rng.randint(0, deg) for _ in range(nv - 1))
+                    exps = [b - a for a, b in zip([0] + cuts, cuts + [deg])]
+                else:
+                    exps = [rng.randint(0, deg) for _ in range(nv)]
+                p = p + monomial(rng.randint(-20, 20), exps)
+            return p
+
+        def to_sympy(p):
+            return sympy.sympify(p.render().replace("^", "**"), locals=dict(zip(names, syms)))
+
+        def from_sympy(e):
+            return sum((monomial(int(c), exps) for exps, c in sympy.Poly(e, *syms).terms()), Poly.zero())
+
+        checked = 0
+        for _ in range(120):
+            nv = rng.randint(1, 3)
+            homogeneous = rng.random() < 0.4
+            terms = 8 if rng.random() < 0.5 else 2  # dense or sparse
+            deg = rng.randint(1, 4)
+            a, b, g0 = (rand(nv, deg, terms, homogeneous) for _ in range(3))
+            if a.is_zero or b.is_zero or g0.is_zero:
+                continue
+            ours = poly_gcd(a * g0, b * g0)
+            theirs = from_sympy(sympy.gcd(to_sympy(a * g0), to_sympy(b * g0)))
+            theirs = theirs * (1 / theirs.rational_content())  # equal up to a constant
+            assert ours in (theirs, -theirs), (a * g0, b * g0)
+            checked += 1
+        assert checked > 100
+
+    def test_shifted_generator_members_within_budget(self):
+        # members of generate_family(3) shifted by s -> s + 1: degree 80,
+        # 83-bit coefficients, neither homogeneous nor univariate
+        from squaretriads.ecurve import generate_family
+
+        if not hasattr(signal, "SIGALRM"):
+            pytest.skip("needs SIGALRM")
+        a, b, c = generate_family(3).members()
+        shift = {"s": s + 1}
+        x, y = substitute(a * b, shift), substitute(b * c, shift)
+
+        def over_budget(signum, frame):
+            raise TimeoutError("gcd exceeded its 20 s budget")
+
+        previous = signal.signal(signal.SIGALRM, over_budget)
+        signal.alarm(20)
+        try:
+            g = poly_gcd(x, y)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        # the shift commutes with the gcd, computed unshifted on the homogeneous route
+        expected = substitute(poly_gcd(a * b, b * c), shift)
+        assert g in (expected, -expected)
 
     def test_squarefree_decomposition(self):
         parts = dict((e, f) for f, e in squarefree_decomposition((s**2 + t**2) ** 3 * (s - t) ** 2 * (s + 2 * t)))
