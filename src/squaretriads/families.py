@@ -18,13 +18,12 @@ from .errors import DomainError, ExcludedLocusError, NoAscentError, Verification
 from .multipoly import (
     Poly,
     RatFunc,
-    canonical_sort_key,
     evaluate,
     poly_sqrt,
     substitute,
     var,
 )
-from .pipeline import canonical_triple, polynomialize_roots, square_witnesses
+from .pipeline import polynomialize_roots, square_witnesses, strip_common_squares
 from .quartic import ascend_constant_side, second_root_vieta
 from .triads import (
     SquareCertificate,
@@ -381,7 +380,7 @@ def pythagorean_substitute(name: str) -> ParametricFamily:
     m, n = var("m"), var("n")
     binding = {"s": 2 * m * n, "t": m**2 - n**2}
     members = tuple(substitute(mp, binding) for mp in fam.members())
-    members = _canonical_keep_order(members)
+    members = strip_common_squares(members)
     target = get_family(_PYTHAGOREAN_TARGET[name])
     return ParametricFamily(
         name=target.name,
@@ -394,31 +393,6 @@ def pythagorean_substitute(name: str) -> ParametricFamily:
         classification=ALL_SQUARES,
         paper_eq=target.paper_eq,
     )
-
-
-def _canonical_keep_order(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
-    """canonical_triple's square-stripping without the final sort.
-
-    Recovers the square scale by matching the first member against each
-    canonical member; a candidate scale is accepted only when it divides
-    all three and reproduces the canonical triple.
-    """
-    from .multipoly import canonical_sort_key, poly_divide_exact
-
-    sorted_triple = canonical_triple(members)
-    for cp in sorted_triple:
-        q = poly_divide_exact(members[0], cp)
-        if q is None or poly_sqrt(q) is None:
-            continue
-        scaled = []
-        for mp in members:
-            out = poly_divide_exact(mp, q)
-            if out is None:
-                break
-            scaled.append(out)
-        if len(scaled) == len(members) and tuple(sorted(scaled, key=canonical_sort_key)) == sorted_triple:
-            return tuple(scaled)
-    raise VerificationError("could not align canonical triple with original order")
 
 
 # ---------------------------------------------------------------------------

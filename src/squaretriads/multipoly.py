@@ -6,9 +6,17 @@ keyed by exponent tuples; the monomial order is graded lexicographic with
 the variable priority fixed once, globally, so rendered output and leading
 coefficients are deterministic across runs.
 
+Polynomials in one variable, and homogeneous ones in two, also have a dense
+form: a coefficient list in the last variable plus a monomial offset.  gcd,
+square root and exact division switch to it whenever every input has that
+shape.
+
 RatFunc is always kept in canonical form: numerator and denominator are
 integer-coefficient polynomials with no common polynomial factor, coprime
-integer contents, and a positive leading denominator coefficient.
+integer contents, and a positive leading denominator coefficient.  Since
+operands are canonical, arithmetic reduces its results without a gcd of
+whole products (Henrici, 1956): a product only cancels the two cross gcds,
+and a sum with denominator gcd g only needs gcd(numerator, g).
 """
 
 from __future__ import annotations
@@ -154,17 +162,7 @@ class Poly:
 
     def rational_content(self) -> Fraction:
         """Positive c with self/c integer-coefficient and content 1 (0 for zero)."""
-        if not self.terms:
-            return Fraction(0)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            if isinstance(c, int):
-                num_gcd = math.gcd(num_gcd, c)
-            else:
-                num_gcd = math.gcd(num_gcd, c.numerator)
-                den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return _rational_content(self.terms.values())
 
     # -- alignment helpers ----------------------------------------------------
 
@@ -237,8 +235,11 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
+            other = _canon_coeff(other)
             if other == 0:
                 return _ZERO
+            if other == 1:
+                return self
             return Poly(self.vars, {e: _canon_coeff(c * other) for e, c in self.terms.items()})
         if isinstance(other, RatFunc):
             return other * self
@@ -382,6 +383,19 @@ def _embed(p: Poly, vars: tuple[str, ...]) -> dict:
     return out
 
 
+def _rational_content(coeffs: Iterable[Coeff]) -> Fraction:
+    """Positive c with every coefficient / c an integer, coprime together (0 if none)."""
+    num_gcd = 0
+    den_lcm = 1
+    for c in coeffs:
+        if isinstance(c, int):
+            num_gcd = math.gcd(num_gcd, c)
+        else:
+            num_gcd = math.gcd(num_gcd, c.numerator)
+            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    return Fraction(num_gcd, den_lcm)
+
+
 _ZERO = Poly((), {})
 _ONE = Poly((), {(): 1})
 
@@ -396,6 +410,113 @@ def const(c: Scalar) -> Poly:
 
 
 # ---------------------------------------------------------------------------
+# Dense route
+#
+# A polynomial in one variable, or a homogeneous one in two variables
+# (v1, v2), is stored as a coefficient list in the last variable plus an
+# offset for its monomial factor:
+#
+#     p = sum_i L[i] * v1^(d - low - i) * v2^(low + i),   L[0], L[-1] != 0,
+#
+# where d is the total degree; in one variable read v1 = 1 and d = the
+# highest exponent.  gcd, square root and exact division run on such lists
+# whenever every input has this shape; other inputs take the sparse
+# graded-lex code.
+# ---------------------------------------------------------------------------
+
+
+def _dense_vars(*ps: Poly) -> tuple[str, ...] | None:
+    """The variables of ps if they take the dense route together, else None."""
+    vars = tuple(sorted(set().union(*(p.vars for p in ps)), key=_var_key))
+    if len(vars) == 1 or (len(vars) == 2 and all(p.is_homogeneous() for p in ps)):
+        return vars
+    return None
+
+
+def _to_dense(p: Poly, vars: tuple[str, ...]) -> tuple[int, int, list[Coeff]]:
+    """(d, low, L) of a nonzero p whose variables lie within vars (see above)."""
+    terms = _embed(p, vars)
+    low = min(e[-1] for e in terms)
+    high = max(e[-1] for e in terms)
+    L: list[Coeff] = [0] * (high - low + 1)
+    for e, c in terms.items():
+        L[e[-1] - low] = c
+    d = sum(next(iter(terms))) if len(vars) == 2 else high
+    return d, low, L
+
+
+def _from_dense(vars: tuple[str, ...], d: int, low: int, L: list[Coeff]) -> Poly:
+    """The polynomial that _to_dense maps to (d, low, L)."""
+    if len(vars) == 1:
+        terms = {(low + i,): c for i, c in enumerate(L) if c}
+    else:
+        terms = {(d - low - i, low + i): c for i, c in enumerate(L) if c}
+    return Poly._make(vars, terms)
+
+
+def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
+    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
+        return a // b
+    return _canon_coeff(Fraction(a) / Fraction(b))
+
+
+def _dense_mul(a: list[Coeff], b: list[Coeff]) -> list[Coeff]:
+    out: list[Coeff] = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return out
+
+
+def _dense_divexact(a: list[Coeff], b: list[Coeff]) -> list[Coeff] | None:
+    """q with q * b == a, by long division from the top, or None."""
+    nb = len(b) - 1
+    nq = len(a) - nb
+    if nq <= 0:
+        return None
+    rem = list(a)
+    lead = b[-1]
+    low_b = b[:-1]
+    q: list[Coeff] = [0] * nq
+    for i in range(nq - 1, -1, -1):
+        c = rem[i + nb]
+        if c:
+            c = q[i] = _coeff_div(c, lead)
+            rem[i : i + nb] = [r - c * cb for r, cb in zip(rem[i : i + nb], low_b)]
+    if any(rem[:nb]):
+        return None
+    return q
+
+
+def _dense_sqrt(a: list[Coeff]) -> list[Coeff] | None:
+    """r with r * r == a, solved from the top coefficient down, or None."""
+    if not len(a) & 1:
+        return None
+    n = len(a) >> 1
+    top = _const_sqrt(a[-1])
+    if top is None:
+        return None
+    # the square root of an integer polynomial over Q has integer
+    # coefficients (Gauss), so an inexact integer division settles it
+    integral = all(isinstance(c, int) for c in a)
+    r: list[Coeff] = [0] * (n + 1)
+    r[n] = top
+    two_top = 2 * top
+    for j in range(n - 1, -1, -1):
+        # coefficient n + j of r * r is 2 r[n] r[j] + sum r[i] r[n + j - i], j < i < n
+        acc = a[n + j]
+        for i in range(j + 1, n):
+            acc -= r[i] * r[n + j - i]
+        if integral and acc % two_top:
+            return None
+        r[j] = _coeff_div(acc, two_top)
+    if _dense_mul(r, r) != a:
+        return None
+    return r
+
+
+# ---------------------------------------------------------------------------
 # Exact division
 # ---------------------------------------------------------------------------
 
@@ -403,7 +524,9 @@ def const(c: Scalar) -> Poly:
 def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
     """Quotient a/b when b divides a exactly, else None.
 
-    Single-divisor long division in graded-lex order: when the quotient
+    Dense inputs (see above) use long division on their coefficient lists;
+    the quotient must also have no negative exponent.  Other inputs use
+    single-divisor long division in graded-lex order: when the quotient
     exists every intermediate leading term is divisible, so the first
     failed leading-term division certifies indivisibility.
     """
@@ -416,6 +539,16 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
     if b.is_const:
         inv = Fraction(1) / Fraction(b.terms[()])
         return a * inv
+    dense = _dense_vars(a, b)
+    if dense is not None:
+        da, la, A = _to_dense(a, dense)
+        db, lb, B = _to_dense(b, dense)
+        low = la - lb
+        # every exponent of the quotient, in both variables, must be >= 0
+        if low < 0 or low + len(A) - len(B) > da - db:
+            return None
+        q = _dense_divexact(A, B)
+        return None if q is None else _from_dense(dense, da - db, low, q)
     vars, ta, tb = a._aligned_with(b)
     # keys lead with the total degree, so plain max() finds the graded-lex
     # leading term; adding or subtracting keys keeps that form
@@ -429,12 +562,7 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
         qe = tuple(map(sub, la, lb))
         if any(k < 0 for k in qe):
             return None
-        ra = rem[la]
-        if isinstance(ra, int) and isinstance(lbc, int) and ra % lbc == 0:
-            qc = ra // lbc
-        else:
-            qc = _canon_coeff(Fraction(ra) / Fraction(lbc))
-        quot[qe[1:]] = qc
+        quot[qe[1:]] = qc = _coeff_div(rem[la], lbc)
         for e, c in items_b:
             key = tuple(map(add, qe, e))
             s = rem.get(key, 0) - qc * c
@@ -460,8 +588,11 @@ def _divexact(a: Poly, b: Poly) -> Poly:
 # by CRT and accepts a candidate only after exact trial division of both
 # inputs.  _gf_mgcd computes one image mod p: it evaluates the last
 # variable at random points, recurses, and interpolates the images back.
-# Homogeneous bivariate inputs are first dehomogenized to one variable,
-# which is far cheaper than two-variable interpolation on the generator.
+# Inputs on the dense route (univariate, or homogeneous in two variables)
+# lose their common monomial factor and reach _gcd_modular as one
+# coefficient list; dehomogenizing is far cheaper than two-variable
+# interpolation on the generator.  The restart limit of the CRT loop comes
+# from a coefficient bound of the inputs, so no gcd is cut off by it.
 # ---------------------------------------------------------------------------
 
 
@@ -619,6 +750,17 @@ def _gf_mgcd(A: dict, B: dict, p: int, rng: random.Random) -> dict:
     }
 
 
+def _divisor_bound_bits(F: dict) -> int:
+    """Bits of a bound on the coefficients of any primitive integer divisor of F.
+
+    A divisor G of F has |G|_inf <= 2^(sum of its partial degrees) * M(G),
+    its partial degrees are at most those of F, and its Mahler measure is
+    M(G) <= M(F) <= |F|_2 (Mignotte, 1974).
+    """
+    degrees = sum(map(max, zip(*F)))
+    return degrees + (sum(c * c for c in F.values()).bit_length() + 1) // 2
+
+
 def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
     """Primitive gcd over Z of primitive integer {exponents: c} dicts.
 
@@ -627,10 +769,15 @@ def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
     one fixed integer polynomial and combine by CRT.  Primes dividing a
     lex-leading coefficient are skipped, an image with a smaller leading
     monomial discards the others (they came from unlucky primes), and the
-    accumulation restarts after 24 primes in case it was poisoned.
+    accumulation restarts, in case it was poisoned, once it holds one prime
+    more than the coefficient bound of the result needs.
     """
     lca, lcb = A[max(A)], B[max(B)]
     lc_gcd = math.gcd(lca, lcb)
+    bits = lc_gcd.bit_length() + min(_divisor_bound_bits(A), _divisor_bound_bits(B))
+    # primes above 2^62 carry 62 bits each; the candidate is tried once its
+    # coefficients are 2^16 times smaller than the modulus
+    max_primes = (bits + 16) // 62 + 2
     best, primes_in_acc = None, 0
     for p in _gcd_primes():
         if lca % p == 0 or lcb % p == 0:
@@ -644,7 +791,7 @@ def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
         lm = max(g)
         if not any(lm):
             return {lm: 1}
-        if primes_in_acc > 24:
+        if primes_in_acc >= max_primes:
             best = None
         if best is None or lm < best:
             best, acc, acc_mod, primes_in_acc = lm, {}, 1, 0
@@ -672,49 +819,34 @@ def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
             return cand
 
 
-def _split_monomial_pair(p: Poly, v1: str, v2: str) -> tuple[int, int, Poly]:
-    """Factor p (vars within {v1, v2}) as v1^e1 * v2^e2 * cofactor."""
-    i1 = p.vars.index(v1) if v1 in p.vars else None
-    i2 = p.vars.index(v2) if v2 in p.vars else None
-    e1 = min(e[i1] for e in p.terms) if i1 is not None else 0
-    e2 = min(e[i2] for e in p.terms) if i2 is not None else 0
-    if not (e1 or e2):
-        return 0, 0, p
-    terms = {}
-    for e, c in p.terms.items():
-        e = list(e)
-        if i1 is not None:
-            e[i1] -= e1
-        if i2 is not None:
-            e[i2] -= e2
-        terms[tuple(e)] = c
-    return e1, e2, Poly._make(p.vars, terms)
+def _gcd_dense(a: Poly, b: Poly, vars: tuple[str, ...]) -> Poly:
+    """gcd of nonconstant a, b on the dense route.
 
-
-def _gcd_bivar_homogeneous(a: Poly, b: Poly, v1: str, v2: str) -> Poly:
-    """gcd of homogeneous polynomials whose variables lie within {v1, v2}.
-
-    Reduces to a univariate gcd: after stripping monomial factors, a
-    homogeneous p(v1, v2) of degree d is v1^d * f(v2/v1) with f of degree d
-    and nonzero constant term, and gcds commute with this substitution.
+    The common monomial factor is split off, and the rest is a univariate
+    gcd of the coefficient lists: a homogeneous p(v1, v2) of degree d is
+    v1^d * f(v2/v1), and gcds commute with this substitution.
     """
-    a1, a2, ca = _split_monomial_pair(a, v1, v2)
-    b1, b2, cb = _split_monomial_pair(b, v1, v2)
-    e1, e2 = min(a1, b1), min(a2, b2)
-    mono = Poly._make((v1, v2), {(e1, e2): 1})
-    # a stripped homogeneous cofactor in one variable only must be constant
-    if ca.is_const or cb.is_const:
-        return _normalize_gcd(mono)
+    da, la, A = _to_dense(a, vars)
+    db, lb, B = _to_dense(b, vars)
+    low = min(la, lb)
+    # exponent of v1 in the common monomial factor (0 in one variable)
+    e1 = min(da - la - len(A), db - lb - len(B)) + 1
+    g = [1]
+    # a cofactor with one coefficient is a constant
+    if len(A) > 1 and len(B) > 1:
+        G = _gcd_modular((vars[-1],), _primitive_dict(A), _primitive_dict(B))
+        g = [0] * (max(G)[0] + 1)
+        for (k,), c in G.items():
+            g[k] = c
+    return _from_dense(vars, len(g) - 1 + e1 + low, low, g)
 
-    def dehom(p: Poly) -> dict:
-        prim = p * (Fraction(1) / p.rational_content())
-        iv2 = prim.vars.index(v2)
-        return {(e[iv2],): c for e, c in prim.terms.items()}
 
-    g = _gcd_modular((v2,), dehom(ca), dehom(cb))
-    dg = max(g)[0]
-    terms = {(dg - k + e1, k + e2): c for (k,), c in g.items()}
-    return _normalize_gcd(Poly._make((v1, v2), terms))
+def _primitive_dict(L: list[Coeff]) -> dict[tuple[int], int]:
+    """{(i,): c} for the coefficient list L divided by its rational content."""
+    cont = _rational_content(L)
+    if cont == 1:
+        return {(i,): c for i, c in enumerate(L) if c}
+    return {(i,): _canon_coeff(c / cont) for i, c in enumerate(L) if c}
 
 
 def _content_wrt(p: Poly, name: str) -> tuple[Poly, Poly]:
@@ -747,11 +879,12 @@ def _poly_gcd_core(a: Poly, b: Poly) -> Poly:
         return _normalize_gcd(a)
     if a.is_const or b.is_const:
         return _ONE
-    vars = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
-    if len(vars) == 2 and a.is_homogeneous() and b.is_homogeneous():
-        return _gcd_bivar_homogeneous(a, b, vars[0], vars[1])
+    dense = _dense_vars(a, b)
+    if dense is not None:
+        return _gcd_dense(a, b, dense)
     if not (set(a.vars) & set(b.vars)):
         return _ONE
+    vars = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
     ia = a * (Fraction(1) / a.rational_content())
     ib = b * (Fraction(1) / b.rational_content())
     return Poly._make(vars, _gcd_modular(vars, _embed(ia, vars), _embed(ib, vars)))
@@ -789,15 +922,34 @@ def _const_sqrt(c: Coeff) -> Coeff | None:
 def poly_sqrt(p: Poly) -> Poly | None:
     """Exact square root with positive leading coefficient, or None.
 
-    Views p univariately in its highest-ranked variable and solves for the
-    root's coefficients top-down; each step is an exact division by twice
-    the leading root, failing fast when p is not a square.
+    Solves for the root's coefficients top-down and accepts the root only
+    if its square is p.  Dense inputs (see above) work on their coefficient
+    lists.  Others are viewed univariately in their highest-ranked variable;
+    each step is then an exact division by twice the leading root, failing
+    fast when p is not a square.
     """
     if p.is_zero:
         return _ZERO
     if p.is_const:
         r = _const_sqrt(p.terms[()])
         return None if r is None else Poly.const(r)
+    dense = _dense_vars(p)
+    if dense is not None:
+        d, low, L = _to_dense(p, dense)
+        root = None if d & 1 or low & 1 else _dense_sqrt(L)
+        if root is None:
+            return None
+        q = _from_dense(dense, d >> 1, low >> 1, root)
+    else:
+        q = _sparse_sqrt(p)
+        if q is None:
+            return None
+    if q.leading_coeff() < 0:
+        q = -q
+    return q
+
+
+def _sparse_sqrt(p: Poly) -> Poly | None:
     name = p.vars[0]
     coeffs = p.as_univariate(name)
     deg = len(coeffs) - 1
@@ -822,11 +974,7 @@ def poly_sqrt(p: Poly) -> Poly | None:
             return None
         b[j] = bj
     q = Poly.from_univariate(name, b)  # type: ignore[arg-type]
-    if q * q != p:
-        return None
-    if q.leading_coeff() < 0:
-        q = -q
-    return q
+    return q if q * q == p else None
 
 
 # ---------------------------------------------------------------------------
@@ -1045,12 +1193,19 @@ class RatFunc:
             return NotImplemented
         g = poly_gcd(self.den, o.den)
         if g.is_const:
+            # with coprime denominators the sum is in lowest terms
             num = self.num * o.den + o.num * self.den
-            return RatFunc(num, self.den * o.den)
+            return _ratfunc_canonical(num, self.den * o.den)
         d1 = _divexact(self.den, g)
         d2 = _divexact(o.den, g)
         num = self.num * d2 + o.num * d1
-        return RatFunc(num, d1 * o.den)
+        den = d1 * o.den
+        # num is prime to d1 * d2 = den / g, so gcd(num, den) = gcd(num, g)
+        h = poly_gcd(num, g)
+        if not h.is_const:
+            num = _divexact(num, h)
+            den = _divexact(den, h)
+        return _ratfunc_canonical(num, den)
 
     __radd__ = __add__
 
@@ -1075,7 +1230,8 @@ class RatFunc:
         d2 = o.den if g1.is_const else _divexact(o.den, g1)
         n2 = o.num if g2.is_const else _divexact(o.num, g2)
         d1 = self.den if g2.is_const else _divexact(self.den, g2)
-        return RatFunc(n1 * n2, d1 * d2)
+        # the cross factors are gone, so n1 * n2 is prime to d1 * d2
+        return _ratfunc_canonical(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -1085,11 +1241,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero:
             raise PoleError("division by zero rational function")
-        if o.num.leading_coeff() > 0:
-            inv = RatFunc._raw(o.den, o.num)
-        else:
-            inv = RatFunc._raw(-o.den, -o.num)
-        return self * inv
+        return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = RatFunc._coerce(other)
@@ -1101,8 +1253,14 @@ class RatFunc:
         if n < 0:
             if self.is_zero:
                 raise PoleError("zero rational function to a negative power")
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
+            return self._inverse() ** (-n)
+        # powers of coprime parts stay coprime, with coprime contents
+        return RatFunc._raw(self.num**n, self.den**n)
+
+    def _inverse(self) -> "RatFunc":
+        if self.num.leading_coeff() > 0:
+            return RatFunc._raw(self.den, self.num)
+        return RatFunc._raw(-self.den, -self.num)
 
     def sqrt(self) -> "RatFunc | None":
         """Exact square root in the rational-function field, or None."""
@@ -1147,6 +1305,12 @@ def _ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if not g.is_const:
         num = _divexact(num, g)
         den = _divexact(den, g)
+    return _canonical_scale(num, den)
+
+
+def _canonical_scale(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    """Integer parts with coprime contents and a positive leading denominator
+    coefficient, for nonzero num prime to den."""
     cn = num.rational_content()
     cd = den.rational_content()
     ratio = cn / cd
@@ -1155,6 +1319,13 @@ def _ratfunc_normalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     if den.leading_coeff() < 0:
         num, den = -num, -den
     return num, den
+
+
+def _ratfunc_canonical(num: Poly, den: Poly) -> RatFunc:
+    """RatFunc of num / den when num is already prime to den (Henrici)."""
+    if num.is_zero:
+        return _RF_ZERO
+    return RatFunc._raw(*_canonical_scale(num, den))
 
 
 _RF_ZERO = RatFunc._raw(_ZERO, _ONE)

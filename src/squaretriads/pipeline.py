@@ -89,6 +89,11 @@ def canonical_triple(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
     The triple may only be rescaled by squares, so this is the canonical
     representative of its scaling class; members are sorted deterministically.
     """
+    return tuple(sorted(strip_common_squares(members), key=canonical_sort_key))
+
+
+def strip_common_squares(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """canonical_triple's members before sorting, in the order given."""
     g = members[0]
     for mpoly in members[1:]:
         g = poly_gcd(g, mpoly)
@@ -110,7 +115,7 @@ def canonical_triple(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
     if croot > 1:
         inv = Fraction(1, croot * croot)
         members = tuple(mp * inv for mp in members)
-    return tuple(sorted(members, key=canonical_sort_key))
+    return members
 
 
 def square_witnesses(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly, Poly]:

@@ -156,6 +156,16 @@ class TestPythagoreanSubstitution:
         with pytest.raises(DomainError):
             fam.pythagorean_substitute("gensol1")
 
+    def test_square_stripping_keeps_input_order(self):
+        from squaretriads.multipoly import canonical_sort_key
+        from squaretriads.pipeline import canonical_triple, strip_common_squares
+
+        square = 9 * (s - t) ** 2
+        members = (square * (s + 2 * t) ** 2, square * s * t, square * (s**2 + t**2))
+        stripped = strip_common_squares(members)
+        assert stripped == ((s + 2 * t) ** 2, s * t, s**2 + t**2)
+        assert canonical_triple(members) == tuple(sorted(stripped, key=canonical_sort_key))
+
     def test_substitution_makes_norm_a_square(self):
         from squaretriads.multipoly import substitute
 

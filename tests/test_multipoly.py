@@ -33,6 +33,35 @@ def randpoly(rng, names=("s", "t"), deg=4, terms=5):
     return p
 
 
+def randform(rng, deg, terms, fractions=False):
+    """Random homogeneous polynomial of total degree deg in (s, t)."""
+    p = Poly.zero()
+    for _ in range(terms):
+        c = rng.randint(-6, 6)
+        if fractions:
+            c = Fraction(c, rng.randint(1, 5))
+        k = rng.randint(0, deg)
+        p = p + c * s ** (deg - k) * t**k
+    return p
+
+
+def run_within(seconds, fn, *args):
+    """fn(*args), or TimeoutError once `seconds` have passed."""
+    if not hasattr(signal, "SIGALRM"):
+        pytest.skip("needs SIGALRM")
+
+    def over_budget(signum, frame):
+        raise TimeoutError("exceeded its %d s budget" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.alarm(seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestArithmetic:
     def test_difference_of_squares(self):
         assert (s**2 + t**2) * (s**2 - t**2) == s**4 - t**4
@@ -250,6 +279,15 @@ class TestGcd:
         expected = substitute(poly_gcd(a * b, b * c), shift)
         assert g in (expected, -expected)
 
+    @pytest.mark.parametrize("bits", [1600, 3000])
+    def test_large_common_factor_within_budget(self, bits):
+        # the gcd's coefficients need more bits than 25 primes above 2^62
+        # hold, so the CRT loop must not restart at a fixed prime count
+        x = var("x")
+        big = 2**bits + 12345
+        g = run_within(20, poly_gcd, (x + big) * (x + 1), (x + big) * (x + 2))
+        assert g == x + big
+
     def test_squarefree_decomposition(self):
         parts = dict((e, f) for f, e in squarefree_decomposition((s**2 + t**2) ** 3 * (s - t) ** 2 * (s + 2 * t)))
         assert parts[3] == s**2 + t**2
@@ -351,3 +389,147 @@ class TestRatFunc:
         assert exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
         assert exact_sqrt(Fraction(2)) is None
         assert exact_sqrt(s**2) == s
+
+
+class TestHenrici:
+    """RatFunc arithmetic reduces without a gcd of whole products; each
+    result must equal the full reduction of the unreduced one."""
+
+    def factor(self, rng, shape):
+        while True:
+            if shape == 0:
+                f = randpoly(rng, names=("m",), deg=3, terms=3)
+            elif shape == 1:
+                f = randform(rng, rng.randint(1, 3), 3)
+            elif shape == 2:
+                f = randpoly(rng, names=("s", "t"), deg=2, terms=3)
+            else:
+                f = randpoly(rng, names=("s", "t", "m"), deg=2, terms=3)
+            if not f.is_zero:
+                return f
+
+    def test_operators_match_full_reduction(self):
+        rng = random.Random(41)
+        scalars = (1, -1, 2, Fraction(3, 2), Fraction(-5, 6))
+        for i in range(200):
+            shape = i % 4
+            # a small shared pool: denominators get shared and repeated factors
+            pool = [self.factor(rng, shape) for _ in range(3)]
+
+            def product(most):
+                p = const(rng.choice(scalars))
+                for _ in range(rng.randint(0, most)):
+                    p = p * rng.choice(pool)
+                return p
+
+            f = RatFunc(product(2), product(3))
+            g = RatFunc(product(2), product(3))
+            cases = [
+                (f + g, f.num * g.den + g.num * f.den, f.den * g.den),
+                (f - g, f.num * g.den - g.num * f.den, f.den * g.den),
+                (f * g, f.num * g.num, f.den * g.den),
+                (f / g, f.num * g.den, f.den * g.num),
+            ]
+            e = rng.choice((-2, -1, 0, 2, 3))
+            if e >= 0:
+                cases.append((f**e, f.num**e, f.den**e))
+            else:
+                cases.append((f**e, f.den**-e, f.num**-e))
+            for got, num, den in cases:
+                want = RatFunc(num, den)
+                assert (got.num, got.den) == (want.num, want.den), (f, g)
+
+    def test_sum_cancels_against_shared_denominator_factor(self):
+        u = RatFunc(1, s * (s - 1))
+        w = RatFunc(1, s * (s + 1))
+        # (s + 1 + s - 1) / (s (s - 1)(s + 1)): the factor s of gcd(dens) cancels
+        total = u + w
+        assert (total.num, total.den) == (Poly.const(2), s**2 - 1)
+        assert (u - u).num == 0 and (u - u).den == 1
+
+
+class TestDenseRoute:
+    """gcd, square root and exact division on univariate and homogeneous
+    bivariate inputs, which run on coefficient lists."""
+
+    def cases(self, seed):
+        rng = random.Random(seed)
+        out = []
+        while len(out) < 60:
+            i = len(out)
+            if i % 2:
+                q = randform(rng, rng.randint(1, 5), rng.randint(2, 4), fractions=i % 3 == 0)
+                q = q * s ** rng.randint(0, 2) * t ** rng.randint(0, 2)
+            else:
+                q = randpoly(rng, names=("m",), deg=6, terms=4) * m ** rng.randint(0, 3)
+                if i % 3 == 0:
+                    q = q * Fraction(-2, 3)
+            if not q.is_const:
+                out.append(q)
+        return out
+
+    def test_square_roots(self):
+        negative_leads = 0
+        for q in self.cases(51):
+            negative_leads += q.leading_coeff() < 0
+            r = poly_sqrt(q * q)
+            assert r in (q, -q)
+            assert r.leading_coeff() > 0
+        assert negative_leads > 10
+
+    def test_perturbed_squares(self):
+        for q in self.cases(52):
+            if q.vars == ("m",):
+                # q^2 + 1 = (q + r)^2 forces r (2q + r) = 1, so q constant
+                assert poly_sqrt(q * q + 1) is None
+            else:
+                # q^2 + s^2d is a square only for q = c * s^d
+                d = q.total_degree()
+                bump = s ** (2 * d) if q.degree_in("s") < d or len(q.terms) > 1 else t ** (2 * d)
+                assert poly_sqrt(q * q + bump) is None
+
+    # cases at equal positions of two lists have the same shape
+
+    def test_exact_quotients(self):
+        for q, r in zip(self.cases(53), self.cases(54)):
+            assert poly_divide_exact(q * r, r) == q
+
+    def test_non_divisible_and_negative_exponents(self):
+        for q, r in zip(self.cases(55), self.cases(56)):
+            if len(r.terms) < 2:
+                continue
+            if q.vars == ("m",):
+                # r divides q r + 1 only if it divides 1
+                assert poly_divide_exact(q * r + 1, r) is None
+            else:
+                # r divides q r + s^D only if r is a monomial
+                assert poly_divide_exact(q * r + s ** (q * r).total_degree(), r) is None
+                # q / t^(j+1) with t^j the largest power of t dividing q
+                j = min(e[q.vars.index("t")] for e in q.terms) if "t" in q.vars else 0
+                assert poly_divide_exact(q * r, r * t ** (j + 1)) is None
+        assert poly_divide_exact(s**2 + t**2, s) is None
+        assert poly_divide_exact(t**3, s) is None
+        assert poly_divide_exact(s * t**2 + s**3, s**2) is None
+        assert poly_divide_exact(m**2, m**3) is None
+        assert poly_divide_exact(3 * m**5 - 6 * m**2, -3 * m**2) == 2 - m**3
+
+    def test_gcd_with_monomial_factors_and_fractions(self):
+        g0 = Fraction(1, 2) * s**2 * t - 3 * t**3
+        a = g0 * (s - Fraction(2, 3) * t) * s**3
+        b = -g0 * (s**2 + t**2) * s * t**2
+        assert poly_gcd(a, b) == 2 * g0 * s
+        assert poly_gcd(m**4 * (2 * m - 1), Fraction(3, 4) * m**2 * (2 * m - 1) ** 2) == m**2 * (2 * m - 1)
+
+    def test_division_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        S, T = sympy.symbols("s t")
+        a = (3 * s**4 - Fraction(1, 2) * s**2 * t**2 + 7 * t**4) * (2 * s - t) * s * t**2
+        b = (2 * s - t) * s * t
+        theirs_q, theirs_r = sympy.div(sympy.sympify(a.render().replace("^", "**"), locals={"s": S, "t": T}),
+                                       sympy.sympify(b.render().replace("^", "**"), locals={"s": S, "t": T}), S, T)
+        assert theirs_r == 0
+        ours = poly_divide_exact(a, b)
+        assert sympy.expand(sympy.sympify(ours.render().replace("^", "**"), locals={"s": S, "t": T}) - theirs_q) == 0
+        _, rem = sympy.div(sympy.sympify((a + s**8).render().replace("^", "**"), locals={"s": S, "t": T}),
+                           sympy.sympify(b.render().replace("^", "**"), locals={"s": S, "t": T}), S, T)
+        assert rem != 0 and poly_divide_exact(a + s**8, b) is None
