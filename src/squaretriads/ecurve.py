@@ -13,9 +13,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
-from .families import ParametricFamily, square_classification
+from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
-from .pipeline import solution_family_polys, square_witnesses
+from .pipeline import solution_family_polys
 
 __all__ = [
     "ECPoint",
@@ -329,19 +329,12 @@ def generate_family(k: int) -> ParametricFamily:
         raise VerificationError("birational image is off the quartic model")
     u, v = line_to_plane(U, V)
     members = solution_family_polys(u, v)
-    witnesses = square_witnesses(*members)
-    _, classification = square_classification(members)
-    s, t = var("s"), var("t")
-    return ParametricFamily(
-        name="ecgen%d" % k,
-        params=("s", "t"),
-        a=members[0],
-        b=members[1],
-        c=members[2],
-        witnesses=witnesses,
-        constraints=(s, t, u.den),
-        classification=classification,
-        paper_eq="function-field generator, k = %d" % k,
+    return make_family(
+        "ecgen%d" % k,
+        ("s", "t"),
+        members,
+        (var("s"), var("t"), u.den),
+        "function-field generator, k = %d" % k,
     )
 
 

@@ -2,19 +2,24 @@
 
 The registry polynomials are transcribed displays, not re-derived; the
 derivation pipelines elsewhere in the package are tested against them.
-Each family carries polynomial square-witnesses (f, g, h) for its three
-elementary symmetric functions, a classification by how many members are
-themselves polynomial squares, and the parameter loci excluded from
-evaluation.
+Every family, registered or constructed, is built by make_family, which
+computes its polynomial square-witnesses (f, g, h) for the three elementary
+symmetric functions and its classification by how many members are
+themselves polynomial squares; the family also names the parameter loci
+excluded from evaluation.
+
+The two-nonzero-squares construction is written once, over any exact
+domain: the symbolic run takes it over Q(r, s) and the numeric run over Q.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, ExcludedLocusError, NoAscentError, VerificationError
+from .errors import DomainError, ExcludedLocusError, VerificationError
 from .multipoly import (
     Poly,
     RatFunc,
@@ -38,6 +43,7 @@ from .triads import (
 __all__ = [
     "ParametricFamily",
     "FamilyReport",
+    "make_family",
     "registry",
     "get_family",
     "evaluate_family",
@@ -99,9 +105,11 @@ class FamilyReport:
     messages: tuple[str, ...]
 
 
-def _family(name, params, members, constraints, classification, source) -> ParametricFamily:
+def make_family(name, params, members, constraints, paper_eq) -> ParametricFamily:
+    """The family with these members, its square witnesses and its classification."""
     a, b, c = members
     witnesses = square_witnesses(a, b, c)
+    _, classification = square_classification(members)
     return ParametricFamily(
         name=name,
         params=params,
@@ -111,7 +119,7 @@ def _family(name, params, members, constraints, classification, source) -> Param
         witnesses=witnesses,
         constraints=tuple(constraints),
         classification=classification,
-        paper_eq=source,
+        paper_eq=paper_eq,
     )
 
 
@@ -142,7 +150,7 @@ def registry() -> tuple[ParametricFamily, ...]:
     tt = var("t")
 
     fams = (
-        _family(
+        make_family(
             "parmsol1",
             ("s", "t"),
             (
@@ -151,10 +159,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 4 * s**4 * t**4,
             ),
             (s, t, s**2 - t**2),
-            ONE_SQUARE,
             "quartic ascent, constant side",
         ),
-        _family(
+        make_family(
             "parmsol2",
             ("s", "t"),
             (
@@ -163,10 +170,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 (s**4 - t**4) ** 2,
             ),
             (s, t, s**2 - t**2),
-            ONE_SQUARE,
             "quartic ascent, leading side (Fauquembergue 1899)",
         ),
-        _family(
+        make_family(
             "parmsol3",
             ("s", "t"),
             (
@@ -175,10 +181,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 4 * s**2 * t**4 * (s**2 + t**2) * B6**2,
             ),
             (s, t, s**2 - t**2, A6),
-            ONE_SQUARE,
             "composition of the trivial point with ascent branch 1",
         ),
-        _family(
+        make_family(
             "parmsol4",
             ("s", "t"),
             (
@@ -187,10 +192,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 s**2 * (s**2 - t**2) ** 2 * (s**2 + t**2) * A6**2,
             ),
             (s, t, s**2 - t**2, B6),
-            ONE_SQUARE,
             "composition of the trivial point with ascent branch 2",
         ),
-        _family(
+        make_family(
             "allsq1",
             ("m", "n"),
             (
@@ -199,10 +203,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 64 * m**4 * n**4 * (m**2 - n**2) ** 4,
             ),
             (m, n, m**2 - n**2),
-            ALL_SQUARES,
             "Pythagorean specialization of parmsol1",
         ),
-        _family(
+        make_family(
             "allsq2",
             ("m", "n"),
             (
@@ -211,10 +214,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 (m**2 + n**2) ** 2 * Q4**2,
             ),
             (m, n, m**2 - n**2),
-            ALL_SQUARES,
             "Pythagorean specialization of parmsol2",
         ),
-        _family(
+        make_family(
             "allsq3",
             ("m", "n"),
             (
@@ -223,10 +225,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 16 * m**2 * n**2 * (m**2 - n**2) ** 4 * Q12**2,
             ),
             (m, n, m**2 - n**2, P12),
-            ALL_SQUARES,
             "Pythagorean specialization of parmsol3",
         ),
-        _family(
+        make_family(
             "allsq4",
             ("m", "n"),
             (
@@ -235,10 +236,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 4 * m**2 * n**2 * (m**2 + n**2) ** 2 * Q4**2 * P12**2,
             ),
             (m, n, m**2 - n**2, Q12),
-            ALL_SQUARES,
             "Pythagorean specialization of parmsol4",
         ),
-        _family(
+        make_family(
             "gensol1",
             ("r", "s"),
             (
@@ -247,10 +247,9 @@ def registry() -> tuple[ParametricFamily, ...]:
                 4 * r**4 * s**4 * D6**2 * G12,
             ),
             (r, s, E8),
-            NO_SQUARES,
             "two-nonzero-squares pipeline",
         ),
-        _family(
+        make_family(
             "euler1779",
             ("t",),
             (
@@ -259,7 +258,6 @@ def registry() -> tuple[ParametricFamily, ...]:
                 4 * tt**2 * (tt**2 - 3) ** 2 * (tt**4 - 10 * tt**2 + 5) ** 2,
             ),
             (tt, tt**2 - 1),
-            ALL_SQUARES,
             "Euler's 1779 all-squares family",
         ),
     )
@@ -280,7 +278,7 @@ def evaluate_family(name: str, point) -> tuple[Triad, SquareCertificate]:
     parameter order.  Parameters on an excluded locus are rejected.
     """
     fam = get_family(name)
-    if not isinstance(point, dict):
+    if not isinstance(point, Mapping):
         values = list(point)
         if len(values) != len(fam.params):
             raise DomainError(
@@ -382,17 +380,7 @@ def pythagorean_substitute(name: str) -> ParametricFamily:
     members = tuple(substitute(mp, binding) for mp in fam.members())
     members = strip_common_squares(members)
     target = get_family(_PYTHAGOREAN_TARGET[name])
-    return ParametricFamily(
-        name=target.name,
-        params=("m", "n"),
-        a=members[0],
-        b=members[1],
-        c=members[2],
-        witnesses=square_witnesses(*members),
-        constraints=target.constraints,
-        classification=ALL_SQUARES,
-        paper_eq=target.paper_eq,
-    )
+    return make_family(target.name, ("m", "n"), members, target.constraints, target.paper_eq)
 
 
 # ---------------------------------------------------------------------------
@@ -412,65 +400,49 @@ class TwoSquaresPipelineSteps:
     family: ParametricFamily
 
 
-def _psi_coeffs_in_t(S: RatFunc, x0: RatFunc):
-    """psi(s, t, x0) as an even quartic in t: coefficients (c4, c2, c0)."""
+def _two_squares_roots(R, S, second_root: bool):
+    """The construction at (r, s) = (R, S) over any exact domain.
+
+    Returns (x0, t, u_first, u_second, x2), where x2 comes from the u-root
+    chosen by second_root; (S^2 + t^2, x0, x2) is the rational root triple.
+    """
+    x0 = S * S * (R * R + S * S) / (R * R)
+    # psi(s, t, x0) = c4 t^4 + c2 t^2 + c0 is a square at t = r; shift the
+    # anchor to the constant term and apply one Fermat step.
     c4 = x0 * (S * S - x0)
     c2 = 2 * S**4 * x0
     c0 = S * S * x0 * (S**4 + S * S * x0 + x0 * x0)
-    return c4, c2, c0
-
-
-def _u_quadratic(S: RatFunc, T: RatFunc, x0: RatFunc):
-    """The quadratic in u obtained by fixing x = x0 in the reduction quadratic."""
-    A = T * T * (S * S + T * T) - S * S * x0
-    B = 2 * S * x0 * (S * S + T * T)
-    C = x0 * (T * T * x0 - S * S * (S * S + T * T))
-    return A, B, C
-
-
-@lru_cache(maxsize=4)
-def _two_squares_chain(second_root: bool) -> TwoSquaresPipelineSteps:
-    r, s = var("r"), var("s")
-    R, S = RatFunc(r), RatFunc(s)
-    x0 = S * S * (R * R + S * S) / (R * R)
-    # psi(s, t, x0) is a quartic in t that is a square at t = r; shift the
-    # anchor to the constant term and apply one Fermat step.
-    c4, c2, c0 = _psi_coeffs_in_t(S, x0)
     d0 = c4 * R**4 + c2 * R * R + c0
     d1 = 4 * c4 * R**3 + 2 * c2 * R
     d2 = 6 * c4 * R * R + c2
     d3 = 4 * c4 * R
-    tau = ascend_constant_side(c4, d3, d2, d1, d0)
+    tau, v = ascend_constant_side(c4, d3, d2, d1, d0)
     t_val = R + tau
-    # the u-quadratic at (t, x0) now has a square discriminant
-    A, B, C = _u_quadratic(S, t_val, x0)
-    disc = B * B - 4 * A * C
-    w = disc.sqrt()
-    if w is None:
-        raise VerificationError("u-discriminant failed to be a square")
-    u_plus = (-B + w) / (2 * A)
-    u_minus = (-B - w) / (2 * A)
-    u_first, u_second = sorted((u_plus, u_minus), key=lambda f: f.total_degree())
-    u_here = u_second if second_root else u_first
+    # The quadratic in u at x = x0.  Its discriminant is 4 t^2 psi = (2 t v)^2,
+    # and the other root follows by Vieta.
+    norm = S * S + t_val * t_val
+    A = t_val * t_val * norm - S * S * x0
+    B = 2 * S * x0 * norm
+    C = x0 * (t_val * t_val * x0 - S * S * norm)
+    u_first = -(B + 2 * t_val * v) / (2 * A)
+    u_second = C / (A * u_first)
     # second x-root by Vieta on the x-quadratic
-    Ax, Bx, Cx = quad_in_x(S, t_val, u_here)
+    Ax, Bx, Cx = quad_in_x(S, t_val, u_second if second_root else u_first)
     x2 = second_root_vieta(Ax, Bx, Cx, x0)
-    roots = (S * S + t_val * t_val, x0, x2)
-    members = polynomialize_roots(roots)
-    _, classification = square_classification(members)
-    fam = ParametricFamily(
-        name="gensol1" if not second_root else "gensol2",
-        params=("r", "s"),
-        a=members[0],
-        b=members[1],
-        c=members[2],
-        witnesses=square_witnesses(*members),
-        constraints=(r, s, r**2 + s**2),
-        classification=classification,
-        paper_eq="two-nonzero-squares pipeline"
-        if not second_root
-        else "two-nonzero-squares pipeline, second u-root",
-    )
+    return x0, t_val, u_first, u_second, x2
+
+
+@lru_cache(maxsize=2)
+def _two_squares_chain(second_root: bool) -> TwoSquaresPipelineSteps:
+    r, s = var("r"), var("s")
+    S = RatFunc(s)
+    x0, t_val, u_first, u_second, x2 = _two_squares_roots(RatFunc(r), S, second_root)
+    members = polynomialize_roots((S * S + t_val * t_val, x0, x2))
+    if second_root:
+        name, paper_eq = "gensol2", "two-nonzero-squares pipeline, second u-root"
+    else:
+        name, paper_eq = "gensol1", "two-nonzero-squares pipeline"
+    fam = make_family(name, ("r", "s"), members, (r, s, r**2 + s**2), paper_eq)
     return TwoSquaresPipelineSteps(
         x_known=x0,
         t_value=t_val,
@@ -496,54 +468,24 @@ def gensol1_pipeline(r_val: int | None = None, s_val: int | None = None):
         return gensol1_steps().family
     if r_val is None or s_val is None:
         raise DomainError("provide both r and s, or neither")
-    return _numeric_two_squares(Fraction(r_val), Fraction(s_val), second_root=False)
+    if r_val == 0 or s_val == 0:
+        raise ExcludedLocusError("r and s must be nonzero")
+    # The anchor root e = s^3 (r^2+s^2)^2 / r^3 is positive on the positive
+    # quadrant, in Q as in Q(r, s), so at (|r|, |s|) the chain takes the
+    # symbolic run's branch; the triple (s^2+t^2, x0, x2) is even in r and
+    # in s, so it is the family's value at (r, s) as well.
+    S = Fraction(abs(s_val))
+    x0, t_val, _, _, x2 = _two_squares_roots(Fraction(abs(r_val)), S, False)
+    triad = rational_to_integer_triad(S * S + t_val * t_val, x0, x2)
+    cert = verify_triad(triad)
+    if cert is None:
+        raise VerificationError("pipeline triad failed verification")
+    return triad, cert
 
 
 def second_u_family() -> ParametricFamily:
     """The companion family from the other root of the u-quadratic."""
     return _two_squares_chain(True).family
-
-
-def _numeric_two_squares(rv: Fraction, sv: Fraction, second_root: bool):
-    if rv == 0 or sv == 0:
-        raise ExcludedLocusError("r and s must be nonzero")
-    x0 = sv * sv * (rv * rv + sv * sv) / (rv * rv)
-    c4 = x0 * (sv * sv - x0)
-    c2 = 2 * sv**4 * x0
-    c0 = sv * sv * x0 * (sv**4 + sv * sv * x0 + x0 * x0)
-    d0 = c4 * rv**4 + c2 * rv * rv + c0
-    d1 = 4 * c4 * rv**3 + 2 * c2 * rv
-    d2 = 6 * c4 * rv * rv + c2
-    d3 = 4 * c4 * rv
-    try:
-        tau = ascend_constant_side(c4, d3, d2, d1, d0)
-    except NoAscentError as exc:
-        raise ExcludedLocusError("ascent step degenerated: %s" % exc) from exc
-    t_val = rv + tau
-    A = t_val * t_val * (sv * sv + t_val * t_val) - sv * sv * x0
-    B = 2 * sv * x0 * (sv * sv + t_val * t_val)
-    C = x0 * (t_val * t_val * x0 - sv * sv * (sv * sv + t_val * t_val))
-    from .multipoly import exact_sqrt
-
-    w = exact_sqrt(B * B - 4 * A * C)
-    if w is None or A == 0:
-        raise ExcludedLocusError("u-quadratic degenerated at these parameters")
-    roots = sorted(((-B + w) / (2 * A), (-B - w) / (2 * A)))
-    u_here = roots[1] if second_root else roots[0]
-    # align the numeric branch with the symbolic one by degree-minimal choice:
-    sym = _two_squares_chain(second_root)
-    u_sym = evaluate(sym.u_second if second_root else sym.u_first, {"r": rv, "s": sv})
-    u_here = u_sym if u_sym in roots else u_here
-    Ax, Bx, Cx = quad_in_x(sv, t_val, u_here)
-    x2 = second_root_vieta(Ax, Bx, Cx, x0)
-    triple = (sv * sv + t_val * t_val, x0, x2)
-    if any(v <= 0 for v in triple):
-        raise ExcludedLocusError("construction produced a nonpositive root")
-    triad = rational_to_integer_triad(*triple)
-    cert = verify_triad(triad)
-    if cert is None:
-        raise VerificationError("pipeline triad failed verification")
-    return triad, cert
 
 
 def family_to_json(fam: ParametricFamily) -> dict:

@@ -85,6 +85,7 @@ def ascend_constant_side(c4, c3, c2, c1, c0):
 
     Matches (e + b1 u + b2 u^2)^2 against the low three coefficients; the
     leftover u^3/u^4 terms leave a linear equation for a new nonzero u.
+    Returns (u, v) with v = e + b1 u + b2 u^2, so v^2 is the quartic at u.
     """
     e = exact_sqrt(c0)
     if e is None or e == 0:
@@ -97,11 +98,14 @@ def ascend_constant_side(c4, c3, c2, c1, c0):
     u = (c3 - 2 * b1 * b2) / den
     if u == 0:
         raise NoAscentError("constant-side ascent reproduces the anchor point")
-    return u
+    return u, e + (b1 + b2 * u) * u
 
 
 def ascend_leading_side(c4, c3, c2, c1, c0):
-    """One Fermat step anchored at the square leading coefficient."""
+    """One Fermat step anchored at the square leading coefficient.
+
+    Returns (u, v) with v = w u^2 + b1 u + b0, so v^2 is the quartic at u.
+    """
     w = exact_sqrt(c4)
     if w is None or w == 0:
         raise NoAscentError("leading coefficient is not a nonzero square")
@@ -113,7 +117,7 @@ def ascend_leading_side(c4, c3, c2, c1, c0):
     u = (b0 * b0 - c0) / den
     if u == 0:
         raise NoAscentError("leading-side ascent reproduces the anchor point")
-    return u
+    return u, (w * u + b1) * u + b0
 
 
 def fermat_ascend(Q: QuarticModel, side: str = "constant") -> QuarticPoint:
@@ -126,9 +130,9 @@ def fermat_ascend(Q: QuarticModel, side: str = "constant") -> QuarticPoint:
     if side not in ("constant", "leading"):
         raise DomainError("side must be 'constant' or 'leading'")
     if side == "constant":
-        u = ascend_constant_side(1, Q.a1, Q.a2, Q.a3, Q.a4)
+        u, _ = ascend_constant_side(1, Q.a1, Q.a2, Q.a3, Q.a4)
     else:
-        u = ascend_leading_side(1, Q.a1, Q.a2, Q.a3, Q.a4)
+        u, _ = ascend_leading_side(1, Q.a1, Q.a2, Q.a3, Q.a4)
     v = exact_sqrt(Q.rhs(u))
     if v is None:
         raise VerificationError("ascent produced an off-curve u; this is a bug")

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import squaretriads
 from squaretriads import cli
 from squaretriads.cli import main
 from squaretriads.errors import VerificationError
@@ -199,10 +202,15 @@ def test_internal_error_exit_3(run, monkeypatch):
 
 
 def test_console_script_entry_point():
+    # the child imports the same package as this test, installed or not
+    env = dict(os.environ)
+    package_root = str(Path(squaretriads.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "squaretriads.cli", "verify", "45", "64", "180"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["f"] == "17"

@@ -1,12 +1,19 @@
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
 from squaretriads import families as fam
 from squaretriads.errors import DomainError, ExcludedLocusError, VerificationError
 from squaretriads.multipoly import RatFunc, evaluate, poly_sqrt, var
-from squaretriads.triads import Triad, is_sum_two_rational_squares, verify_triad
+from squaretriads.triads import (
+    Triad,
+    canonicalize,
+    is_sum_two_rational_squares,
+    rational_to_integer_triad,
+    verify_triad,
+)
 
 s, t, r = var("s"), var("t"), var("r")
 
@@ -89,6 +96,10 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             fam.evaluate_family("parmsol1", (1,))
 
+    def test_any_mapping_names_parameters(self):
+        expected = fam.evaluate_family("parmsol1", (1, 2))
+        assert fam.evaluate_family("parmsol1", MappingProxyType({"s": 1, "t": 2})) == expected
+
     def test_random_points_verify_with_two_squares_members(self):
         """Every member of every evaluation is a sum of two rational squares."""
         rng = random.Random(41)
@@ -113,10 +124,14 @@ class TestSymbolicVerification:
             assert report.ok, (f.name, report.messages)
 
     def test_classification_counts(self):
+        """The builder's classification matches the paper's, family by family."""
+        paper = {"gensol1": (0, fam.NO_SQUARES), "euler1779": (3, fam.ALL_SQUARES)}
+        for i in (1, 2, 3, 4):
+            paper["parmsol%d" % i] = (1, fam.ONE_SQUARE)
+            paper["allsq%d" % i] = (3, fam.ALL_SQUARES)
         for f in fam.registry():
             report = fam.verify_family_symbolic(f)
-            expected = {fam.ALL_SQUARES: 3, fam.ONE_SQUARE: 1, fam.NO_SQUARES: 0}[f.classification]
-            assert report.square_members == expected
+            assert (report.square_members, f.classification) == paper[f.name]
 
     def test_detects_broken_classification(self):
         good = fam.get_family("parmsol1")
@@ -210,10 +225,30 @@ class TestTwoNonzeroSquaresPipeline:
         assert (cert.f, cert.g, cert.h) == (19, 204, 1224)
 
     def test_numeric_matches_symbolic_at_more_points(self):
-        for rv, sv in ((1, 2), (2, 1), (2, 3)):
-            triad, _ = fam.gensol1_pipeline(rv, sv)
-            expected, _ = fam.evaluate_family("gensol1", (rv, sv))
-            assert triad == expected
+        """Every nonzero |r|, |s| <= 8, with mixed signs."""
+        for rv in range(-8, 9):
+            for sv in range(-8, 9):
+                if rv and sv:
+                    assert fam.gensol1_pipeline(rv, sv) == fam.evaluate_family("gensol1", (rv, sv))
+
+    @pytest.mark.parametrize("point", [(0, 1), (1, 0), (0, -3), (0, 0)])
+    def test_numeric_zero_parameter_excluded(self, point):
+        with pytest.raises(ExcludedLocusError):
+            fam.gensol1_pipeline(*point)
+
+    def test_numeric_run_builds_no_symbolic_chain(self):
+        fam._two_squares_chain.cache_clear()
+        fam.gensol1_pipeline(2, 3)
+        assert fam._two_squares_chain.cache_info().currsize == 0
+
+    def test_second_root_chain_matches_second_family(self):
+        second = fam.second_u_family()
+        for rv, sv in ((1, 1), (1, 2), (2, 1), (-2, 3), (3, -1), (-1, -4)):
+            S = Fraction(abs(sv))
+            x0, t_val, _, _, x2 = fam._two_squares_roots(Fraction(abs(rv)), S, True)
+            vals = [evaluate(mp, {"r": rv, "s": sv}) for mp in second.members()]
+            family_triad = canonicalize(Triad(*[int(v) for v in vals]))
+            assert rational_to_integer_triad(S * S + t_val * t_val, x0, x2) == family_triad
 
     def test_second_u_family_degree_52_and_selfcertifies(self):
         second = fam.second_u_family()

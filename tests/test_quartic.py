@@ -8,6 +8,8 @@ from squaretriads.multipoly import Poly, RatFunc, evaluate, exact_sqrt, var
 from squaretriads.quartic import (
     QuarticModel,
     QuarticPoint,
+    ascend_constant_side,
+    ascend_leading_side,
     choudhry_compose,
     euler_quartic,
     fermat_ascend,
@@ -124,6 +126,32 @@ class TestFermatAscent:
                 assert q.contains(pt)
                 produced += 1
         assert produced > 100
+
+    def test_ascent_helpers_return_matched_square(self):
+        """The v returned with u squares to the quartic at u, symbolically and at Fractions."""
+
+        def rhs(c, u):
+            return (((c[0] * u + c[1]) * u + c[2]) * u + c[3]) * u + c[4]
+
+        q = symbolic_model()
+        for c in ((1, q.a1, q.a2, q.a3, q.a4), (S * S, T, S + T, S * T, T * T)):
+            for ascend in (ascend_constant_side, ascend_leading_side):
+                u, v = ascend(*c)
+                assert v * v == rhs(c, u)
+        rng = random.Random(23)
+        produced = 0
+        for _ in range(60):
+            w, e = rng.randint(1, 9), rng.randint(1, 9)
+            middle = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3))
+            c = (Fraction(w * w),) + middle + (Fraction(e * e),)
+            for ascend in (ascend_constant_side, ascend_leading_side):
+                try:
+                    u, v = ascend(*c)
+                except NoAscentError:
+                    continue
+                assert v * v == rhs(c, u)
+                produced += 1
+        assert produced > 60
 
 
 class TestComposition:
