@@ -6,10 +6,14 @@ keyed by exponent tuples; the monomial order is graded lexicographic with
 the variable priority fixed once, globally, so rendered output and leading
 coefficients are deterministic across runs.
 
-Polynomials in one variable, and homogeneous ones in two, also have a dense
-form: a coefficient list in the last variable plus a monomial offset.  gcd,
-square root and exact division switch to it whenever every input has that
-shape.
+Arithmetic runs on dense coefficient lists.  Polynomials in one variable,
+and homogeneous ones in two, become a list in the last variable plus a
+monomial offset; any other input maps to one variable by Kronecker
+substitution.  Square roots and exact quotients are solved top-down on
+these lists.  Every product, including the ones that check a root or a
+quotient, goes through one kernel that packs each integer list into a
+single int and lets CPython multiply the ints.  gcd runs Brown's modular
+algorithm instead, since a gcd does not commute with the substitution.
 
 RatFunc is always kept in canonical form: numerator and denominator are
 integer-coefficient polynomials with no common polynomial factor, coprime
@@ -24,7 +28,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from operator import add, sub
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, PoleError
@@ -56,7 +61,7 @@ Scalar = Union[int, Fraction]
 
 
 def _canon_coeff(c: Coeff) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
 
@@ -169,7 +174,7 @@ class Poly:
     def _aligned_with(self, other: "Poly"):
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
-        merged = tuple(sorted(set(self.vars) | set(other.vars), key=_var_key))
+        merged = _union_vars(self, other)
         return merged, _embed(self, merged), _embed(other, merged)
 
     # -- arithmetic -----------------------------------------------------------
@@ -214,21 +219,9 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(other)
-        elif isinstance(other, RatFunc):
-            return (-other) + self
-        elif not isinstance(other, Poly):
-            return NotImplemented
-        vars, t1, t2 = self._aligned_with(other)
-        out = dict(t1)
-        for e, c in t2.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly._make(vars, out)
+        if isinstance(other, (int, Fraction, Poly, RatFunc)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -251,17 +244,16 @@ class Poly:
             return other * self.terms[()]
         if other.is_const:
             return self * other.terms[()]
-        vars, t1, t2 = self._aligned_with(other)
-        if len(t1) > len(t2):
-            t1, t2 = t2, t1
-        out: dict[tuple[int, ...], Coeff] = {}
-        items2 = list(t2.items())
-        for e1, c1 in t1.items():
-            for e2, c2 in items2:
-                e = tuple(map(sum, zip(e1, e2)))
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return Poly._make(vars, out)
+        dense = _dense_vars(self, other)
+        if dense is not None:
+            da, la, A = _to_dense(self, dense)
+            db, lb, B = (da, la, A) if other is self else _to_dense(other, dense)
+            return _from_dense(dense, da + db, la + lb, _list_mul(A, B))
+        vars = _union_vars(self, other)
+        radix = [self.degree_in(v) + other.degree_in(v) + 1 for v in vars]
+        A = _to_kron(self, vars, radix)
+        B = A if other is self else _to_kron(other, vars, radix)
+        return _from_kron(vars, radix, _list_mul(A, B))
 
     __rmul__ = __mul__
 
@@ -275,7 +267,7 @@ class Poly:
                 result = result * base
             n >>= 1
             if n:
-                base = base * base
+                base = base * base  # one operand twice: the kernel squares
         return result
 
     def __truediv__(self, other):
@@ -319,19 +311,6 @@ class Poly:
             buckets[e[i]][e[:i] + e[i + 1 :]] = c
         return [Poly._make(rest, b) for b in buckets]
 
-    @staticmethod
-    def from_univariate(name: str, coeffs: Iterable["Poly"]) -> "Poly":
-        acc = _ZERO
-        xv = Poly.variable(name)
-        power = _ONE
-        for c in coeffs:
-            if not isinstance(c, Poly):
-                c = Poly.const(c)
-            if not c.is_zero:
-                acc = acc + c * power
-            power = power * xv
-        return acc
-
     # -- rendering ----------------------------------------------------------------
 
     def render(self) -> str:
@@ -367,6 +346,14 @@ class Poly:
 
     def substitute(self, bindings: Mapping[str, object]):
         return substitute(self, bindings)
+
+
+def _union_vars(*ps: Poly) -> tuple[str, ...]:
+    """The variables of ps together, in the global order."""
+    vars = ps[0].vars
+    if all(p.vars == vars for p in ps):
+        return vars
+    return tuple(sorted(set().union(*(p.vars for p in ps)), key=_var_key))
 
 
 def _embed(p: Poly, vars: tuple[str, ...]) -> dict:
@@ -410,24 +397,28 @@ def const(c: Scalar) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Dense route
+# Dense route and the packed-integer kernel
 #
 # A polynomial in one variable, or a homogeneous one in two variables
-# (v1, v2), is stored as a coefficient list in the last variable plus an
-# offset for its monomial factor:
+# (v1, v2), is a coefficient list in the last variable plus an offset for
+# its monomial factor:
 #
 #     p = sum_i L[i] * v1^(d - low - i) * v2^(low + i),   L[0], L[-1] != 0,
 #
 # where d is the total degree; in one variable read v1 = 1 and d = the
-# highest exponent.  gcd, square root and exact division run on such lists
-# whenever every input has this shape; other inputs take the sparse
-# graded-lex code.
+# highest exponent.  Any other input maps to one variable by Kronecker
+# substitution x_i -> z^(w_i), w_i = D_0 * ... * D_(i-1), which is injective
+# on exponents e_i < D_i.  The images can divide, or be squares, when the
+# polynomials are not, so a quotient or a root found on them must multiply
+# back.  _list_mul multiplies two lists as two packed ints (Fateman 2005;
+# Harvey, J. Symb. Comput. 44, 2009).  gcd does not commute with the
+# substitution and keeps its own code (below).
 # ---------------------------------------------------------------------------
 
 
 def _dense_vars(*ps: Poly) -> tuple[str, ...] | None:
     """The variables of ps if they take the dense route together, else None."""
-    vars = tuple(sorted(set().union(*(p.vars for p in ps)), key=_var_key))
+    vars = _union_vars(*ps)
     if len(vars) == 1 or (len(vars) == 2 and all(p.is_homogeneous() for p in ps)):
         return vars
     return None
@@ -454,66 +445,133 @@ def _from_dense(vars: tuple[str, ...], d: int, low: int, L: list[Coeff]) -> Poly
     return Poly._make(vars, terms)
 
 
-def _coeff_div(a: Coeff, b: Coeff) -> Coeff:
-    if isinstance(a, int) and isinstance(b, int) and a % b == 0:
-        return a // b
-    return _canon_coeff(Fraction(a) / Fraction(b))
+def _to_kron(p: Poly, vars: tuple[str, ...], radix: list[int]) -> list[Coeff]:
+    """Coefficient list of p(z^w_0, z^w_1, ...), the weights w from radix (see above)."""
+    weights = list(accumulate(radix[:-1], mul, initial=1))
+    terms = {sum(map(mul, e, weights)): c for e, c in _embed(p, vars).items()}
+    L: list[Coeff] = [0] * (max(terms) + 1)
+    for k, c in terms.items():
+        L[k] = c
+    return L
 
 
-def _dense_mul(a: list[Coeff], b: list[Coeff]) -> list[Coeff]:
-    out: list[Coeff] = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b, i):
-                out[j] += ca * cb
-    return out
+def _from_kron(vars: tuple[str, ...], radix: list[int], L: list[Coeff]) -> Poly:
+    """The polynomial whose exponents are the mixed-radix digits of L's indices."""
+    weights = list(accumulate(radix[:-1], mul, initial=1))
+    terms = {tuple(k // w % r for w, r in zip(weights, radix)): c for k, c in enumerate(L) if c}
+    return Poly._make(vars, terms)
+
+
+def _half_slots(w: int, n: int) -> int:
+    """sum of 2^(8w - 1) * 2^(8wi) over the n slots of w bytes."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _pack(L: list[int], w: int) -> int:
+    """sum of L[i] * 2^(8wi), for |L[i]| < 2^(8w - 1)."""
+    half = 1 << (8 * w - 1)
+    X = int.from_bytes(b"".join((c + half).to_bytes(w, "little") for c in L), "little")
+    return X - _half_slots(w, len(L))
+
+
+def _unpack(X: int, w: int, n: int) -> list[int]:
+    """The n balanced digits c_i in [-2^(8w - 1), 2^(8w - 1)) of X = sum c_i 2^(8wi)."""
+    half = 1 << (8 * w - 1)
+    data = (X + _half_slots(w, n)).to_bytes(n * w, "little")
+    return [int.from_bytes(data[i : i + w], "little") - half for i in range(0, n * w, w)]
+
+
+def _clear_denominators(L: list[Coeff]) -> tuple[list[int], int]:
+    """(L * d, d) with d the least positive int making L * d integral."""
+    if all(type(c) is int for c in L):
+        return L, 1  # type: ignore[return-value]
+    d = math.lcm(*(c.denominator for c in L))
+    return [c.numerator * (d // c.denominator) for c in L], d
+
+
+def _list_mul(A: list[Coeff], B: list[Coeff]) -> list[Coeff]:
+    """Product of two coefficient lists over Q, as one product of packed ints.
+
+    Denominators are cleared first.  A coefficient of the product is a sum
+    of at most min(len A, len B) products, so a slot of bits(A) + bits(B) +
+    bitlen(min) + 2 bits holds it with its sign.  A list passed twice is
+    squared.
+    """
+    square = A is B
+    A, da = _clear_denominators(A)
+    B, db = (A, da) if square else _clear_denominators(B)
+    bits_a = max(map(abs, A)).bit_length()
+    bits_b = bits_a if square else max(map(abs, B)).bit_length()
+    w = (bits_a + bits_b + min(len(A), len(B)).bit_length() + 2 + 7) // 8
+    X = _pack(A, w)
+    C = _unpack(X * X if square else X * _pack(B, w), w, len(A) + len(B) - 1)
+    d = da * db
+    return C if d == 1 else [_canon_coeff(Fraction(c, d)) for c in C]  # type: ignore[return-value]
 
 
 def _dense_divexact(a: list[Coeff], b: list[Coeff]) -> list[Coeff] | None:
-    """q with q * b == a, by long division from the top, or None."""
+    """q with q * b == a, by long division from the top, or None.
+
+    The division runs on integers with b made primitive, so the quotient
+    has integer coefficients (Gauss) and an inexact step settles that b
+    does not divide a.
+    """
     nb = len(b) - 1
     nq = len(a) - nb
     if nq <= 0:
         return None
-    rem = list(a)
-    lead = b[-1]
-    low_b = b[:-1]
-    q: list[Coeff] = [0] * nq
+    rem, da = _clear_denominators(a)
+    rem = list(rem)
+    b, db = _clear_denominators(b)
+    cb = math.gcd(*b)
+    lead = b[-1] // cb
+    low_b = [c // cb for c in b[:-1]]
+    q = [0] * nq
     for i in range(nq - 1, -1, -1):
         c = rem[i + nb]
         if c:
-            c = q[i] = _coeff_div(c, lead)
-            rem[i : i + nb] = [r - c * cb for r, cb in zip(rem[i : i + nb], low_b)]
+            if c % lead:
+                return None
+            c = q[i] = c // lead
+            rem[i : i + nb] = [r - c * x for r, x in zip(rem[i : i + nb], low_b)]
     if any(rem[:nb]):
         return None
-    return q
+    scale = Fraction(db, da * cb)
+    return q if scale == 1 else [_canon_coeff(c * scale) for c in q]
 
 
 def _dense_sqrt(a: list[Coeff]) -> list[Coeff] | None:
-    """r with r * r == a, solved from the top coefficient down, or None."""
+    """r whose square has the top half of a, solved from the top down, or None.
+
+    The solve visits only the nonzero coefficients found so far, so a
+    sparse Kronecker image costs no more than its length times the number
+    of terms of its root.  The caller accepts r only after squaring it.
+    """
     if not len(a) & 1:
         return None
+    # sqrt(a) = sqrt(a * d^2) / d, and a * d^2 has integer coefficients
+    a, d = _clear_denominators(a)
+    if d > 1:
+        a = [c * d for c in a]
     n = len(a) >> 1
-    top = _const_sqrt(a[-1])
+    top = is_perfect_square(a[-1]) if a[-1] > 0 else None
     if top is None:
         return None
-    # the square root of an integer polynomial over Q has integer
-    # coefficients (Gauss), so an inexact integer division settles it
-    integral = all(isinstance(c, int) for c in a)
-    r: list[Coeff] = [0] * (n + 1)
+    r = [0] * (n + 1)
     r[n] = top
     two_top = 2 * top
+    found: list[int] = []  # the i with j < i < n and r[i] != 0
     for j in range(n - 1, -1, -1):
         # coefficient n + j of r * r is 2 r[n] r[j] + sum r[i] r[n + j - i], j < i < n
-        acc = a[n + j]
-        for i in range(j + 1, n):
-            acc -= r[i] * r[n + j - i]
-        if integral and acc % two_top:
+        acc = a[n + j] - sum([r[i] * r[n + j - i] for i in found])
+        # the square root of an integer polynomial over Q has integer
+        # coefficients (Gauss), so an inexact division settles it
+        if acc % two_top:
             return None
-        r[j] = _coeff_div(acc, two_top)
-    if _dense_mul(r, r) != a:
-        return None
-    return r
+        if acc:
+            r[j] = acc // two_top
+            found.append(j)
+    return r if d == 1 else [_canon_coeff(Fraction(c, d)) for c in r]
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +582,10 @@ def _dense_sqrt(a: list[Coeff]) -> list[Coeff] | None:
 def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
     """Quotient a/b when b divides a exactly, else None.
 
-    Dense inputs (see above) use long division on their coefficient lists;
-    the quotient must also have no negative exponent.  Other inputs use
-    single-divisor long division in graded-lex order: when the quotient
-    exists every intermediate leading term is divisible, so the first
-    failed leading-term division certifies indivisibility.
+    Long division on the coefficient lists of the dense route (see above).
+    On the dense shapes the quotient must also have no negative exponent;
+    other inputs divide their Kronecker images, with D_i = deg_i(a) + 1,
+    and the quotient must multiply back to a.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise DomainError("poly_divide_exact expects Poly arguments")
@@ -549,28 +606,15 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
             return None
         q = _dense_divexact(A, B)
         return None if q is None else _from_dense(dense, da - db, low, q)
-    vars, ta, tb = a._aligned_with(b)
-    # keys lead with the total degree, so plain max() finds the graded-lex
-    # leading term; adding or subtracting keys keeps that form
-    rem = {(sum(e),) + e: c for e, c in ta.items()}
-    items_b = [((sum(e),) + e, c) for e, c in tb.items()]
-    lb = max(e for e, _ in items_b)
-    lbc = tb[lb[1:]]
-    quot: dict[tuple[int, ...], Coeff] = {}
-    while rem:
-        la = max(rem)
-        qe = tuple(map(sub, la, lb))
-        if any(k < 0 for k in qe):
-            return None
-        quot[qe[1:]] = qc = _coeff_div(rem[la], lbc)
-        for e, c in items_b:
-            key = tuple(map(add, qe, e))
-            s = rem.get(key, 0) - qc * c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-    return Poly._make(vars, quot)
+    vars = _union_vars(a, b)
+    radix = [a.degree_in(v) + 1 for v in vars]
+    if any(b.degree_in(v) >= r for v, r in zip(vars, radix)):
+        return None
+    Q = _dense_divexact(_to_kron(a, vars, radix), _to_kron(b, vars, radix))
+    if Q is None:
+        return None
+    q = _from_kron(vars, radix, Q)
+    return q if q * b == a else None
 
 
 def _divexact(a: Poly, b: Poly) -> Poly:
@@ -646,12 +690,7 @@ def _gf_eval(a: list[int], x: int, p: int) -> int:
 
 
 def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return [c % p for c in out]
+    return [c % p for c in _list_mul(a, b)]
 
 
 def _gf_divexact(a: list[int], b: list[int], p: int) -> list[int]:
@@ -906,75 +945,28 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _const_sqrt(c: Coeff) -> Coeff | None:
-    f = Fraction(c)
-    if f < 0:
-        return None
-    pn = is_perfect_square(f.numerator)
-    if pn is None:
-        return None
-    pd = is_perfect_square(f.denominator)
-    if pd is None:
-        return None
-    return _canon_coeff(Fraction(pn, pd))
-
-
 def poly_sqrt(p: Poly) -> Poly | None:
     """Exact square root with positive leading coefficient, or None.
 
-    Solves for the root's coefficients top-down and accepts the root only
-    if its square is p.  Dense inputs (see above) work on their coefficient
-    lists.  Others are viewed univariately in their highest-ranked variable;
-    each step is then an exact division by twice the leading root, failing
-    fast when p is not a square.
+    Solves for the root's coefficients top-down on the coefficient list of
+    the dense route (see above), with D_i = deg_i(p) + 1 for a Kronecker
+    image, and accepts the root only if its square is p.
     """
     if p.is_zero:
         return _ZERO
-    if p.is_const:
-        r = _const_sqrt(p.terms[()])
-        return None if r is None else Poly.const(r)
     dense = _dense_vars(p)
     if dense is not None:
         d, low, L = _to_dense(p, dense)
         root = None if d & 1 or low & 1 else _dense_sqrt(L)
-        if root is None:
-            return None
-        q = _from_dense(dense, d >> 1, low >> 1, root)
+        q = None if root is None else _from_dense(dense, d >> 1, low >> 1, root)
     else:
-        q = _sparse_sqrt(p)
-        if q is None:
-            return None
-    if q.leading_coeff() < 0:
-        q = -q
-    return q
-
-
-def _sparse_sqrt(p: Poly) -> Poly | None:
-    name = p.vars[0]
-    coeffs = p.as_univariate(name)
-    deg = len(coeffs) - 1
-    if deg & 1:
+        # a square has an even degree in every variable; constants come here
+        radix = [p.degree_in(v) + 1 for v in p.vars]
+        root = None if any(r % 2 == 0 for r in radix) else _dense_sqrt(_to_kron(p, p.vars, radix))
+        q = None if root is None else _from_kron(p.vars, radix, root)
+    if q is None or q * q != p:
         return None
-    d = deg >> 1
-    lead_root = poly_sqrt(coeffs[deg])
-    if lead_root is None:
-        return None
-    b: list[Poly | None] = [None] * (d + 1)
-    b[d] = lead_root
-    two_lead = lead_root * 2
-    for j in range(d - 1, -1, -1):
-        s = coeffs[d + j]
-        i = max(j + 1, (d + j + 1) // 2)
-        while i <= d - 1:
-            k2 = d + j - i
-            s = s - (b[i] * b[k2] * 2 if i != k2 else b[i] * b[i])
-            i += 1
-        bj = poly_divide_exact(s, two_lead)
-        if bj is None:
-            return None
-        b[j] = bj
-    q = Poly.from_univariate(name, b)  # type: ignore[arg-type]
-    return q if q * q == p else None
+    return -q if q.leading_coeff() < 0 else q
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ def strip_common_squares(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
 def square_witnesses(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly, Poly]:
     """(f, g, h) with f^2 = a+b+c, g^2 = ab+bc+ca, h^2 = abc; error if any fails."""
     names = ("sum", "pairwise-product sum", "product")
-    values = (a + b + c, a * b + b * c + c * a, a * b * c)
+    ab = a * b
+    values = (a + b + c, ab + (a + b) * c, ab * c)
     out = []
     for name, val in zip(names, values):
         w = poly_sqrt(val)

@@ -19,6 +19,7 @@ from squaretriads.multipoly import (
     substitute,
     var,
 )
+from squaretriads.multipoly import _dense_sqrt, _list_mul, _pack, _to_kron, _unpack
 
 s, t, m, n = var("s"), var("t"), var("m"), var("n")
 
@@ -533,3 +534,180 @@ class TestDenseRoute:
         _, rem = sympy.div(sympy.sympify((a + s**8).render().replace("^", "**"), locals={"s": S, "t": T}),
                            sympy.sympify(b.render().replace("^", "**"), locals={"s": S, "t": T}), S, T)
         assert rem != 0 and poly_divide_exact(a + s**8, b) is None
+
+
+def schoolbook(a, b):
+    """Product of two coefficient lists term by term: the kernel's oracle."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b, i):
+            out[j] += ca * cb
+    return out
+
+
+class TestPackedKernel:
+    """Products, squares and quotients through the packed-integer kernel,
+    against a schoolbook oracle and against sympy."""
+
+    def test_pack_round_trip_at_the_slot_boundary(self):
+        for w in (1, 2, 3, 8):
+            half = 1 << (8 * w - 1)
+            digits = [-half, half - 1, 0, -1, 1, -half, 0, half - 1]
+            assert _unpack(_pack(digits, w), w, len(digits)) == digits
+            # a slot cannot hold +2^(8w - 1): it reads back with a carry
+            assert _unpack(_pack([half - 1, 0], w) + 1, w, 2) == [-half, 1]
+
+    def test_products_at_byte_boundaries(self):
+        # coefficients at +-2^(8j - 1) and 2^8j - 1 put the product's
+        # coefficients next to the edges of the whole-byte slots
+        for bits in (7, 8, 15, 16, 31, 32, 63, 64, 3000):
+            for n in (1, 2, 3, 255, 256) if bits < 3000 else (1, 2, 3):
+                a = [(-1) ** i * (1 << bits) for i in range(n)]
+                b = [(1 << bits) - 1] * n
+                c = [-(1 << bits)] * n
+                assert _list_mul(a, b) == schoolbook(a, b)
+                assert _list_mul(c, c) == schoolbook(c, c)  # the squaring path
+                assert _list_mul(a, c) == schoolbook(a, c)
+
+    def test_lists_with_fractions_zeros_and_single_terms(self):
+        rng = random.Random(61)
+        for _ in range(100):
+            def rand_list():
+                n = rng.choice((1, 1, 2, 5, 40))
+                out = []
+                for _ in range(n):
+                    k = rng.random()
+                    if k < 0.3:
+                        out.append(0)
+                    elif k < 0.6:
+                        out.append(Fraction(rng.randint(-50, 50), rng.randint(1, 30)))
+                    elif k < 0.8:
+                        out.append(rng.randint(-(1 << 3000), 1 << 3000))
+                    else:
+                        out.append(rng.randint(-9, 9))
+                out[-1] = out[-1] or 1
+                return out
+
+            a, b = rand_list(), rand_list()
+            want = [Fraction(c) for c in schoolbook(a, b)]
+            got = _list_mul(a, b)
+            assert [Fraction(c) for c in got] == want
+            assert all(type(c) is int for c in got if Fraction(c).denominator == 1)
+            assert [Fraction(c) for c in _list_mul(a, a)] == [Fraction(c) for c in schoolbook(a, a)]
+
+    @staticmethod
+    def kernel_cases(seed, count):
+        """Random polynomials in 1-3 variables: homogeneous or not, sparse or
+        dense, with zero, negative, Fraction, 3000-bit or +-2^(8j - 1)
+        coefficients, and constants and monomials among them."""
+        rng = random.Random(seed)
+        names = ("m", "s", "t")
+        out = []
+        for i in range(count):
+            kind = i % 7
+            # a Kronecker image has one slot per exponent below D, each as
+            # wide as the largest coefficient: keep 3000-bit ones small
+            nv = 1 + i % (2 if kind == 1 else 3)
+            homogeneous = i % 4 < 2
+            sparse = i % 5 < 2 and kind != 1
+            deg = rng.randint(5, 12) if sparse else rng.randint(1, 4)
+            terms = rng.choice((1, 2, 3)) if sparse else rng.randint(4, 9)
+            p = Poly.zero()
+            for _ in range(terms):
+                if kind == 0:
+                    c = Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+                elif kind == 1:
+                    c = rng.randint(-(1 << 3000), 1 << 3000)
+                elif kind == 2:
+                    c = rng.choice((-1, 1)) << rng.choice((7, 15, 31, 63, 127))  # +-2^(8j - 1)
+                else:
+                    c = rng.randint(-5, 5)  # zeros among them
+                if homogeneous:
+                    cuts = sorted(rng.randint(0, deg) for _ in range(nv - 1))
+                    exps = [b - a for a, b in zip([0] + cuts, cuts + [deg])]
+                else:
+                    exps = [rng.randint(0, deg) for _ in range(nv)]
+                mono = const(c)
+                for name, k in zip(names, exps):
+                    mono = mono * var(name) ** k
+                p = p + mono
+            if i % 11 == 0:
+                p = const(rng.choice((3, Fraction(-2, 7), 1 << 3000)))
+            if not p.is_zero:
+                out.append(p)
+        return out
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        names = ("m", "s", "t")
+        gens = sympy.symbols(names)
+
+        def to_sympy(p):
+            terms = {}
+            for e, c in p.terms.items():
+                exps = dict(zip(p.vars, e))
+                c = Fraction(c)
+                terms[tuple(exps.get(n, 0) for n in names)] = sympy.Rational(c.numerator, c.denominator)
+            return sympy.Poly.from_dict(terms, *gens, domain="QQ")
+
+        def is_square(sp):
+            coeff, factors = sp.sqf_list()
+            c = Fraction(int(coeff.p), int(coeff.q))
+            return c > 0 and exact_sqrt(c) is not None and all(e % 2 == 0 for _, e in factors)
+
+        cases = list(zip(self.kernel_cases(71, 60), self.kernel_cases(72, 60)))
+        shapes = set()
+        for a, b in cases:
+            A, B = to_sympy(a), to_sympy(b)
+            shapes.add((len((a * b).vars), (a * b).is_homogeneous()))
+            assert to_sympy(a * b) == A * B
+            assert to_sympy(a * a) == A * A
+            assert to_sympy(b**3) == B**3
+            # square roots: of a square, and of a square plus a perturbation
+            r = poly_sqrt(a * a)
+            assert r is not None and to_sympy(r) ** 2 == A * A
+            bumped = a * a + b
+            r = poly_sqrt(bumped)
+            if bumped.is_zero:
+                continue
+            assert (r is not None) == is_square(A * A + B)
+            if r is not None:
+                assert to_sympy(r) ** 2 == A * A + B
+            # exact division: of a product, and of a product plus a remainder
+            assert to_sympy(poly_divide_exact(a * b, b)) == A
+            for num in (a * b + a, a * b + 1):
+                if num.is_zero:
+                    continue
+                q, rem = to_sympy(num).div(B)
+                ours = poly_divide_exact(num, b)
+                assert (ours is not None) == rem.is_zero
+                if ours is not None:
+                    assert to_sympy(ours) == q
+        # 1-3 variables, homogeneous or not
+        assert {(n, h) for n in (1, 2, 3) for h in (False, True)} - {(1, False)} <= shapes
+
+    def test_constant_square_roots(self):
+        # constants take the Kronecker route with no variable at all
+        assert poly_sqrt(const(4)) == 2
+        assert poly_sqrt(const(Fraction(9, 4))) == Fraction(3, 2)
+        assert poly_sqrt(const(Fraction(1, 2**3001))) is None
+        for c in (2, -4, Fraction(-1, 9), Fraction(4, 3)):
+            assert poly_sqrt(const(c)) is None
+
+    def test_images_that_divide_or_are_squares_when_the_polynomials_are_not(self):
+        # p has degree 2 in s and in t, so D_s = D_t = 3: s -> z, t -> z^3,
+        # and s*t goes where s^4 goes, to z^4.  p's image is then the square
+        # of q's, and q's image divides it, yet p is neither q^2 nor q * x.
+        q = t - s**2 - 1
+        p = q * q - s**4 + s * t
+        image, q_image = _to_kron(p, ("s", "t"), [3, 3]), _to_kron(q, ("s", "t"), [3, 3])
+        assert schoolbook(q_image, q_image) == image
+        assert _dense_sqrt(image) == q_image
+        assert poly_sqrt(p) is None
+        assert poly_divide_exact(p, q) is None
+        # with a third variable m: D_m = 3 for p m^2, D_m = 2 for p m
+        assert poly_sqrt(p * m**2) is None
+        assert poly_divide_exact(p * m, q * m) is None
+        # and the images of true quotients and roots are taken back
+        assert poly_sqrt(q * q * m**2) in (q * m, -q * m)
+        assert poly_divide_exact(p * q * m, q * m) == p
