@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import ecurve, families, search
 from .errors import CompositionError, DomainError, VerificationError
+from .exactnum import is_perfect_square
 from .multipoly import Poly, RatFunc, exact_sqrt, var
 from .quartic import QuarticPoint, choudhry_compose, euler_quartic, fermat_ascend
 from .triads import Triad, elementary_symmetric, is_sum_two_rational_squares, triad_json, verify_triad
@@ -134,8 +135,6 @@ def _cmd_verify(args) -> int:
     cert = verify_triad(triad)
     if cert is None:
         e1, e2, e3 = elementary_symmetric(triad)
-        from .exactnum import is_perfect_square
-
         failed = "e1" if is_perfect_square(e1) is None else ("e2" if is_perfect_square(e2) is None else "e3")
         names = {"e1": "sum", "e2": "pairwise-product sum", "e3": "product"}
         _emit(

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
+from .exactnum import promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import solution_family_polys
@@ -173,7 +174,7 @@ def xy_to_quartic(X, Y, m):
         / (6(X - 24m^4 - 36m^2 - 12))^2.
     """
     m1 = m * m + 1
-    den = 6 * (X - 24 * m**4 - 36 * m * m - 12)
+    den = promote_int(6 * (X - 24 * m**4 - 36 * m * m - 12))
     if den == 0:
         raise PoleError("X lies on the pole line of the birational map")
     U = (6 * m1 * X + m * Y + 72 * m**6 + 72 * m**4 - 72 * m * m - 72) / den
@@ -195,6 +196,7 @@ def quartic_to_xy(U, V, m):
     """
     if m == 0:
         raise PoleError("the map back to the curve has a pole at m = 0")
+    m = promote_int(m)
     m1 = m * m + 1
     c = m1 * (2 * m**4 - 2 * m * m - 3)
     X = 6 * (3 * U * U - 6 * m1 * U + 3 * V - c) / (m * m)
@@ -206,6 +208,7 @@ def dehomogenize(s, t, u, v):
     """(m, U, V) = (t/s, u/s, v/s^2); works over any exact domain."""
     if s == 0:
         raise DomainError("dehomogenize requires s != 0")
+    s = promote_int(s)
     return (t / s, u / s, v / (s * s))
 
 

@@ -18,6 +18,7 @@ from .errors import DomainError, VerificationError
 
 __all__ = [
     "isqrt",
+    "promote_int",
     "is_perfect_square",
     "sqrt_fraction",
     "factorize",
@@ -61,6 +62,11 @@ def is_perfect_square(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+def promote_int(x):
+    """Fraction(x) for an int x, so that x / y stays exact; any other value as it is."""
+    return Fraction(x) if isinstance(x, int) else x
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction | None:

@@ -6,14 +6,15 @@ keyed by exponent tuples; the monomial order is graded lexicographic with
 the variable priority fixed once, globally, so rendered output and leading
 coefficients are deterministic across runs.
 
-Arithmetic runs on dense coefficient lists.  Polynomials in one variable,
-and homogeneous ones in two, become a list in the last variable plus a
-monomial offset; any other input maps to one variable by Kronecker
-substitution.  Square roots and exact quotients are solved top-down on
+Arithmetic runs on one image of each polynomial: a coefficient list in
+one variable plus a monomial offset, made by Kronecker substitution, where
+a form in two variables first drops its first variable (its degree fixes
+that exponent).  Square roots and exact quotients are solved top-down on
 these lists.  Every product, including the ones that check a root or a
 quotient, goes through one kernel that packs each integer list into a
 single int and lets CPython multiply the ints.  gcd runs Brown's modular
-algorithm instead, since a gcd does not commute with the substitution.
+algorithm instead, on the image only when it has one variable, since a gcd
+does not commute with the substitution.
 
 RatFunc is always kept in canonical form: numerator and denominator are
 integer-coefficient polynomials with no common polynomial factor, coprime
@@ -32,8 +33,8 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainError, PoleError
-from .exactnum import is_perfect_square, is_prime
+from .errors import DomainError, PoleError, VerificationError
+from .exactnum import is_perfect_square, is_prime, sqrt_fraction
 
 __all__ = [
     "VAR_ORDER",
@@ -133,11 +134,6 @@ class Poly:
     @property
     def is_const(self) -> bool:
         return not self.vars
-
-    def const_value(self) -> Fraction:
-        if self.vars:
-            raise DomainError("polynomial %s is not constant" % self)
-        return Fraction(self.terms.get((), 0))
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -244,16 +240,11 @@ class Poly:
             return other * self.terms[()]
         if other.is_const:
             return self * other.terms[()]
-        dense = _dense_vars(self, other)
-        if dense is not None:
-            da, la, A = _to_dense(self, dense)
-            db, lb, B = (da, la, A) if other is self else _to_dense(other, dense)
-            return _from_dense(dense, da + db, la + lb, _list_mul(A, B))
-        vars = _union_vars(self, other)
-        radix = [self.degree_in(v) + other.degree_in(v) + 1 for v in vars]
-        A = _to_kron(self, vars, radix)
-        B = A if other is self else _to_kron(other, vars, radix)
-        return _from_kron(vars, radix, _list_mul(A, B))
+        vars, radix, hom = _list_map((self, other), (self, other))
+        la, A = _to_list(self, vars, radix, hom)
+        lb, B = (la, A) if other is self else _to_list(other, vars, radix, hom)
+        d = _form_degree(self) + _form_degree(other) if hom else None
+        return _from_list(vars, radix, d, la + lb, _list_mul(A, B))
 
     __rmul__ = __mul__
 
@@ -397,68 +388,72 @@ def const(c: Scalar) -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# Dense route and the packed-integer kernel
+# Coefficient-list images and the packed-integer kernel
 #
-# A polynomial in one variable, or a homogeneous one in two variables
-# (v1, v2), is a coefficient list in the last variable plus an offset for
-# its monomial factor:
+# Products, square roots, exact quotients and the one-variable gcd work on
+# one image of each polynomial, a coefficient list in one variable z:
 #
-#     p = sum_i L[i] * v1^(d - low - i) * v2^(low + i),   L[0], L[-1] != 0,
+#     image(p) = z^low * sum_i L[i] z^i,   L[0], L[-1] != 0.
 #
-# where d is the total degree; in one variable read v1 = 1 and d = the
-# highest exponent.  Any other input maps to one variable by Kronecker
-# substitution x_i -> z^(w_i), w_i = D_0 * ... * D_(i-1), which is injective
-# on exponents e_i < D_i.  The images can divide, or be squares, when the
-# polynomials are not, so a quotient or a root found on them must multiply
-# back.  _list_mul multiplies two lists as two packed ints (Fateman 2005;
-# Harvey, J. Symb. Comput. 44, 2009).  gcd does not commute with the
-# substitution and keeps its own code (below).
+# The image is the Kronecker substitution x_i -> z^(w_i), w_i = D_0 * ...
+# * D_(i-1), which is injective on exponents e_i < D_i.  A form in two
+# variables (v1, v2) keeps only v2, since its total degree d fixes the
+# exponent of v1; one variable, or such a form, gives a one-variable image
+# that is the polynomial itself.  Other images can divide, or be squares,
+# when the polynomials are not, so a quotient or a root found on them must
+# multiply back.  _list_mul multiplies two lists as two packed ints
+# (Fateman 2005; Harvey, J. Symb. Comput. 44, 2009).  gcd does not commute
+# with the substitution, so only one-variable images reach the list gcd.
 # ---------------------------------------------------------------------------
 
 
-def _dense_vars(*ps: Poly) -> tuple[str, ...] | None:
-    """The variables of ps if they take the dense route together, else None."""
+def _list_map(ps: tuple[Poly, ...], sized: tuple[Poly, ...]):
+    """(vars, radix, hom) of the image that ps share (see above).
+
+    vars are the variables of ps together and D_i = 1 + the sum of the
+    degrees in vars[i] of the polynomials in sized; hom is true when ps are
+    forms in two variables, whose first variable leaves the image.
+    """
     vars = _union_vars(*ps)
-    if len(vars) == 1 or (len(vars) == 2 and all(p.is_homogeneous() for p in ps)):
-        return vars
-    return None
+    hom = len(vars) == 2 and all(p.is_homogeneous() for p in ps)
+    radix = [1 + sum(p.degree_in(v) for p in sized) for v in vars]
+    return vars, radix, hom
 
 
-def _to_dense(p: Poly, vars: tuple[str, ...]) -> tuple[int, int, list[Coeff]]:
-    """(d, low, L) of a nonzero p whose variables lie within vars (see above)."""
+def _form_degree(p: Poly) -> int:
+    """The total degree of a nonzero form."""
+    return sum(next(iter(p.terms)))
+
+
+def _to_list(p: Poly, vars: tuple[str, ...], radix: list[int], hom: bool) -> tuple[int, list[Coeff]]:
+    """(low, L) with image(p) = z^low * sum L[i] z^i, for nonzero p (see above)."""
     terms = _embed(p, vars)
-    low = min(e[-1] for e in terms)
-    high = max(e[-1] for e in terms)
-    L: list[Coeff] = [0] * (high - low + 1)
-    for e, c in terms.items():
-        L[e[-1] - low] = c
-    d = sum(next(iter(terms))) if len(vars) == 2 else high
-    return d, low, L
-
-
-def _from_dense(vars: tuple[str, ...], d: int, low: int, L: list[Coeff]) -> Poly:
-    """The polynomial that _to_dense maps to (d, low, L)."""
-    if len(vars) == 1:
-        terms = {(low + i,): c for i, c in enumerate(L) if c}
+    if hom or len(vars) == 1:
+        keys = [e[-1] for e in terms]
     else:
-        terms = {(d - low - i, low + i): c for i, c in enumerate(L) if c}
-    return Poly._make(vars, terms)
+        weights = list(accumulate(radix[:-1], mul, initial=1))
+        keys = [sum(map(mul, e, weights)) for e in terms]
+    low = min(keys)
+    L: list[Coeff] = [0] * (max(keys) - low + 1)
+    for k, c in zip(keys, terms.values()):
+        L[k - low] = c
+    return low, L
 
 
-def _to_kron(p: Poly, vars: tuple[str, ...], radix: list[int]) -> list[Coeff]:
-    """Coefficient list of p(z^w_0, z^w_1, ...), the weights w from radix (see above)."""
-    weights = list(accumulate(radix[:-1], mul, initial=1))
-    terms = {sum(map(mul, e, weights)): c for e, c in _embed(p, vars).items()}
-    L: list[Coeff] = [0] * (max(terms) + 1)
-    for k, c in terms.items():
-        L[k] = c
-    return L
+def _from_list(vars: tuple[str, ...], radix: list[int], d: int | None, low: int, L: list[Coeff]) -> Poly:
+    """The polynomial whose image is z^low * sum L[i] z^i.
 
-
-def _from_kron(vars: tuple[str, ...], radix: list[int], L: list[Coeff]) -> Poly:
-    """The polynomial whose exponents are the mixed-radix digits of L's indices."""
-    weights = list(accumulate(radix[:-1], mul, initial=1))
-    terms = {tuple(k // w % r for w, r in zip(weights, radix)): c for k, c in enumerate(L) if c}
+    d is its total degree when it is a form whose first variable left the
+    image, else None; otherwise the exponents are the mixed-radix digits of
+    the image's exponents.
+    """
+    if d is not None:
+        terms = {(d - k, k): c for k, c in enumerate(L, low) if c}
+    elif len(vars) == 1:
+        terms = {(k,): c for k, c in enumerate(L, low) if c}
+    else:
+        weights = list(accumulate(radix[:-1], mul, initial=1))
+        terms = {tuple(k // w % r for w, r in zip(weights, radix)): c for k, c in enumerate(L, low) if c}
     return Poly._make(vars, terms)
 
 
@@ -582,10 +577,9 @@ def _dense_sqrt(a: list[Coeff]) -> list[Coeff] | None:
 def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
     """Quotient a/b when b divides a exactly, else None.
 
-    Long division on the coefficient lists of the dense route (see above).
-    On the dense shapes the quotient must also have no negative exponent;
-    other inputs divide their Kronecker images, with D_i = deg_i(a) + 1,
-    and the quotient must multiply back to a.
+    Long division on the images of a and b (see above), with D_i =
+    deg_i(a) + 1.  The quotient must have no negative exponent; one found
+    on an image in two or more variables must also multiply back to a.
     """
     if not isinstance(a, Poly) or not isinstance(b, Poly):
         raise DomainError("poly_divide_exact expects Poly arguments")
@@ -596,31 +590,29 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
     if b.is_const:
         inv = Fraction(1) / Fraction(b.terms[()])
         return a * inv
-    dense = _dense_vars(a, b)
-    if dense is not None:
-        da, la, A = _to_dense(a, dense)
-        db, lb, B = _to_dense(b, dense)
-        low = la - lb
-        # every exponent of the quotient, in both variables, must be >= 0
-        if low < 0 or low + len(A) - len(B) > da - db:
-            return None
-        q = _dense_divexact(A, B)
-        return None if q is None else _from_dense(dense, da - db, low, q)
-    vars = _union_vars(a, b)
-    radix = [a.degree_in(v) + 1 for v in vars]
+    vars, radix, hom = _list_map((a, b), (a,))
     if any(b.degree_in(v) >= r for v, r in zip(vars, radix)):
         return None
-    Q = _dense_divexact(_to_kron(a, vars, radix), _to_kron(b, vars, radix))
+    la, A = _to_list(a, vars, radix, hom)
+    lb, B = _to_list(b, vars, radix, hom)
+    low = la - lb
+    d = _form_degree(a) - _form_degree(b) if hom else None
+    # the quotient's exponents are >= 0: of z, and for forms of both variables
+    if low < 0 or (hom and low + len(A) - len(B) > d):
+        return None
+    Q = _dense_divexact(A, B)
     if Q is None:
         return None
-    q = _from_kron(vars, radix, Q)
-    return q if q * b == a else None
+    q = _from_list(vars, radix, d, low, Q)
+    # an image in one variable is the polynomial itself
+    return q if hom or len(vars) == 1 or q * b == a else None
 
 
 def _divexact(a: Poly, b: Poly) -> Poly:
+    """a / b for a b known to divide a, such as a gcd of a; a failure is a bug."""
     q = poly_divide_exact(a, b)
     if q is None:
-        raise DomainError("expected exact division failed: (%s) / (%s)" % (a, b))
+        raise VerificationError("expected exact division failed: (%s) / (%s)" % (a, b))
     return q
 
 
@@ -632,11 +624,11 @@ def _divexact(a: Poly, b: Poly) -> Poly:
 # by CRT and accepts a candidate only after exact trial division of both
 # inputs.  _gf_mgcd computes one image mod p: it evaluates the last
 # variable at random points, recurses, and interpolates the images back.
-# Inputs on the dense route (univariate, or homogeneous in two variables)
-# lose their common monomial factor and reach _gcd_modular as one
-# coefficient list; dehomogenizing is far cheaper than two-variable
-# interpolation on the generator.  The restart limit of the CRT loop comes
-# from a coefficient bound of the inputs, so no gcd is cut off by it.
+# Inputs with a one-variable image (univariate, or forms in two variables)
+# lose their common monomial factor and reach _gcd_modular as that image;
+# dehomogenizing is far cheaper than two-variable interpolation on the
+# generator.  The restart limit of the CRT loop comes from a coefficient
+# bound of the inputs, so no gcd is cut off by it.
 # ---------------------------------------------------------------------------
 
 
@@ -858,18 +850,16 @@ def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
             return cand
 
 
-def _gcd_dense(a: Poly, b: Poly, vars: tuple[str, ...]) -> Poly:
-    """gcd of nonconstant a, b on the dense route.
+def _gcd_list(a: Poly, b: Poly, vars: tuple[str, ...], radix: list[int], hom: bool) -> Poly:
+    """gcd of nonconstant a, b whose image has one variable.
 
     The common monomial factor is split off, and the rest is a univariate
-    gcd of the coefficient lists: a homogeneous p(v1, v2) of degree d is
-    v1^d * f(v2/v1), and gcds commute with this substitution.
+    gcd of the images: a form p(v1, v2) of degree d is v1^d * f(v2/v1), and
+    gcds commute with this substitution.
     """
-    da, la, A = _to_dense(a, vars)
-    db, lb, B = _to_dense(b, vars)
+    la, A = _to_list(a, vars, radix, hom)
+    lb, B = _to_list(b, vars, radix, hom)
     low = min(la, lb)
-    # exponent of v1 in the common monomial factor (0 in one variable)
-    e1 = min(da - la - len(A), db - lb - len(B)) + 1
     g = [1]
     # a cofactor with one coefficient is a constant
     if len(A) > 1 and len(B) > 1:
@@ -877,7 +867,10 @@ def _gcd_dense(a: Poly, b: Poly, vars: tuple[str, ...]) -> Poly:
         g = [0] * (max(G)[0] + 1)
         for (k,), c in G.items():
             g[k] = c
-    return _from_dense(vars, len(g) - 1 + e1 + low, low, g)
+    # a form's gcd has degree len(g) - 1 + low + the exponent of v1 in the
+    # common monomial factor, the smaller of a's and b's lowest
+    d = len(g) + low + min(_form_degree(a) - la - len(A), _form_degree(b) - lb - len(B)) if hom else None
+    return _from_list(vars, radix, d, low, g)
 
 
 def _primitive_dict(L: list[Coeff]) -> dict[tuple[int], int]:
@@ -918,12 +911,11 @@ def _poly_gcd_core(a: Poly, b: Poly) -> Poly:
         return _normalize_gcd(a)
     if a.is_const or b.is_const:
         return _ONE
-    dense = _dense_vars(a, b)
-    if dense is not None:
-        return _gcd_dense(a, b, dense)
+    vars, radix, hom = _list_map((a, b), (a,))
+    if hom or len(vars) == 1:
+        return _gcd_list(a, b, vars, radix, hom)
     if not (set(a.vars) & set(b.vars)):
         return _ONE
-    vars = tuple(sorted(set(a.vars) | set(b.vars), key=_var_key))
     ia = a * (Fraction(1) / a.rational_content())
     ib = b * (Fraction(1) / b.rational_content())
     return Poly._make(vars, _gcd_modular(vars, _embed(ia, vars), _embed(ib, vars)))
@@ -948,23 +940,21 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
 def poly_sqrt(p: Poly) -> Poly | None:
     """Exact square root with positive leading coefficient, or None.
 
-    Solves for the root's coefficients top-down on the coefficient list of
-    the dense route (see above), with D_i = deg_i(p) + 1 for a Kronecker
-    image, and accepts the root only if its square is p.
+    Solves for the root's coefficients top-down on p's image (see above),
+    with D_i = deg_i(p) + 1, and accepts the root only if its square is p.
     """
     if p.is_zero:
         return _ZERO
-    dense = _dense_vars(p)
-    if dense is not None:
-        d, low, L = _to_dense(p, dense)
-        root = None if d & 1 or low & 1 else _dense_sqrt(L)
-        q = None if root is None else _from_dense(dense, d >> 1, low >> 1, root)
-    else:
-        # a square has an even degree in every variable; constants come here
-        radix = [p.degree_in(v) + 1 for v in p.vars]
-        root = None if any(r % 2 == 0 for r in radix) else _dense_sqrt(_to_kron(p, p.vars, radix))
-        q = None if root is None else _from_kron(p.vars, radix, root)
-    if q is None or q * q != p:
+    vars, radix, hom = _list_map((p,), (p,))
+    # a square has an even degree in every variable
+    if any(r % 2 == 0 for r in radix):
+        return None
+    low, L = _to_list(p, vars, radix, hom)
+    root = None if low & 1 else _dense_sqrt(L)
+    if root is None:
+        return None
+    q = _from_list(vars, radix, _form_degree(p) >> 1 if hom else None, low >> 1, root)
+    if q * q != p:
         return None
     return -q if q.leading_coeff() < 0 else q
 
@@ -1104,8 +1094,6 @@ def exact_sqrt(x):
         r = is_perfect_square(x)
         return r
     if isinstance(x, Fraction):
-        from .exactnum import sqrt_fraction
-
         return sqrt_fraction(x)
     if isinstance(x, Poly):
         return poly_sqrt(x)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CompositionError, DegenerateParameterError, DomainError, NoAscentError, VerificationError
+from .exactnum import promote_int
 from .multipoly import exact_sqrt
 
 __all__ = [
@@ -56,6 +57,7 @@ def euler_quartic(s, t) -> QuarticModel:
     """
     if s == 0:
         raise DomainError("euler_quartic requires s != 0")
+    s = promote_int(s)
     s2t2 = s * s + t * t
     a1 = -4 * s2t2 / s
     a2 = 2 * s2t2 * (3 * s**4 + 2 * s * s * t * t - 2 * t**4) / s**4
@@ -87,7 +89,7 @@ def ascend_constant_side(c4, c3, c2, c1, c0):
     leftover u^3/u^4 terms leave a linear equation for a new nonzero u.
     Returns (u, v) with v = e + b1 u + b2 u^2, so v^2 is the quartic at u.
     """
-    e = exact_sqrt(c0)
+    e = exact_sqrt(promote_int(c0))
     if e is None or e == 0:
         raise NoAscentError("constant coefficient is not a nonzero square")
     b1 = c1 / (2 * e)
@@ -106,7 +108,7 @@ def ascend_leading_side(c4, c3, c2, c1, c0):
 
     Returns (u, v) with v = w u^2 + b1 u + b0, so v^2 is the quartic at u.
     """
-    w = exact_sqrt(c4)
+    w = exact_sqrt(promote_int(c4))
     if w is None or w == 0:
         raise NoAscentError("leading coefficient is not a nonzero square")
     b1 = c3 / (2 * w)
@@ -164,7 +166,7 @@ def choudhry_compose(Q: QuarticModel, P1: QuarticPoint, P2: QuarticPoint) -> Qua
     den = (u1 - u2) * (2 * v1 - 2 * v2 + Q.a1 * (u1 - u2) + 2 * u1 * u1 - 2 * u2 * u2)
     if den == 0:
         raise CompositionError("composition denominator vanishes for these points")
-    u12 = num / den
+    u12 = promote_int(num) / den
     v12 = exact_sqrt(Q.rhs(u12))
     if v12 is None:
         raise VerificationError("composed u is off-curve; this is a bug")
@@ -177,6 +179,7 @@ def second_root_vieta(A, B, C, known):
         raise DegenerateParameterError("Vieta step needs a true quadratic (A != 0)")
     if A * known * known + B * known + C != 0:
         raise DomainError("claimed root does not satisfy the quadratic")
+    A = promote_int(A)
     if known != 0:
         return C / (A * known)
     return -B / A - known

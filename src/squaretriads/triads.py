@@ -18,8 +18,8 @@ from .errors import (
     DomainError,
     ExcludedBranchError,
 )
-from .exactnum import TwoSquares, is_perfect_square, squarefree_decompose
-from .multipoly import exact_sqrt
+from .exactnum import TwoSquares, is_perfect_square, promote_int, squarefree_decompose
+from .multipoly import canonical_sort_key, exact_sqrt
 
 __all__ = [
     "Triad",
@@ -236,8 +236,6 @@ def quad_in_x(s, t, u):
 def _sort_pair(x1, x2):
     if isinstance(x1, Fraction) and isinstance(x2, Fraction):
         return (x1, x2) if x1 <= x2 else (x2, x1)
-    from .multipoly import canonical_sort_key
-
     return tuple(sorted((x1, x2), key=canonical_sort_key))
 
 
@@ -245,6 +243,7 @@ def roots_quad(A, B, C):
     """Both roots of A x^2 + B x + C when the discriminant is a square, else None."""
     if A == 0:
         raise DegenerateParameterError("leading coefficient of quadratic vanishes")
+    A = promote_int(A)
     disc = B * B - 4 * A * C
     root = exact_sqrt(disc)
     if root is None:

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import squaretriads
-from squaretriads import cli
+from squaretriads import cli, multipoly
 from squaretriads.cli import main
 from squaretriads.errors import VerificationError
 
@@ -199,6 +200,19 @@ def test_internal_error_exit_3(run, monkeypatch):
     code, _, err = run("verify", "45", "64", "180")
     assert code == 3
     assert json.loads(err) == {"error": "injected certificate failure"}
+
+
+def test_failed_exact_division_exits_3(run, monkeypatch):
+    # RatFunc.__add__ divides both denominators by their gcd; a "gcd" that
+    # divides neither is a bug, not a mathematical "no"
+    add = multipoly.RatFunc.__add__
+    scope = dict(add.__globals__, poly_gcd=lambda a, b: a + 1)
+    broken = types.FunctionType(add.__code__, scope, add.__name__)
+    monkeypatch.setattr(multipoly.RatFunc, "__add__", broken)
+    monkeypatch.setattr(multipoly.RatFunc, "__radd__", broken)
+    code, _, err = run("fermat", "--side", "constant")
+    assert code == 3
+    assert json.loads(err)["error"].startswith("expected exact division failed")
 
 
 def test_console_script_entry_point():

@@ -19,7 +19,7 @@ from squaretriads.multipoly import (
     substitute,
     var,
 )
-from squaretriads.multipoly import _dense_sqrt, _list_mul, _pack, _to_kron, _unpack
+from squaretriads.multipoly import _dense_sqrt, _from_list, _list_mul, _pack, _to_list, _unpack
 
 s, t, m, n = var("s"), var("t"), var("m"), var("n")
 
@@ -450,8 +450,8 @@ class TestHenrici:
 
 
 class TestDenseRoute:
-    """gcd, square root and exact division on univariate and homogeneous
-    bivariate inputs, which run on coefficient lists."""
+    """gcd, square root and exact division on univariate inputs and forms in
+    two variables, whose coefficient-list image has one variable."""
 
     def cases(self, seed):
         rng = random.Random(seed)
@@ -700,7 +700,7 @@ class TestPackedKernel:
         # of q's, and q's image divides it, yet p is neither q^2 nor q * x.
         q = t - s**2 - 1
         p = q * q - s**4 + s * t
-        image, q_image = _to_kron(p, ("s", "t"), [3, 3]), _to_kron(q, ("s", "t"), [3, 3])
+        (_, image), (_, q_image) = (_to_list(x, ("s", "t"), [3, 3], False) for x in (p, q))
         assert schoolbook(q_image, q_image) == image
         assert _dense_sqrt(image) == q_image
         assert poly_sqrt(p) is None
@@ -711,3 +711,92 @@ class TestPackedKernel:
         # and the images of true quotients and roots are taken back
         assert poly_sqrt(q * q * m**2) in (q * m, -q * m)
         assert poly_divide_exact(p * q * m, q * m) == p
+
+
+class TestListImage:
+    """The one map from polynomials to coefficient lists, and the squarefree
+    structure computed on top of it."""
+
+    def test_round_trip(self):
+        rng = random.Random(81)
+        cases = TestPackedKernel.kernel_cases(82, 80)
+        shapes = set()
+        for i, p in enumerate(cases):
+            # monomial factors: the image's low zeros go into `low`
+            if i % 3:
+                for name in p.vars:
+                    p = p * var(name) ** rng.randint(0, 3)
+            vars = p.vars
+            if i % 4 == 0 and len(vars) < 3:
+                # a variable that p does not use
+                vars = tuple(sorted(set(vars) | {rng.choice(("m", "s", "t"))}, key="mst".index))
+            radix = [p.degree_in(v) + 1 + rng.randint(0, 2) for v in vars]
+            hom = len(vars) == 2 and p.is_homogeneous()
+            d = p.total_degree() if hom else None
+            low, L = _to_list(p, vars, radix, hom)
+            assert L[0] != 0 and L[-1] != 0
+            assert _from_list(vars, radix, d, low, L) == p
+            shapes.add((len(vars), hom, low > 0, any(type(c) is Fraction for c in L)))
+        assert {(n, h) for n, h, _, _ in shapes} == {(0, False), (1, False), (2, False), (2, True), (3, False)}
+        assert any(lo for _, _, lo, _ in shapes) and any(f for _, _, _, f in shapes)
+
+    @staticmethod
+    def sqf_cases(seed):
+        """Products of random factors to random powers: univariate ones,
+        forms times powers of s and t, and non-homogeneous ones in m, s, t."""
+        rng = random.Random(seed)
+        out = []
+        for i in range(99):
+            kind = i % 3
+            p = const(rng.choice((1, -1, 3, Fraction(-2, 3))))
+            for _ in range(rng.randint(1, 3)):
+                if kind == 0:
+                    f = randpoly(rng, names=("m",), deg=3, terms=3)
+                elif kind == 1:
+                    f = randform(rng, rng.randint(1, 2), 3)
+                else:
+                    f = randpoly(rng, names=("m", "s", "t"), deg=1, terms=3)
+                if not f.is_const:
+                    p = p * f ** rng.randint(1, 4)
+            if kind == 0:
+                p = p * m ** rng.randint(0, 3)
+            elif kind == 1:
+                p = p * s ** rng.randint(0, 3) * t ** rng.randint(0, 3)
+            out.append(p)
+        return out
+
+    def test_squarefree_structure_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        names = ("m", "s", "t")
+        gens = sympy.symbols(names)
+
+        def to_sympy(p):
+            terms = {}
+            for e, c in p.terms.items():
+                exps = dict(zip(p.vars, e))
+                c = Fraction(c)
+                terms[tuple(exps.get(n, 0) for n in names)] = sympy.Rational(c.numerator, c.denominator)
+            return sympy.Poly.from_dict(terms or {(0, 0, 0): 0}, *gens, domain="QQ")
+
+        one = sympy.Poly(1, *gens, domain="QQ")
+        checked = 0
+        for p in self.sqf_cases(83):
+            if p.is_const:
+                continue
+            checked += 1
+            ours = squarefree_decomposition(p)
+            _, theirs = to_sympy(p).sqf_list()
+            for f, _ in ours:
+                assert f.rational_content() == 1 and f.leading_coeff() > 0
+            # one squarefree product per multiplicity, equal up to a constant
+            by_e, want_e = {}, {}
+            for f, e in ours:
+                by_e[e] = by_e.get(e, one) * to_sympy(f)
+            for f, e in theirs:
+                want_e[e] = want_e.get(e, one) * f
+            assert {e: f.monic() for e, f in by_e.items()} == {e: f.monic() for e, f in want_e.items()}, p
+            root = one
+            for f, e in theirs:
+                root *= f ** (e // 2)
+            assert to_sympy(largest_square_root_divisor(p)).monic() == root.monic(), p
+        assert checked > 90

@@ -217,3 +217,44 @@ class TestVieta:
     def test_requires_actual_root(self):
         with pytest.raises(DomainError):
             second_root_vieta(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
+
+
+def test_int_arguments_give_the_fraction_result():
+    # int / int is a float in Python; every scalar helper that divides must
+    # give for ints exactly what it gives for the same values as Fractions
+    from dataclasses import astuple, is_dataclass
+
+    from squaretriads.ecurve import dehomogenize, quartic_to_xy, xy_to_quartic
+    from squaretriads.triads import roots_quad
+
+    def values(x):
+        if is_dataclass(x):
+            return values(astuple(x))
+        if isinstance(x, tuple):
+            return [v for item in x for v in values(item)]
+        return [x]
+
+    quartic = (-20, -210, -100, 25)  # euler_quartic(1, 2)
+    calls = [
+        (roots_quad, (1, -19, 90)),
+        (second_root_vieta, (1, -19, 90, 9)),
+        (second_root_vieta, (2, -3, 0, 0)),
+        (euler_quartic, (1, 2)),
+        (euler_quartic, (2, 1)),
+        (ascend_constant_side, (1,) + quartic),
+        (ascend_leading_side, (1,) + quartic),
+        (dehomogenize, (2, 1, 1, 1)),
+        (xy_to_quartic, (1, 1, 1)),
+        (quartic_to_xy, (1, 1, 2)),
+        (lambda *a: fermat_ascend(euler_quartic(*a), "constant"), (1, 2)),
+        (lambda *a: fermat_ascend(euler_quartic(*a), "leading"), (1, 2)),
+        # v^2 = u^4 + u^3 + u + 1 through (0, 1) and (1, 2)
+        (lambda *a: choudhry_compose(QuarticModel(*a[:4]), QuarticPoint(*a[4:6]), QuarticPoint(*a[6:])),
+         (1, 0, 1, 1, 0, 1, 1, 2)),
+    ]
+    for f, args in calls:
+        got = f(*args)
+        want = f(*map(Fraction, args))
+        assert got == want, (f, args)
+        assert all(isinstance(v, Fraction) for v in values(got)), (f, args, got)
+    assert roots_quad(1, -19, 90) == (9, 10)
