@@ -17,6 +17,7 @@ from .exactnum import promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import solution_family_polys
+from .quartic import phi
 
 __all__ = [
     "ECPoint",
@@ -26,7 +27,6 @@ __all__ = [
     "ec_mul",
     "ecweier",
     "point_P",
-    "quartic_model_coeffs",
     "xy_to_quartic",
     "quartic_to_xy",
     "dehomogenize",
@@ -72,10 +72,13 @@ class WeierstrassModel:
     def discriminant(self):
         return -16 * (4 * self.A**3 + 27 * self.B * self.B)
 
+    def rhs(self, x):
+        return (x * x + self.A) * x + self.B
+
     def contains(self, P: ECPoint) -> bool:
         if P.is_identity:
             return True
-        return P.y * P.y == (P.x * P.x + self.A) * P.x + self.B
+        return P.y * P.y == self.rhs(P.x)
 
 
 def _require_on_curve(E: WeierstrassModel, *points: ECPoint):
@@ -144,25 +147,6 @@ def point_P() -> ECPoint:
     X = RatFunc(-12 * (m**6 - 4 * m**2 - 3), m**2)
     Y = RatFunc(216 * (m**2 + 1) ** 2, m**3)
     return ECPoint(X, Y)
-
-
-def quartic_model_coeffs(m):
-    """Coefficients (a1, a2, a3, a4) of the dehomogenized quartic in U over Q(m).
-
-    V^2 = U^4 - 4(m^2+1)U^3 - 2(m^2+1)(2m^4-2m^2-3)U^2 - 4(m^2+1)^2 U + (m^2+1)^2.
-    """
-    m1 = m * m + 1
-    return (
-        -4 * m1,
-        -2 * m1 * (2 * m**4 - 2 * m * m - 3),
-        -4 * m1 * m1,
-        m1 * m1,
-    )
-
-
-def _quartic_rhs(U, m):
-    a1, a2, a3, a4 = quartic_model_coeffs(m)
-    return ((U + a1) * U + a2) * U * U + a3 * U + a4
 
 
 def xy_to_quartic(X, Y, m):
@@ -328,7 +312,7 @@ def generate_family(k: int) -> ParametricFamily:
         U, V = xy_to_quartic(Pk.x, Pk.y, m)
     except PoleError as exc:
         raise PipelineStepError("birational map has a pole at k = %d" % k) from exc
-    if V * V != _quartic_rhs(U, m):
+    if V * V != phi(1, m, U):
         raise VerificationError("birational image is off the quartic model")
     u, v = line_to_plane(U, V)
     members = solution_family_polys(u, v)
@@ -358,45 +342,24 @@ def _reduce_mod_relation(p: Poly, sq_var: str, rhs: Poly) -> Poly:
     return out
 
 
-def _curve_rhs_poly() -> Poly:
-    Xv = var("X")
-    E = ecweier()
-    return Xv**3 + E.A.num * Xv + E.B.num
-
-
-def _quartic_rhs_poly() -> Poly:
-    Uv = var("U")
-    a1, a2, a3, a4 = quartic_model_coeffs(var("m"))
-    return Uv**4 + a1 * Uv**3 + a2 * Uv**2 + a3 * Uv + a4
-
-
-def roundtrip_identity_xy() -> bool:
-    """(X, Y) -> (U, V) -> (X, Y) is the identity modulo Y^2 = X^3 + AX + B."""
-    Xv, Yv, m = var("X"), var("Y"), var("m")
-    X, Y, M = RatFunc(Xv), RatFunc(Yv), RatFunc(m)
-    U, V = xy_to_quartic(X, Y, M)
-    X2, Y2 = quartic_to_xy(U, V, M)
-    rhs = _curve_rhs_poly()
-    for before, after in ((X, X2), (Y, Y2)):
+def _roundtrip(there, back, names: tuple[str, str], rhs: RatFunc) -> bool:
+    """back(there(a, b)) == (a, b) modulo b^2 = rhs, a polynomial in a and m."""
+    a, b, M = RatFunc(var(names[0])), RatFunc(var(names[1])), RatFunc(var("m"))
+    a2, b2 = back(*there(a, b, M), M)
+    for before, after in ((a, a2), (b, b2)):
         diff = after - before
-        if not _reduce_mod_relation(diff.num, "Y", rhs).is_zero:
+        if not _reduce_mod_relation(diff.num, names[1], rhs.num).is_zero:
             return False
-        if _reduce_mod_relation(diff.den, "Y", rhs).is_zero:
+        if _reduce_mod_relation(diff.den, names[1], rhs.num).is_zero:
             raise VerificationError("round-trip denominator vanishes on the curve")
     return True
 
 
+def roundtrip_identity_xy() -> bool:
+    """(X, Y) -> (U, V) -> (X, Y) is the identity modulo Y^2 = X^3 + AX + B."""
+    return _roundtrip(xy_to_quartic, quartic_to_xy, ("X", "Y"), ecweier().rhs(RatFunc(var("X"))))
+
+
 def roundtrip_identity_uv() -> bool:
     """(U, V) -> (X, Y) -> (U, V) is the identity modulo V^2 = quartic(U)."""
-    Uv, Vv, m = var("U"), var("V"), var("m")
-    U, V, M = RatFunc(Uv), RatFunc(Vv), RatFunc(m)
-    X, Y = quartic_to_xy(U, V, M)
-    U2, V2 = xy_to_quartic(X, Y, M)
-    rhs = _quartic_rhs_poly()
-    for before, after in ((U, U2), (V, V2)):
-        diff = after - before
-        if not _reduce_mod_relation(diff.num, "V", rhs).is_zero:
-            return False
-        if _reduce_mod_relation(diff.den, "V", rhs).is_zero:
-            raise VerificationError("round-trip denominator vanishes on the quartic model")
-    return True
+    return _roundtrip(quartic_to_xy, xy_to_quartic, ("U", "V"), phi(1, RatFunc(var("m")), RatFunc(var("U"))))

@@ -30,7 +30,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, PoleError, VerificationError
@@ -67,6 +67,17 @@ def _canon_coeff(c: Coeff) -> Coeff:
     return c
 
 
+def _exact_scalar(c) -> Coeff:
+    """c as an exact rational: ints and Fractions as they are, other integer
+    types (numpy ints, ...) converted exactly to int; floats and anything
+    else are refused, since their binary value is not the rational meant."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if hasattr(type(c), "__index__"):
+        return index(c)
+    raise DomainError("not an exact rational scalar: %r" % (c,))
+
+
 def _var_key(name: str):
     # Known symbols sort by their fixed rank; anything else after them, by name.
     rank = _VAR_RANK.get(name)
@@ -99,7 +110,7 @@ class Poly:
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
-        c = _canon_coeff(Fraction(c) if not isinstance(c, (int, Fraction)) else c)
+        c = _canon_coeff(_exact_scalar(c))
         if c == 0:
             return _ZERO
         return Poly((), {(): c})
@@ -1067,7 +1078,7 @@ def evaluate(p, point: Mapping[str, Scalar]) -> Fraction:
     missing = [v for v in p.vars if v not in point]
     if missing:
         raise DomainError("unbound variables in evaluation: %s" % ", ".join(missing))
-    vals = [Fraction(point[v]) for v in p.vars]
+    vals = [Fraction(_exact_scalar(point[v])) for v in p.vars]
     total = Fraction(0)
     cache: dict[tuple[int, int], Fraction] = {}
     for e, c in p.terms.items():

@@ -68,10 +68,7 @@ def euler_quartic(s, t) -> QuarticModel:
 
 def phi(s, t, u):
     """The quartic-in-u discriminant kernel: s^4 * phi equals the x-discriminant."""
-    if s == 0:
-        raise DomainError("phi requires s != 0")
-    q = euler_quartic(s, t)
-    return q.rhs(u)
+    return euler_quartic(s, t).rhs(u)
 
 
 def psi(s, t, x):
@@ -91,35 +88,27 @@ def ascend_constant_side(c4, c3, c2, c1, c0):
     """
     e = exact_sqrt(promote_int(c0))
     if e is None or e == 0:
-        raise NoAscentError("constant coefficient is not a nonzero square")
+        raise NoAscentError("anchor coefficient is not a nonzero square")
     b1 = c1 / (2 * e)
     b2 = (c2 - b1 * b1) / (2 * e)
     den = b2 * b2 - c4
     if den == 0:
-        raise NoAscentError("residual equation is degenerate on the constant side")
+        raise NoAscentError("residual equation of the ascent is degenerate")
     u = (c3 - 2 * b1 * b2) / den
     if u == 0:
-        raise NoAscentError("constant-side ascent reproduces the anchor point")
+        raise NoAscentError("ascent reproduces the anchor point")
     return u, e + (b1 + b2 * u) * u
 
 
 def ascend_leading_side(c4, c3, c2, c1, c0):
     """One Fermat step anchored at the square leading coefficient.
 
-    Returns (u, v) with v = w u^2 + b1 u + b0, so v^2 is the quartic at u.
+    At u = 1/w the quartic is u^4 times the reversed quartic in w, so this is
+    the constant-side step on the reversed coefficients, mapped back.
+    Returns (u, v) with v^2 the quartic at u.
     """
-    w = exact_sqrt(promote_int(c4))
-    if w is None or w == 0:
-        raise NoAscentError("leading coefficient is not a nonzero square")
-    b1 = c3 / (2 * w)
-    b0 = (c2 - b1 * b1) / (2 * w)
-    den = c1 - 2 * b1 * b0
-    if den == 0:
-        raise NoAscentError("residual equation is degenerate on the leading side")
-    u = (b0 * b0 - c0) / den
-    if u == 0:
-        raise NoAscentError("leading-side ascent reproduces the anchor point")
-    return u, (w * u + b1) * u + b0
+    w, v = ascend_constant_side(c0, c1, c2, c3, c4)
+    return 1 / w, v / (w * w)
 
 
 def fermat_ascend(Q: QuarticModel, side: str = "constant") -> QuarticPoint:

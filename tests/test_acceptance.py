@@ -156,9 +156,9 @@ def test_criterion_07_elliptic_machinery():
     image = relation.substitute(
         {"t": RatFunc(mm * s), "u": RatFunc(s) * RatFunc(Uv), "v": RatFunc(s**2) * RatFunc(Vv)}
     )
-    from squaretriads.ecurve import _quartic_rhs
+    from squaretriads.quartic import phi
 
-    target = RatFunc(Vv**2) - _quartic_rhs(RatFunc(Uv), RatFunc(mm))
+    target = RatFunc(Vv**2) - phi(1, RatFunc(mm), RatFunc(Uv))
     ok = image / target == RatFunc(s**4)
     # mutual inverses, symbolically modulo the curve relation
     ok = ok and ec.roundtrip_identity_xy() and ec.roundtrip_identity_uv()

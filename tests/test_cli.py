@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -228,3 +229,22 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["f"] == "17"
+
+
+def readme_commands():
+    """Arguments of each `squaretriads ...` line in the README's "Command line" block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    return [
+        shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("squaretriads ")
+    ]
+
+
+def test_readme_has_command_examples():
+    assert readme_commands()
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_example_exits_0(run, argv):
+    code, _, err = run(*argv)
+    assert code == 0, err

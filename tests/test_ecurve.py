@@ -95,13 +95,33 @@ class TestBirationalMaps:
         m = RatFunc(var("m"))
         U, V = ec.xy_to_quartic(P.x, P.y, m)
         assert U == 2 / (1 - m * m)
-        from squaretriads.ecurve import _quartic_rhs
+        from squaretriads.quartic import phi
 
-        assert V * V == _quartic_rhs(U, m)
+        assert V * V == phi(1, m, U)
 
     def test_symbolic_roundtrips_modulo_curve(self):
         assert ec.roundtrip_identity_xy() is True
         assert ec.roundtrip_identity_uv() is True
+
+    def test_roundtrip_xy_detects_a_broken_map(self, monkeypatch):
+        honest = ec.quartic_to_xy
+
+        def shifted(U, V, m):
+            X, Y = honest(U, V, m)
+            return X + 1, Y
+
+        monkeypatch.setattr(ec, "quartic_to_xy", shifted)
+        assert ec.roundtrip_identity_xy() is False
+
+    def test_roundtrip_uv_detects_a_broken_map(self, monkeypatch):
+        honest = ec.xy_to_quartic
+
+        def shifted(X, Y, m):
+            U, V = honest(X, Y, m)
+            return U + 1, V
+
+        monkeypatch.setattr(ec, "xy_to_quartic", shifted)
+        assert ec.roundtrip_identity_uv() is False
 
     def test_roundtrip_at_random_specializations(self, curve, P):
         rng = random.Random(32)
@@ -138,9 +158,9 @@ class TestBirationalMaps:
                 "v": RatFunc(s * s) * RatFunc(Vv),
             }
         )
-        from squaretriads.ecurve import _quartic_rhs
+        from squaretriads.quartic import phi
 
-        target = RatFunc(Vv * Vv) - _quartic_rhs(RatFunc(Uv), RatFunc(mm))
+        target = RatFunc(Vv * Vv) - phi(1, RatFunc(mm), RatFunc(Uv))
         assert image / target == RatFunc(var("s") ** 4)
 
 

@@ -333,6 +333,22 @@ class TestSubstituteEvaluate:
         with pytest.raises(PoleError):
             evaluate(1 / (s**2 - t**2), {"s": 1, "t": 1})
 
+    def test_integer_scalars_convert_exactly(self):
+        np = pytest.importorskip("numpy")
+        assert evaluate(s**40, {"s": np.int64(3)}) == 3**40
+        c = Poly.const(np.int64(3)).terms[()]
+        assert c == 3 and type(c) is int
+        assert Poly.const(True) == Poly.one()
+
+    def test_inexact_scalars_rejected(self):
+        for bad in (0.1, 2.0, "3"):
+            with pytest.raises(DomainError):
+                Poly.const(bad)
+            with pytest.raises(DomainError):
+                RatFunc(s, bad)
+            with pytest.raises(DomainError):
+                evaluate(s + t, {"s": bad, "t": 1})
+
     def test_substitute_commutes_with_evaluate(self):
         rng = random.Random(16)
         for _ in range(60):

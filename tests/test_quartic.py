@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from squaretriads.errors import CompositionError, DomainError, NoAscentError
+from squaretriads.exactnum import promote_int
 from squaretriads.multipoly import Poly, RatFunc, evaluate, exact_sqrt, var
 from squaretriads.quartic import (
     QuarticModel,
@@ -152,6 +153,67 @@ class TestFermatAscent:
                 assert v * v == rhs(c, u)
                 produced += 1
         assert produced > 60
+
+
+def leading_side_closed_form(c4, c3, c2, c1, c0):
+    """Reference: the leading-side step written out directly, matching
+    (w u^2 + b1 u + b0)^2 against the high three coefficients."""
+    w = exact_sqrt(promote_int(c4))
+    if w is None or w == 0:
+        raise NoAscentError("leading coefficient is not a nonzero square")
+    b1 = c3 / (2 * w)
+    b0 = (c2 - b1 * b1) / (2 * w)
+    den = c1 - 2 * b1 * b0
+    if den == 0:
+        raise NoAscentError("degenerate residual equation")
+    u = (b0 * b0 - c0) / den
+    if u == 0:
+        raise NoAscentError("reproduces the anchor point")
+    return u, (w * u + b1) * u + b0
+
+
+def ascent_outcome(ascend, c):
+    try:
+        return ascend(*c)
+    except NoAscentError:
+        return NoAscentError
+
+
+class TestLeadingSideOracle:
+    def test_fractions_match_closed_form(self):
+        rng = random.Random(37)
+
+        def q():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+        raised = produced = 0
+        for i in range(400):
+            w, c3, c2, c1, c0 = q(), q(), q(), q(), q()
+            kind = i % 4
+            if kind == 0:  # leading coefficient zero or not a square
+                c4 = rng.choice((Fraction(0), Fraction(2), Fraction(-4), Fraction(3, 4), -w * w))
+            else:
+                c4 = w * w
+            if w != 0 and kind in (1, 2):
+                b1 = c3 / (2 * w)
+                b0 = (c2 - b1 * b1) / (2 * w)
+                if kind == 1:  # the linear equation for u has no u term
+                    c1 = 2 * b1 * b0
+                else:  # the step lands back on the anchor
+                    c0 = b0 * b0
+            c = (c4, c3, c2, c1, c0)
+            want = ascent_outcome(leading_side_closed_form, c)
+            assert ascent_outcome(ascend_leading_side, c) == want, c
+            if want is NoAscentError:
+                raised += 1
+            else:
+                produced += 1
+        assert raised > 200 and produced > 60
+
+    def test_symbolic_matches_closed_form(self):
+        q = symbolic_model()
+        for c in ((1, q.a1, q.a2, q.a3, q.a4), (S * S, T, S + T, S * T, T * T)):
+            assert ascend_leading_side(*c) == leading_side_closed_form(*c)
 
 
 class TestComposition:
