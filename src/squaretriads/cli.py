@@ -117,17 +117,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload, fmt: str, csv_rows=None, text_lines=None) -> None:
+def _emit(payload, fmt: str, csv_rows, text_lines) -> None:
+    """Print payload as one JSON object, or its CSV rows, or its text lines."""
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":
         for row in csv_rows:
             print(",".join(str(x) for x in row))
-    elif fmt == "text" and text_lines is not None:
+    else:
         for line in text_lines:
             print(line)
-    else:
-        print(json.dumps(payload, sort_keys=True))
+
+
+_TRIAD_HEADER = ["a", "b", "c", "f", "g", "h"]
+
+
+def _triad_row(triad: Triad, cert) -> list[int]:
+    return [triad.a, triad.b, triad.c, cert.f, cert.g, cert.h]
+
+
+def _triad_text(triad: Triad, cert) -> str:
+    return "triad (%d, %d, %d): f = %d, g = %d, h = %d" % tuple(_triad_row(triad, cert))
 
 
 def _cmd_verify(args) -> int:
@@ -144,14 +154,11 @@ def _cmd_verify(args) -> int:
             text_lines=["FAIL: %s (%s) is not a perfect square" % (failed, names[failed])],
         )
         return 1
-    payload = triad_json(triad, cert)
     _emit(
-        payload,
+        triad_json(triad, cert),
         args.format,
-        csv_rows=[["a", "b", "c", "f", "g", "h"], [triad.a, triad.b, triad.c, cert.f, cert.g, cert.h]],
-        text_lines=[
-            "triad (%d, %d, %d): f = %d, g = %d, h = %d" % (triad.a, triad.b, triad.c, cert.f, cert.g, cert.h)
-        ],
+        csv_rows=[_TRIAD_HEADER, _triad_row(triad, cert)],
+        text_lines=[_triad_text(triad, cert)],
     )
     return 0
 
@@ -175,7 +182,7 @@ def _cmd_family(args) -> int:
     _emit(
         payload,
         args.format,
-        csv_rows=[["a", "b", "c", "f", "g", "h"], [triad.a, triad.b, triad.c, cert.f, cert.g, cert.h]],
+        csv_rows=[_TRIAD_HEADER, _triad_row(triad, cert)],
         text_lines=["%s -> (%d, %d, %d)" % (payload["provenance"], triad.a, triad.b, triad.c)],
     )
     return 0
@@ -252,13 +259,16 @@ def _cmd_search(args) -> int:
     t0 = time.perf_counter()
     results = search.search_triads(cfg)
     elapsed = time.perf_counter() - t0
+    # one line per triad, so the output streams: JSON lines, CSV rows or text
     if args.format == "csv":
-        print("a,b,c,f,g,h")
-        for triad, cert in results:
-            print("%d,%d,%d,%d,%d,%d" % (triad.a, triad.b, triad.c, cert.f, cert.g, cert.h))
-    else:
-        for triad, cert in results:
+        print(",".join(_TRIAD_HEADER))
+    for triad, cert in results:
+        if args.format == "json":
             print(json.dumps(triad_json(triad, cert), sort_keys=True))
+        elif args.format == "csv":
+            print(",".join(map(str, _triad_row(triad, cert))))
+        else:
+            print(_triad_text(triad, cert))
     print(
         json.dumps({"count": str(len(results)), "bound": str(bound), "elapsed_s": "%.3f" % elapsed}, sort_keys=True),
         file=sys.stderr,
@@ -288,7 +298,11 @@ def _cmd_table1(args) -> int:
         for name, params, want, got, match in report.rows
     ]
     lines.append("%d/%d rows matched" % (sum(r[-1] for r in report.rows), len(report.rows)))
-    _emit(payload, args.format, csv_rows=None, text_lines=lines)
+    rows = [["family", "params", "expected", "got", "match"]] + [
+        [name, *(" ".join(map(str, x)) for x in (params, want, got)), match]
+        for name, params, want, got, match in report.rows
+    ]
+    _emit(payload, args.format, csv_rows=rows, text_lines=lines)
     return 0 if report.ok else 1
 
 
@@ -310,19 +324,29 @@ def _cmd_corpus(args) -> int:
         "%-45s %s" % (str(members), "certified" if cert is not None else "FAILED")
         for members, cert in report.entries
     ]
-    _emit(payload, args.format, csv_rows=None, text_lines=lines)
+    rows = [_TRIAD_HEADER] + [
+        [*members, *(("", "", "") if cert is None else (cert.f, cert.g, cert.h))]
+        for members, cert in report.entries
+    ]
+    _emit(payload, args.format, csv_rows=rows, text_lines=lines)
     return 0 if report.ok else 1
 
 
 def _cmd_two_squares(args) -> int:
     if args.value <= 0:
-        _emit({"error": "value must be positive"}, args.format, text_lines=["value must be positive"])
+        _emit(
+            {"error": "value must be positive"},
+            args.format,
+            csv_rows=[["error", "value must be positive"]],
+            text_lines=["value must be positive"],
+        )
         return 1
     witness = is_sum_two_rational_squares(args.value)
     if witness is None:
         _emit(
             {"error": "not a sum of two rational squares", "value": str(args.value)},
             args.format,
+            csv_rows=[["error", "not a sum of two rational squares"], ["value", args.value]],
             text_lines=["%s is not a sum of two rational squares" % args.value],
         )
         return 1

@@ -458,16 +458,12 @@ def gensol1_steps() -> TwoSquaresPipelineSteps:
     return _two_squares_chain(False)
 
 
-def gensol1_pipeline(r_val: int | None = None, s_val: int | None = None):
-    """Run the construction symbolically, or numerically at integer (r, s).
+def gensol1_pipeline(r_val: int, s_val: int) -> tuple[Triad, SquareCertificate]:
+    """Run the construction numerically at integer (r, s).
 
-    Symbolic mode returns the ParametricFamily; numeric mode returns the
-    canonicalized (Triad, SquareCertificate) built through the same steps.
+    Returns the canonicalized (Triad, SquareCertificate) built through the
+    steps of the symbolic run (`gensol1_steps`).
     """
-    if r_val is None and s_val is None:
-        return gensol1_steps().family
-    if r_val is None or s_val is None:
-        raise DomainError("provide both r and s, or neither")
     if r_val == 0 or s_val == 0:
         raise ExcludedLocusError("r and s must be nonzero")
     # The anchor root e = s^3 (r^2+s^2)^2 / r^3 is positive on the positive

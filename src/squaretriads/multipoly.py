@@ -635,19 +635,14 @@ def _divexact(a: Poly, b: Poly) -> Poly:
 # by CRT and accepts a candidate only after exact trial division of both
 # inputs.  _gf_mgcd computes one image mod p: it evaluates the last
 # variable at random points, recurses, and interpolates the images back.
+# Its univariate steps (Euclid in _gf_gcd, the division by a content in
+# _gf_primitive) share one long division, _gf_divmod, on trimmed lists.
 # Inputs with a one-variable image (univariate, or forms in two variables)
 # lose their common monomial factor and reach _gcd_modular as that image;
 # dehomogenizing is far cheaper than two-variable interpolation on the
 # generator.  The restart limit of the CRT loop comes from a coefficient
 # bound of the inputs, so no gcd is cut off by it.
 # ---------------------------------------------------------------------------
-
-
-def _int_list_degree(a: list[int]) -> int:
-    for i in range(len(a) - 1, -1, -1):
-        if a[i]:
-            return i
-    return -1
 
 
 _GCD_PRIME_START = (1 << 62) + 135  # first prime above 2^62 is found from here
@@ -661,28 +656,43 @@ def _gcd_primes():
         p += 2
 
 
-def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[: _int_list_degree(a) + 1] or [0]
-    b = b[: _int_list_degree(b) + 1] or [0]
-    while _int_list_degree(b) >= 0:
-        da, db = _int_list_degree(a), _int_list_degree(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], -1, p)
-        bm = [c * inv % p for c in b]
-        rem = list(a)
-        for i in range(da - db, -1, -1):
-            c = rem[db + i] % p
-            if c:
-                for j in range(db + 1):
-                    rem[i + j] = (rem[i + j] - c * bm[j]) % p
-        a, b = b, rem[: db] or [0]
-        b = b[: _int_list_degree(b) + 1] or [0]
+# Univariate helpers mod p on trimmed lists [c0, c1, ...] with entries in
+# [0, p): a nonzero list ends in a nonzero entry, and zero is [].
+
+
+def _gf_trim(a: list[int]) -> list[int]:
+    """a without its trailing zeros, trimmed in place."""
+    while a and not a[-1]:
+        a.pop()
     return a
 
 
-# Univariate helpers mod p on dense lists [c0, c1, ...] without trailing zeros.
+def _gf_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q * b + r mod p and deg r < deg b, for b nonzero.
+
+    The remainder is reduced mod p only at the end: each step subtracts
+    products of two entries below p, so no entry grows past (nb + 1) * p^2.
+    """
+    nb = len(b) - 1
+    nq = len(a) - nb
+    if nq <= 0:
+        return [], a
+    inv = pow(b[-1], -1, p)
+    low_b = b[:-1]
+    rem = list(a)
+    q = [0] * nq
+    for i in range(nq - 1, -1, -1):
+        c = q[i] = rem[i + nb] * inv % p
+        if c:
+            rem[i : i + nb] = [r - c * x for r, x in zip(rem[i : i + nb], low_b)]
+    return q, _gf_trim([c % p for c in rem[:nb]])
+
+
+def _gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """A gcd of a and b mod p, by Euclid; not made monic."""
+    while b:
+        a, b = b, _gf_divmod(a, b, p)[1]
+    return a
 
 
 def _gf_eval(a: list[int], x: int, p: int) -> int:
@@ -694,21 +704,6 @@ def _gf_eval(a: list[int], x: int, p: int) -> int:
 
 def _gf_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return [c % p for c in _list_mul(a, b)]
-
-
-def _gf_divexact(a: list[int], b: list[int], p: int) -> list[int]:
-    """Quotient a / b mod p, for b dividing a."""
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    rem = list(a)
-    q = [0] * (len(a) - db)
-    for i in range(len(q) - 1, -1, -1):
-        c = rem[i + db] * inv % p
-        q[i] = c
-        if c:
-            for j in range(db + 1):
-                rem[i + j] -= c * b[j]
-    return q
 
 
 def _gf_split(A: dict) -> dict:
@@ -729,7 +724,7 @@ def _gf_primitive(R: dict, p: int) -> tuple[list[int], dict]:
         cont = lst if cont is None else _gf_gcd(cont, lst, p)
         if len(cont) == 1:
             return [1], R
-    return cont, {m: _gf_divexact(lst, cont, p) for m, lst in R.items()}
+    return cont, {m: _gf_divmod(lst, cont, p)[0] for m, lst in R.items()}
 
 
 def _gf_mgcd(A: dict, B: dict, p: int, rng: random.Random) -> dict:
@@ -780,7 +775,7 @@ def _gf_mgcd(A: dict, B: dict, p: int, rng: random.Random) -> dict:
         q = _gf_mul(q, [-x % p, 1], p)
         if len(q) > bound + 1:
             break
-    H = {m: lst[: _int_list_degree(lst) + 1] for m, lst in H.items() if any(lst)}
+    H = {m: t for m, lst in H.items() if (t := _gf_trim(lst))}
     _, H = _gf_primitive(H, p)
     inv = pow(H[max(H)][-1] * cont[-1], -1, p)
     scale = [c * inv % p for c in cont]
@@ -1032,14 +1027,8 @@ def substitute(p: Poly, bindings: Mapping[str, object]):
     live = {k: v for k, v in bindings.items() if k in p.vars}
     if not live:
         return p
-    coerced: dict[str, object] = {}
-    for k, v in live.items():
-        if isinstance(v, (int, Fraction)):
-            coerced[k] = Poly.const(v)
-        elif isinstance(v, (Poly, RatFunc)):
-            coerced[k] = v
-        else:
-            raise DomainError("unsupported binding for %s: %r" % (k, v))
+    # scalars follow Poly.const: exact integer types convert, floats raise
+    coerced = {k: v if isinstance(v, (Poly, RatFunc)) else Poly.const(v) for k, v in live.items()}
     powers: dict[str, list] = {k: [_ONE, v] for k, v in coerced.items()}
 
     def power(name: str, e: int):

@@ -248,3 +248,43 @@ def test_readme_has_command_examples():
 def test_readme_command_example_exits_0(run, argv):
     code, _, err = run(*argv)
     assert code == 0, err
+
+
+# one cheap successful invocation of every subcommand
+SUCCESS_ARGS = {
+    "verify": ["45", "64", "180"],
+    "family": ["parmsol1", "1", "2"],
+    "family-list": [],
+    "family-check": ["parmsol1"],
+    "generate": ["1"],
+    "search": ["200"],
+    "table1": [],
+    "corpus": [],
+    "two-squares": ["45"],
+    "fermat": ["--at", "1", "2"],
+    "compose": ["--at", "1", "2"],
+}
+
+
+def test_success_args_cover_every_subcommand():
+    assert set(SUCCESS_ARGS) == set(cli._DISPATCH)
+
+
+def is_json_document(line):
+    try:
+        return isinstance(json.loads(line), (dict, list))
+    except ValueError:
+        return False
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+@pytest.mark.parametrize("command", sorted(SUCCESS_ARGS))
+def test_requested_format_is_not_json(run, command, fmt):
+    code, out, err = run("--format", fmt, command, *SUCCESS_ARGS[command])
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines
+    assert not any(is_json_document(line) for line in lines), out
+    if fmt == "csv":
+        widths = {len(line.split(",")) for line in lines}
+        assert len(widths) == 1, out

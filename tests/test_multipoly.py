@@ -20,6 +20,7 @@ from squaretriads.multipoly import (
     var,
 )
 from squaretriads.multipoly import _dense_sqrt, _from_list, _list_mul, _pack, _to_list, _unpack
+from squaretriads.multipoly import _gcd_primes, _gf_divmod, _gf_gcd, _gf_mul, _gf_primitive, _gf_trim
 
 s, t, m, n = var("s"), var("t"), var("m"), var("n")
 
@@ -816,3 +817,86 @@ class TestListImage:
                 root *= f ** (e // 2)
             assert to_sympy(largest_square_root_divisor(p)).monic() == root.monic(), p
         assert checked > 90
+
+
+class TestModularImages:
+    """The mod-p layer under Brown's gcd against sympy's galoistools.
+
+    galoistools writes a polynomial leading coefficient first; these
+    helpers take trimmed lists constant term first.
+    """
+
+    p = next(_gcd_primes())
+
+    @staticmethod
+    def trimmed(lst, p):
+        return all(0 <= c < p for c in lst) and (not lst or lst[-1] != 0)
+
+    def rand(self, rng, deg):
+        return _gf_trim([rng.randrange(self.p) for _ in range(deg)] + [rng.randrange(1, self.p)])
+
+    def cases(self, rng):
+        p = self.p
+        for kind in ("common factor", "deg a < deg b", "b divides a", "constant b") * 75:
+            if kind == "common factor":
+                f = self.rand(rng, rng.randint(1, 5))
+                a = _gf_mul(f, self.rand(rng, rng.randint(0, 6)), p)
+                b = _gf_mul(f, self.rand(rng, rng.randint(0, 6)), p)
+            elif kind == "deg a < deg b":
+                b = self.rand(rng, rng.randint(1, 8))
+                a = self.rand(rng, rng.randint(0, len(b) - 2))
+            elif kind == "b divides a":
+                b = self.rand(rng, rng.randint(0, 6))
+                a = _gf_mul(b, self.rand(rng, rng.randint(0, 6)), p)
+            else:
+                b = [rng.randrange(1, p)]
+                a = self.rand(rng, rng.randint(0, 8))
+            yield kind, a, b
+        yield "zero a", [], self.rand(rng, 3)
+
+    def test_matches_galoistools(self):
+        gt = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        p = self.p
+        rng = random.Random(62)
+        for kind, a, b in self.cases(rng):
+            rev_a, rev_b = a[::-1], b[::-1]
+            q, r = _gf_divmod(a, b, p)
+            want_q, want_r = gt.gf_div(rev_a, rev_b, p, ZZ)
+            assert (q[::-1], r[::-1]) == (want_q, want_r), (kind, a, b)
+            g = _gf_gcd(a, b, p)
+            monic = [c * pow(g[-1], -1, p) % p for c in g]
+            assert monic[::-1] == gt.gf_gcd(rev_a, rev_b, p, ZZ), (kind, a, b)
+            for out in (q, r, g):
+                assert self.trimmed(out, p), (kind, a, b, out)
+            if kind == "b divides a":
+                assert r == []
+            if kind == "constant b":
+                assert r == [] and len(g) == 1
+
+    def test_primitive_parts_trimmed(self):
+        p = self.p
+        rng = random.Random(9)
+        for _ in range(40):
+            f = self.rand(rng, rng.randint(1, 3))
+            R = {(i,): _gf_mul(f, self.rand(rng, rng.randint(0, 4)), p) for i in range(3)}
+            cont, prim = _gf_primitive(R, p)
+            assert self.trimmed(cont, p)
+            assert all(self.trimmed(lst, p) for lst in prim.values())
+            # the content divides out exactly: each part times it is the input
+            for m, lst in prim.items():
+                assert _gf_mul(lst, cont, p) == R[m]
+
+
+class TestSubstituteScalars:
+    def test_integer_scalar_bindings_convert_exactly(self):
+        np = pytest.importorskip("numpy")
+        out = substitute(s**2, {"s": np.int64(3)})
+        assert out == 9 and type(out.terms[()]) is int
+        assert substitute(s * t, {"s": np.int64(2)}) == 2 * t
+
+    def test_inexact_scalar_bindings_rejected(self):
+        for bad in (0.5, 2.0, "3"):
+            with pytest.raises(DomainError):
+                substitute(s**2, {"s": bad})
