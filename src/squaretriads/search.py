@@ -1,19 +1,21 @@
 """Bounded exhaustive search for verified triads, plus the fixed corpus.
 
-The pruning rests on the squarefree-kernel identity: abc is a square iff
-kernel(c) = kernel(ab), so for each pair a <= b only c = kernel(ab) * j^2
-ever needs testing.  The kernel runs in numpy: one pass over b per a
-finds the pairs with kernel(ab) <= bound, and the c-candidates of many pairs
-are tested together with an exact float64 square test (Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 1.7.3, with the float test in
-place of residue tables).  Survivors are re-checked in exact integers.  A
-naive unpruned triple loop is kept as the correctness oracle for small
-bounds.
+The pruning rests on the squarefree kernels: abc is a square iff the
+kernels of a, b and c are (g*u, g*v, u*v) for squarefree, pairwise coprime
+g, u and v.  So the search enumerates these kernel triples and, for each,
+its candidates (g*u*x^2, g*v*y^2, u*v*j^2) with a <= b <= c <= bound, in
+numpy batches; its work grows with the candidates, not with the bound**2 / 2
+pairs (a, b).  Each batch is tested with an exact float64 square test
+(Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.7.3, with
+the float test in place of residue tables).  Survivors are re-checked in
+exact integers.  A naive unpruned triple loop is kept as the correctness
+oracle for small bounds.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -42,9 +44,8 @@ __all__ = [
 # below 2**53: there float64 holds integers exactly and a correctly rounded
 # sqrt decides squareness exactly.
 _EXACT_FLOAT = 1 << 53
-# Pairs (a, b) with K <= bound gathered before their c-candidates are made.
-_PAIR_BATCH = 1 << 11
-# Most c-candidates expanded at once; bounds the kernel's temporary arrays.
+# Most elements expanded at once on each level of the enumeration; bounds
+# the kernel's temporary arrays.
 _CANDIDATE_BATCH = 1 << 12
 
 
@@ -55,6 +56,10 @@ class SearchConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("bound", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise DomainError("search %s must be an integer, not %r" % (name, value))
         if self.bound < 1:
             raise DomainError("search bound must be >= 1")
         if 3 * self.bound * self.bound >= _EXACT_FLOAT:
@@ -63,35 +68,22 @@ class SearchConfig:
             raise DomainError("worker count must be >= 1")
 
 
-def _kernel_sieve(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squarefree kernels and smallest prime factors of 0..n, as int32.
+def _kernel_sieve(n: int) -> np.ndarray:
+    """Squarefree kernels of 0..n, as int32; entries 0 and 1 are 0 and 1.
 
-    int32 holds every bound SearchConfig accepts.  Entries 0 and 1 of both
-    arrays are 0 and 1.
+    int32 holds every bound SearchConfig accepts.
     """
-    spf = np.zeros(n + 1, dtype=np.int32)
     kernels = np.arange(n + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(n) + 1):
-        if spf[p] == 0:
-            tail = spf[p * p :: p]
-            tail[tail == 0] = p
+    root = math.isqrt(n)
+    composite = np.zeros(root + 1, dtype=bool)
+    for p in range(2, root + 1):
+        if not composite[p]:
+            composite[p * p :: p] = True
             q = p * p
             while q <= n:
                 kernels[::q] //= p * p
                 q *= p * p
-    unset = spf == 0
-    spf[unset] = np.flatnonzero(unset)
-    return kernels, spf
-
-
-def _kernel_primes(spf: np.ndarray, k: int) -> tuple[int, ...]:
-    """Ascending primes of a squarefree k, read off the smallest-factor sieve."""
-    primes = []
-    while k > 1:
-        p = int(spf[k])
-        primes.append(p)
-        k //= p
-    return tuple(primes)
+    return kernels
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
@@ -111,76 +103,96 @@ def _is_square(x: np.ndarray) -> np.ndarray:
     return r == x
 
 
-def _test_candidates(a, b, K, j0, n, out: list):
-    """Test c = K * j^2 for j0 <= j < j0 + n on each pair (a, b)."""
+def _spread(start, n: np.ndarray, *cols: np.ndarray):
+    """Expand the ranges start_i <= t < start_i + n_i (all n_i >= 0), in slices.
+
+    Yields (t, col_0, col_1, ...), each column repeated along its row's
+    range, in slices of at most _CANDIDATE_BATCH elements; a row longer
+    than that is split between slices.
+    """
+    start = np.broadcast_to(start, n.shape)
     ends = np.cumsum(n)
-    c = np.arange(int(ends[-1]), dtype=np.int64)
-    c += np.repeat(j0 - (ends - n), n)
-    c *= c
-    c *= np.repeat(K, n)
-    e1 = np.repeat(a + b, n)
-    e1 += c
-    hit = np.flatnonzero(_is_square(e1))
-    pair = np.searchsorted(ends, hit, side="right")
-    ha, hb, hc = a[pair], b[pair], c[hit]
-    keep = _is_square(ha * hb + hc * (ha + hb))
-    for a, b, c in zip(ha[keep].tolist(), hb[keep].tolist(), hc[keep].tolist()):
-        # exact re-checks of the float survivors; abc is square by construction
-        ab = a * b
-        if is_perfect_square(a + b + c) is None or is_perfect_square(ab + c * (a + b)) is None:
-            raise VerificationError("float square test passed a non-square at %s" % ((a, b, c),))
-        if is_perfect_square(ab * c) is None:
-            raise VerificationError("kernel pruning produced a non-square product")
-        out.append((a, b, c))
+    total = int(ends[-1]) if n.size else 0
+    for lo in range(0, total, _CANDIDATE_BATCH):
+        hi = min(lo + _CANDIDATE_BATCH, total)
+        rows = slice(int(np.searchsorted(ends, lo, side="right")), int(np.searchsorted(ends, hi)) + 1)
+        begins = ends[rows] - n[rows]
+        m = np.minimum(ends[rows], hi) - np.maximum(begins, lo)
+        t = np.arange(hi - lo, dtype=np.int64)
+        t += np.repeat(start[rows] - begins + lo, m)
+        yield (t, *(np.repeat(col[rows], m) for col in cols))
 
 
-def _scan_pairs(a, b, K, bound: int, out: list):
-    """c-scan along c = K * j^2 with b <= c <= bound for each pair (a, b)."""
-    j0 = _isqrt((b - 1) // K) + 1
-    n = _isqrt(bound // K) - j0 + 1
-    live = n > 0
-    a, b, K, j0, n = a[live], b[live], K[live], j0[live], n[live]
-    ends = np.cumsum(n)
-    lo = 0
-    while lo < n.size:
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _CANDIDATE_BATCH, side="right")))
-        _test_candidates(a[lo:hi], b[lo:hi], K[lo:hi], j0[lo:hi], n[lo:hi], out)
-        lo = hi
+def _candidates(kernels: np.ndarray, u_lo: int, u_hi: int):
+    """Every a <= b <= c <= bound with abc a square and u_lo <= u < u_hi.
+
+    Such a triad has exactly one kernel triple (kernel(a), kernel(b),
+    kernel(c)) = (g*u, g*v, u*v) with g, u, v squarefree and pairwise
+    coprime, so it is (g*u*x**2, g*v*y**2, u*v*j**2) for exactly one
+    (u, v, g, x, y, j).  Products of squarefree numbers are tested for
+    coprimality on the sieve: m*n is squarefree iff kernel(m*n) = m*n.
+    Yields (a, b, c) as int64 arrays, in batches; each level rebinds the
+    names of the level above to its own rows.
+    """
+    bound = kernels.size - 1
+    sf = np.flatnonzero(kernels == np.arange(bound + 1))[1:]
+    u = sf[np.searchsorted(sf, u_lo) : np.searchsorted(sf, u_hi)]
+    for vi, u in _spread(0, np.searchsorted(sf, bound // u, side="right"), u):
+        v = sf[vi]
+        uv = u * v
+        keep = kernels[uv] == uv
+        u, v, uv = u[keep], v[keep], uv[keep]
+        jmax = _isqrt(bound // uv)
+        # g*v <= b <= u*v*jmax**2 and g*u <= a <= b give g <= min(u, v) * jmax**2
+        ng = np.searchsorted(sf, np.minimum(u, v) * jmax * jmax, side="right")
+        for gi, u, v, uv, jmax in _spread(0, ng, u, v, uv, jmax):
+            g = sf[gi]
+            gu, gv = g * u, g * v
+            keep = (kernels[gu] == gu) & (kernels[gv] == gv)
+            gu, gv, uv, jmax = gu[keep], gv[keep], uv[keep], jmax[keep]
+            for y, gu, gv, uv, jmax in _spread(1, _isqrt(uv * jmax * jmax // gv), gu, gv, uv, jmax):
+                b = gv * y * y
+                for x, b, uv, jmax, gu in _spread(1, _isqrt(b // gu), b, uv, jmax, gu):
+                    a = gu * x * x
+                    j0 = _isqrt((b - 1) // uv) + 1
+                    for j, a, b, uv in _spread(j0, jmax - j0 + 1, a, b, uv):
+                        yield a, b, uv * j * j
 
 
 def _search_block(args) -> list[tuple[int, int, int]]:
-    a_lo, a_hi, bound = args
-    kernels, spf = _kernel_sieve(bound)
+    """Triads from the kernel triples with u_lo <= u < u_hi."""
+    u_lo, u_hi, bound = args
     out: list[tuple[int, int, int]] = []
-    rows: list[int] = []
-    bs: list[np.ndarray] = []
-    Ks: list[np.ndarray] = []
-    pending = 0
-    for a in range(a_lo, a_hi):
-        # K = kernel(ab) = ka * kb / gcd(ka, kb)^2, the gcd being the
-        # primes of the squarefree ka that divide kb
-        ka = int(kernels[a])
-        kb = kernels[a:]
-        K = np.multiply(kb, ka, dtype=np.int64)
-        for p in _kernel_primes(spf, ka):
-            np.floor_divide(K, p * p, out=K, where=kb % p == 0)
-        off = np.flatnonzero(K <= bound)
-        rows.append(off.size)
-        bs.append(off + a)
-        Ks.append(K[off])
-        pending += off.size
-        if pending >= _PAIR_BATCH or a == a_hi - 1:
-            first = a + 1 - len(rows)
-            a_arr = np.repeat(np.arange(first, a + 1, dtype=np.int64), rows)
-            _scan_pairs(a_arr, np.concatenate(bs), np.concatenate(Ks), bound, out)
-            rows, bs, Ks, pending = [], [], [], 0
+    for a, b, c in _candidates(_kernel_sieve(bound), u_lo, u_hi):
+        hit = np.flatnonzero(_is_square(a + b + c))
+        ha, hb, hc = a[hit], b[hit], c[hit]
+        keep = _is_square(ha * hb + hc * (ha + hb))
+        for a, b, c in zip(ha[keep].tolist(), hb[keep].tolist(), hc[keep].tolist()):
+            # exact re-checks of the float survivors; abc is square by construction
+            ab = a * b
+            if is_perfect_square(a + b + c) is None or is_perfect_square(ab + c * (a + b)) is None:
+                raise VerificationError("float square test passed a non-square at %s" % ((a, b, c),))
+            if is_perfect_square(ab * c) is None:
+                raise VerificationError("kernel pruning produced a non-square product")
+            out.append((a, b, c))
     return out
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
     """Worker processes actually started: never more than CPUs or chunks."""
     return min(workers, os.cpu_count() or 1, n_chunks)
+
+
+def _u_ranges(bound: int, workers: int) -> list[tuple[int, int, int]]:
+    """Pool chunks: u-ranges [lo, hi) tiling 1..bound, as _search_block arguments.
+
+    u = 1 alone carries about a quarter of the work and the rest spreads
+    about evenly over log u, so the ranges grow geometrically; eight per
+    worker keep every worker busy to the end.
+    """
+    n = workers * 8
+    edges = sorted({1, bound + 1} | {round(bound ** (k / n)) for k in range(1, n)})
+    return [(lo, hi, bound) for lo, hi in zip(edges, edges[1:])]
 
 
 def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
@@ -191,16 +203,9 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     dropped (their canonical form is enumerated on its own).
     """
     bound = cfg.bound
-    chunks = []
-    if cfg.workers > 1 and bound >= 256:
-        # contiguous a-ranges; small a carries most work, so split finely
-        step = max(16, bound // (cfg.workers * 8))
-        lo = 1
-        while lo <= bound:
-            hi = min(lo + step, bound + 1)
-            chunks.append((lo, hi, bound))
-            lo = hi
-    workers = _pool_size(cfg.workers, len(chunks))
+    workers = min(cfg.workers, os.cpu_count() or 1)
+    chunks = _u_ranges(bound, workers) if workers > 1 and bound >= 256 else []
+    workers = _pool_size(workers, len(chunks))
     if workers <= 1:
         raw = _search_block((1, bound + 1, bound))
     else:

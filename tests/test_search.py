@@ -1,5 +1,7 @@
+import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,46 @@ from hypothesis import strategies as st
 
 from squaretriads import search as sr
 from squaretriads.errors import DomainError
-from squaretriads.exactnum import factorize, squarefree_decompose
+from squaretriads.exactnum import squarefree_decompose
 from squaretriads.triads import Triad, verify_triad
+
+EXPECTED_TRIADS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_triads.json"
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for the process pool: records each pool, runs its chunks here."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunks = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            self.chunks = list(items)
+            return map(fn, self.chunks)
+
+    monkeypatch.setattr(sr, "ProcessPoolExecutor", InlinePool)
+    return pools
+
+
+def _square_product_triples(n):
+    """Brute force: every a <= b <= c <= n with abc a square."""
+    b, c = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+    out = set()
+    for a in range(1, n + 1):
+        p = a * b * c
+        hit = (np.rint(np.sqrt(p)).astype(np.int64) ** 2 == p) & (a <= b) & (b <= c)
+        out.update((a, y, z) for y, z in zip(b[hit].tolist(), c[hit].tolist()))
+    return out
 
 
 class TestSearch:
@@ -57,6 +97,13 @@ class TestSearch:
         with pytest.raises(DomainError):
             sr.SearchConfig(10, workers=0)
 
+    @pytest.mark.parametrize(
+        "bound, workers", [(300.0, 1), (300, 2.0), ("300", 1), (300, "2"), (True, 1), (300, True)]
+    )
+    def test_non_integer_config(self, bound, workers):
+        with pytest.raises(DomainError):
+            sr.SearchConfig(bound, workers=workers)
+
     def test_tiny_bounds(self):
         assert sr.search_triads(sr.SearchConfig(1)) == []
         assert sr.search_triads(sr.SearchConfig(2)) == []
@@ -82,41 +129,49 @@ class TestSearch:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert sr._pool_size(64, 100) == 1
 
-    def test_search_starts_clamped_pool(self, monkeypatch):
-        started = []
-
-        class InlinePool:
-            # records the pool size and runs the chunks in this process
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(sr, "ProcessPoolExecutor", InlinePool)
+    def test_search_starts_clamped_pool(self, inline_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial = sr.search_triads(sr.SearchConfig(600))
         assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
-        assert started == [3]
+        assert [pool.max_workers for pool in inline_pool] == [3]
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
-        assert started == [3]
+        assert [pool.max_workers for pool in inline_pool] == [3]
+
+    @pytest.mark.parametrize("bound", [5000, 10_000])
+    def test_expected_triads_serial_and_pooled(self, bound, inline_pool, monkeypatch):
+        listed = [tuple(t) for t in json.loads(EXPECTED_TRIADS.read_text()) if t[2] <= bound]
+        serial = sr.search_triads(sr.SearchConfig(bound))
+        assert [t.members() for t, _ in serial] == listed
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sr.search_triads(sr.SearchConfig(bound, workers=2)) == serial
+        [pool] = inline_pool
+        assert pool.max_workers == 2
+        squarefree = [u for u in range(1, bound + 1) if squarefree_decompose(u)[0] == u]
+        covered = sorted(u for lo, hi, _ in pool.chunks for u in squarefree if lo <= u < hi)
+        assert covered == squarefree
 
 
 class TestKernel:
     def test_sieve_matches_squarefree_decompose(self):
-        kernels, spf = sr._kernel_sieve(2000)
+        kernels = sr._kernel_sieve(2000)
         assert kernels[0] == 0
         for n in range(1, 2001):
             kernel, _root = squarefree_decompose(n)
             assert kernels[n] == kernel
-            assert sr._kernel_primes(spf, int(kernels[n])) == tuple(sorted(factorize(kernel)))
+
+    @pytest.mark.parametrize(
+        "n, batch", [(n, sr._CANDIDATE_BATCH) for n in range(1, 61)] + [(300, sr._CANDIDATE_BATCH), (300, 5)]
+    )
+    def test_candidates_are_the_square_product_triples(self, n, batch, monkeypatch):
+        # every a <= b <= c <= n with abc square, each once, before any square
+        # test; 5-element slices split long ranges on every level between batches
+        monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
+        batches = list(sr._candidates(sr._kernel_sieve(n), 1, n + 1))
+        assert all(a.size <= batch for a, _, _ in batches)
+        got = [t for rows in batches for t in zip(*(x.tolist() for x in rows))]
+        assert len(got) == len(set(got))
+        assert set(got) == _square_product_triples(n)
 
     def test_float_square_tests_exact_below_2_53(self):
         top = math.isqrt(2**53 - 1)
