@@ -28,7 +28,7 @@ print("  leading side:  u =", pt_l.u)
 print()
 print("each u yields a family via the quadratic-in-x pipeline:")
 for label, pt in (("constant", pt_c), ("leading", pt_l)):
-    a, b, c = solution_family_polys(pt.u, pt.v)
+    a, b, c = solution_family_polys(pt.u)
     print("  %s side family:" % label)
     for mem, val in zip("abc", (a, b, c)):
         print("    %s = %s" % (mem, val))

@@ -16,7 +16,7 @@ from .errors import DomainError, PipelineStepError, PoleError, VerificationError
 from .exactnum import promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
-from .pipeline import solution_family_polys
+from .pipeline import cubic_root_triple, polynomialize_roots
 from .quartic import phi
 
 __all__ = [
@@ -149,19 +149,26 @@ def point_P() -> ECPoint:
     return ECPoint(X, Y)
 
 
-def xy_to_quartic(X, Y, m):
-    """(U, V) image of a curve point under the birational map.
+def _quartic_u(X, Y, m):
+    """(U, den): U of the birational image of (X, Y), and den = 6(X - 24m^4 - 36m^2 - 12).
 
-    U = (6(m^2+1)X + mY + 72m^6 + 72m^4 - 72m^2 - 72) / (6(X - 24m^4 - 36m^2 - 12)),
-    V = (2m^2 X^3 - 36m^2(2m^2+1)(m^2+1)X^2 - m^2 Y^2 - 432 m^3 (m^2+1)^2 Y
-         + 1728 m^2 (m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1))
-        / (6(X - 24m^4 - 36m^2 - 12))^2.
+    U = (6(m^2+1)X + mY + 72m^6 + 72m^4 - 72m^2 - 72) / den.
     """
-    m1 = m * m + 1
     den = promote_int(6 * (X - 24 * m**4 - 36 * m * m - 12))
     if den == 0:
         raise PoleError("X lies on the pole line of the birational map")
-    U = (6 * m1 * X + m * Y + 72 * m**6 + 72 * m**4 - 72 * m * m - 72) / den
+    return (6 * (m * m + 1) * X + m * Y + 72 * m**6 + 72 * m**4 - 72 * m * m - 72) / den, den
+
+
+def xy_to_quartic(X, Y, m):
+    """(U, V) image of a curve point under the birational map.
+
+    U is _quartic_u's, and
+    V = (2m^2 X^3 - 36m^2(2m^2+1)(m^2+1)X^2 - m^2 Y^2 - 432 m^3 (m^2+1)^2 Y
+         + 1728 m^2 (m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1)) / den^2.
+    """
+    U, den = _quartic_u(X, Y, m)
+    m1 = m * m + 1
     V = (
         2 * m * m * X**3
         - 36 * m * m * (2 * m * m + 1) * m1 * X * X
@@ -293,8 +300,8 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
 def generate_family(k: int) -> ParametricFamily:
     """Polynomial solution family from the k-th multiple of P on the curve.
 
-    Maps kP through the birational transformation to the quartic model,
-    homogenizes with m = t/s, and runs the shared solution pipeline.
+    Maps kP to the U-coordinate of the quartic model, homogenizes it with
+    m = t/s, and runs the shared solution pipeline on u alone.
     k = 1 recovers the constant-side ascent family.
     """
     if not isinstance(k, int) or k < 1:
@@ -307,15 +314,18 @@ def generate_family(k: int) -> ParametricFamily:
         raise PipelineStepError("group law degenerated at k = %d: %s" % (k, exc)) from exc
     if Pk.is_identity:
         raise PipelineStepError("kP is the identity at k = %d" % k)
-    m = RatFunc(var("m"))
     try:
-        U, V = xy_to_quartic(Pk.x, Pk.y, m)
+        U, _ = _quartic_u(Pk.x, Pk.y, RatFunc(var("m")))
     except PoleError as exc:
         raise PipelineStepError("birational map has a pole at k = %d" % k) from exc
-    if V * V != phi(1, m, U):
-        raise VerificationError("birational image is off the quartic model")
-    u, v = line_to_plane(U, V)
-    members = solution_family_polys(u, v)
+    u = _homogenize_univar(U, 1)
+    # t^2 leads the x-quadratic, so a DomainError here can only be a
+    # non-square discriminant: u is off the quartic model
+    try:
+        roots = cubic_root_triple(u)
+    except DomainError as exc:
+        raise VerificationError("birational image is off the quartic model") from exc
+    members = polynomialize_roots(roots)
     return make_family(
         "ecgen%d" % k,
         ("s", "t"),

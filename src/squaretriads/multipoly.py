@@ -881,10 +881,9 @@ def _gcd_list(a: Poly, b: Poly, vars: tuple[str, ...], radix: list[int], hom: bo
 
 def _primitive_dict(L: list[Coeff]) -> dict[tuple[int], int]:
     """{(i,): c} for the coefficient list L divided by its rational content."""
-    cont = _rational_content(L)
-    if cont == 1:
-        return {(i,): c for i, c in enumerate(L) if c}
-    return {(i,): _canon_coeff(c / cont) for i, c in enumerate(L) if c}
+    L, _ = _clear_denominators(L)
+    g = math.gcd(*L)
+    return {(i,): c // g for i, c in enumerate(L) if c}
 
 
 def _content_wrt(p: Poly, name: str) -> tuple[Poly, Poly]:

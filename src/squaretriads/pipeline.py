@@ -1,7 +1,9 @@
 """From a discriminant-squaring u to a polynomial solution family.
 
-Given u(s, t) with phi(s, t, u) a square, the quadratic in x has two
-rational-function roots; together with s^2 + t^2 they are the roots of the
+Given u(s, t) alone, the quadratic in x has two rational-function roots
+exactly when its discriminant, s^4 phi(s, t, u), is a square, i.e. when u
+lies on the quartic model; the exact square root is that check, and no v
+is needed.  Together with s^2 + t^2 the two roots are the roots of the
 cubic, i.e. a rational solution triple.  Scaling by a square of rational
 functions and stripping common square factors turns the triple into the
 canonical polynomial family.
@@ -25,7 +27,7 @@ from .multipoly import (
     poly_sqrt,
     var,
 )
-from .triads import quad_in_x
+from .triads import quad_in_x, roots_quad
 
 __all__ = [
     "cubic_root_triple",
@@ -36,26 +38,18 @@ __all__ = [
 ]
 
 
-def cubic_root_triple(u: RatFunc, v: RatFunc | None = None) -> tuple[RatFunc, RatFunc, RatFunc]:
+def cubic_root_triple(u: RatFunc) -> tuple[RatFunc, RatFunc, RatFunc]:
     """The three cubic roots (s^2 + t^2 and the two x-quadratic roots) for this u.
 
-    If v with v^2 = phi(s, t, u) is supplied, the discriminant square root
-    is taken as s^2 * v instead of being recomputed.
+    The x-roots come from roots_quad, whose exact square root of the
+    discriminant squares its answer back: that is the check that u lies on
+    the quartic model.
     """
     S, T = RatFunc(var("s")), RatFunc(var("t"))
-    A, B, C = quad_in_x(S, T, u)
-    disc = B * B - 4 * A * C
-    if v is not None:
-        sd = S * S * v
-        if sd * sd != disc:
-            raise DomainError("supplied v does not square to the discriminant kernel")
-    else:
-        sd = disc.sqrt()
-        if sd is None:
-            raise DomainError("discriminant is not a square for this u")
-    x1 = (-B + sd) / (2 * A)
-    x2 = (-B - sd) / (2 * A)
-    return (S * S + T * T, x1, x2)
+    roots = roots_quad(*quad_in_x(S, T, u))
+    if roots is None:
+        raise DomainError("discriminant is not a square for this u")
+    return (S * S + T * T, *roots)
 
 
 def polynomialize_roots(roots: tuple[RatFunc, ...]) -> tuple[Poly, ...]:
@@ -132,6 +126,6 @@ def square_witnesses(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly, Poly]:
     return tuple(out)
 
 
-def solution_family_polys(u: RatFunc, v: RatFunc | None = None) -> tuple[Poly, Poly, Poly]:
+def solution_family_polys(u: RatFunc) -> tuple[Poly, Poly, Poly]:
     """Canonical polynomial triple generated by a u on the quartic model."""
-    return polynomialize_roots(cubic_root_triple(u, v))
+    return polynomialize_roots(cubic_root_triple(u))

@@ -7,9 +7,9 @@ its candidates (g*u*x^2, g*v*y^2, u*v*j^2) with a <= b <= c <= bound, in
 numpy batches; its work grows with the candidates, not with the bound**2 / 2
 pairs (a, b).  Each batch is tested with an exact float64 square test
 (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.7.3, with
-the float test in place of residue tables).  Survivors are re-checked in
-exact integers.  A naive unpruned triple loop is kept as the correctness
-oracle for small bounds.
+the float test in place of residue tables).  Each survivor is checked once
+in exact integers by verify_triad.  A naive unpruned triple loop is kept as
+the correctness oracle for small bounds.
 """
 
 from __future__ import annotations
@@ -60,6 +60,8 @@ class SearchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise DomainError("search %s must be an integer, not %r" % (name, value))
+        if not isinstance(self.primitive_only, bool):
+            raise DomainError("search primitive_only must be a bool, not %r" % (self.primitive_only,))
         if self.bound < 1:
             raise DomainError("search bound must be >= 1")
         if 3 * self.bound * self.bound >= _EXACT_FLOAT:
@@ -167,14 +169,7 @@ def _search_block(args) -> list[tuple[int, int, int]]:
         hit = np.flatnonzero(_is_square(a + b + c))
         ha, hb, hc = a[hit], b[hit], c[hit]
         keep = _is_square(ha * hb + hc * (ha + hb))
-        for a, b, c in zip(ha[keep].tolist(), hb[keep].tolist(), hc[keep].tolist()):
-            # exact re-checks of the float survivors; abc is square by construction
-            ab = a * b
-            if is_perfect_square(a + b + c) is None or is_perfect_square(ab + c * (a + b)) is None:
-                raise VerificationError("float square test passed a non-square at %s" % ((a, b, c),))
-            if is_perfect_square(ab * c) is None:
-                raise VerificationError("kernel pruning produced a non-square product")
-            out.append((a, b, c))
+        out.extend(zip(ha[keep].tolist(), hb[keep].tolist(), hc[keep].tolist()))
     return out
 
 
@@ -215,11 +210,12 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     results = []
     for a, b, c in raw:
         triad = Triad(a, b, c)
-        if cfg.primitive_only and canonicalize(triad) != triad:
-            continue
+        # the one exact check of each float survivor, primitive or not
         cert = verify_triad(triad)
         if cert is None:
-            raise VerificationError("search emitted a non-verifying triad %s" % (triad,))
+            raise VerificationError("float square prefilter passed a non-triad %s" % (triad,))
+        if cfg.primitive_only and canonicalize(triad) != triad:
+            continue
         results.append((triad, cert))
     return results
 

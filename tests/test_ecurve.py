@@ -1,11 +1,14 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from squaretriads import ecurve as ec
-from squaretriads.errors import DomainError, PoleError
-from squaretriads.families import get_family, verify_family_symbolic
+from squaretriads.cli import main
+from squaretriads.errors import DomainError, PoleError, VerificationError
+from squaretriads.families import family_to_json, get_family, verify_family_symbolic
 from squaretriads.multipoly import Poly, RatFunc, evaluate, var
 from squaretriads.quartic import euler_quartic
 
@@ -246,3 +249,31 @@ class TestGenerateFamily:
     def test_invalid_k(self):
         with pytest.raises(DomainError):
             ec.generate_family(0)
+
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (1, "72576611d2bd0f10b6eac0c6aa8c9575c920f88814c41c30206ddc72c0012b0f"),
+            (2, "b0787a908120d302d118587fa371fae01399fdbbce99963cb620168e5f8bade8"),
+            (3, "0e15564c430696ed1c157b05946af529bc3159535de94aee28be605c8cfcd8af"),
+            (4, "4741491ce4e7f6e46b77605f95dd31a8492d041190f48118990afad926db19fd"),
+            (5, "33469a5e8c0e59fe3fce7931525bb7be8755a1f4bb73a71673ab11710e1595d0"),
+            (6, "34a80711e12d1ac6b30c146c2449c9c507f3828b8537772c448bf0b79257900a"),
+        ],
+    )
+    def test_family_json_is_pinned(self, k, digest):
+        payload = json.dumps(family_to_json(ec.generate_family(k)), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+    def test_off_model_u_is_an_internal_error(self, monkeypatch, capsys):
+        honest = ec._quartic_u
+
+        def shifted(X, Y, m):
+            U, den = honest(X, Y, m)
+            return U + 1, den
+
+        monkeypatch.setattr(ec, "_quartic_u", shifted)
+        with pytest.raises(VerificationError, match="off the quartic model"):
+            ec.generate_family(2)
+        assert main(["generate", "2"]) == 3
+        assert json.loads(capsys.readouterr().err) == {"error": "birational image is off the quartic model"}

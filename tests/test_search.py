@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squaretriads import search as sr
-from squaretriads.errors import DomainError
+from squaretriads.errors import DomainError, VerificationError
 from squaretriads.exactnum import squarefree_decompose
 from squaretriads.triads import Triad, verify_triad
 
@@ -103,6 +103,16 @@ class TestSearch:
     def test_non_integer_config(self, bound, workers):
         with pytest.raises(DomainError):
             sr.SearchConfig(bound, workers=workers)
+
+    @pytest.mark.parametrize("primitive_only", ["no", 1, None])
+    def test_non_bool_primitive_only(self, primitive_only):
+        with pytest.raises(DomainError):
+            sr.SearchConfig(800, primitive_only=primitive_only)
+
+    def test_float_prefilter_survivors_are_checked_exactly(self, monkeypatch):
+        monkeypatch.setattr(sr, "_is_square", lambda x: np.ones(x.shape, dtype=bool))
+        with pytest.raises(VerificationError, match="prefilter"):
+            sr.search_triads(sr.SearchConfig(300))
 
     def test_tiny_bounds(self):
         assert sr.search_triads(sr.SearchConfig(1)) == []
