@@ -16,7 +16,7 @@ from .errors import DomainError, PipelineStepError, PoleError, VerificationError
 from .exactnum import promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
-from .pipeline import cubic_root_triple, polynomialize_roots
+from .pipeline import _homogenize_m, _weights_ok, line_u_triple
 from .quartic import phi
 
 __all__ = [
@@ -210,14 +210,6 @@ def homogenize(m, U, V, s):
     return (m * s, s * U, s * s * V)
 
 
-def _weights_ok(f: RatFunc, weight: int) -> bool:
-    if f.is_zero:
-        return True
-    if not (f.num.is_homogeneous() and f.den.is_homogeneous()):
-        return False
-    return f.num.total_degree() - f.den.total_degree() == weight
-
-
 def plane_to_line(u: RatFunc, v: RatFunc) -> tuple[RatFunc, RatFunc]:
     """(U(m), V(m)) from weight-(1, 2) homogeneous u(s, t), v(s, t)."""
     if not (_weights_ok(u, 1) and _weights_ok(v, 2)):
@@ -228,22 +220,11 @@ def plane_to_line(u: RatFunc, v: RatFunc) -> tuple[RatFunc, RatFunc]:
 
 def _homogenize_univar(f: RatFunc, weight: int) -> RatFunc:
     """s^weight * f(t/s) for f univariate in m, computed term by term."""
-
-    def hom(p: Poly, d: int) -> Poly:
-        if p.is_const:
-            terms = {(d, 0): p.terms[()]} if not p.is_zero else {}
-            return Poly._make(("s", "t"), terms)
-        i = p.vars.index("m")
-        terms = {}
-        for e, c in p.terms.items():
-            terms[(d - e[i], e[i])] = c
-        return Poly._make(("s", "t"), terms)
-
     dn = f.num.degree_in("m")
     dd = f.den.degree_in("m")
     shift = weight + dd - dn
-    num = hom(f.num, dn)
-    den = hom(f.den, dd)
+    num = _homogenize_m(f.num, dn)
+    den = _homogenize_m(f.den, dd)
     s = var("s")
     if shift >= 0:
         num = num * s**shift
@@ -300,11 +281,11 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
 def generate_family(k: int) -> ParametricFamily:
     """Polynomial solution family from the k-th multiple of P on the curve.
 
-    Maps kP to the U-coordinate of the quartic model, homogenizes it with
-    m = t/s, and runs the shared solution pipeline on u alone.
-    k = 1 recovers the constant-side ascent family.
+    Maps kP to the U-coordinate of the quartic model and runs the shared
+    solution pipeline on U's numerator and denominator in m; u = s U(t/s)
+    gives the constraint.  k = 1 recovers the constant-side ascent family.
     """
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise DomainError("generate_family requires an integer k >= 1")
     E = ecweier()
     P = point_P()
@@ -318,19 +299,17 @@ def generate_family(k: int) -> ParametricFamily:
         U, _ = _quartic_u(Pk.x, Pk.y, RatFunc(var("m")))
     except PoleError as exc:
         raise PipelineStepError("birational map has a pole at k = %d" % k) from exc
-    u = _homogenize_univar(U, 1)
-    # t^2 leads the x-quadratic, so a DomainError here can only be a
-    # non-square discriminant: u is off the quartic model
+    # a DomainError here can only be a non-square discriminant: U is off
+    # the quartic model
     try:
-        roots = cubic_root_triple(u)
+        members = line_u_triple(U.num, U.den)
     except DomainError as exc:
         raise VerificationError("birational image is off the quartic model") from exc
-    members = polynomialize_roots(roots)
     return make_family(
         "ecgen%d" % k,
         ("s", "t"),
         members,
-        (var("s"), var("t"), u.den),
+        (var("s"), var("t"), _homogenize_univar(U, 1).den),
         "function-field generator, k = %d" % k,
     )
 

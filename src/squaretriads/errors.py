@@ -34,6 +34,11 @@ class CompositionError(DegenerateParameterError):
     """Point composition on a quartic model is undefined for these points."""
 
 
+class ImageTooLargeError(DomainError):
+    """A polynomial operation would build a coefficient-list image in several
+    variables with more slots than multipoly's limit (_MAX_IMAGE_SLOTS)."""
+
+
 class PipelineStepError(DomainError):
     """A multi-step generation pipeline degenerated; the message names the step."""
 

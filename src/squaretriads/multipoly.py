@@ -33,7 +33,7 @@ from itertools import accumulate
 from operator import index, mul
 from typing import Iterable, Mapping, Union
 
-from .errors import DomainError, PoleError, VerificationError
+from .errors import DomainError, ImageTooLargeError, PoleError, VerificationError
 from .exactnum import is_perfect_square, is_prime, sqrt_fraction
 
 __all__ = [
@@ -415,7 +415,18 @@ def const(c: Scalar) -> Poly:
 # multiply back.  _list_mul multiplies two lists as two packed ints
 # (Fateman 2005; Harvey, J. Symb. Comput. 44, 2009).  gcd does not commute
 # with the substitution, so only one-variable images reach the list gcd.
+# An image in several variables has prod D_i slots however sparse the
+# polynomials are, so above _MAX_IMAGE_SLOTS it is refused before anything
+# is allocated.
 # ---------------------------------------------------------------------------
+
+# The largest such image the test suite builds has 9025 slots (a seeded
+# sympy comparison in (m, s, t)); the largest in a generator run, in the
+# symbolic round trips, has 532.  2^18 leaves a margin of about 30x over
+# these, and a product at the limit still takes about 0.15 s and 15 MB,
+# where squaring s^60 t^60 m^60 + s + 1 (121^3 = 1.8 M slots) took 1.5 s
+# and 186 MB.
+_MAX_IMAGE_SLOTS = 1 << 18
 
 
 def _list_map(ps: tuple[Poly, ...], sized: tuple[Poly, ...]):
@@ -423,11 +434,17 @@ def _list_map(ps: tuple[Poly, ...], sized: tuple[Poly, ...]):
 
     vars are the variables of ps together and D_i = 1 + the sum of the
     degrees in vars[i] of the polynomials in sized; hom is true when ps are
-    forms in two variables, whose first variable leaves the image.
+    forms in two variables, whose first variable leaves the image.  An
+    image in several variables with more than _MAX_IMAGE_SLOTS slots raises
+    ImageTooLargeError.
     """
     vars = _union_vars(*ps)
     hom = len(vars) == 2 and all(p.is_homogeneous() for p in ps)
     radix = [1 + sum(p.degree_in(v) for p in sized) for v in vars]
+    if len(vars) > 1 and not hom and math.prod(radix) > _MAX_IMAGE_SLOTS:
+        raise ImageTooLargeError(
+            "polynomial image needs %d slots, above the limit of %d" % (math.prod(radix), _MAX_IMAGE_SLOTS)
+        )
     return vars, radix, hom
 
 

@@ -1,11 +1,13 @@
 """From a discriminant-squaring u to a polynomial solution family.
 
-Given u(s, t) alone, the quadratic in x has two rational-function roots
-exactly when its discriminant, s^4 phi(s, t, u), is a square, i.e. when u
-lies on the quartic model; the exact square root is that check, and no v
-is needed.  Together with s^2 + t^2 the two roots are the roots of the
-cubic, i.e. a rational solution triple.  Scaling by a square of rational
-functions and stripping common square factors turns the triple into the
+Given u(s, t) alone, the quadratic in x has two roots exactly when its
+discriminant, s^4 phi(s, t, u), is a square, i.e. when u lies on the
+quartic model; the exact square root is that check, and no v is needed.
+Together with s^2 + t^2 the two roots are the roots of the cubic, i.e. a
+rational solution triple.  Every point of the quartic over Q(s, t) is
+s U(t/s) for a U on the line s = 1, t = m, so the triple is built in m
+alone, from the numerator and denominator of U, scaled by a square into
+polynomials, stripped of common square factors and homogenized once: the
 canonical polynomial family.
 """
 
@@ -19,18 +21,20 @@ from .exactnum import is_perfect_square, squarefree_decompose
 from .multipoly import (
     Poly,
     RatFunc,
+    _divexact,
     canonical_sort_key,
     largest_square_root_divisor,
     poly_divide_exact,
     poly_gcd,
     poly_lcm,
     poly_sqrt,
+    substitute,
     var,
 )
-from .triads import quad_in_x, roots_quad
+from .triads import quad_in_x, quad_root_numerators
 
 __all__ = [
-    "cubic_root_triple",
+    "line_u_triple",
     "polynomialize_roots",
     "canonical_triple",
     "square_witnesses",
@@ -38,18 +42,51 @@ __all__ = [
 ]
 
 
-def cubic_root_triple(u: RatFunc) -> tuple[RatFunc, RatFunc, RatFunc]:
-    """The three cubic roots (s^2 + t^2 and the two x-quadratic roots) for this u.
+def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
+    """Canonical family in (s, t) of the line point U = N/D, N and D in Z[m].
 
-    The x-roots come from roots_quad, whose exact square root of the
-    discriminant squares its answer back: that is the check that u lies on
-    the quartic model.
+    quad_in_x is homogeneous of degrees 2, 4, 6, and its B and C have
+    degree 2 in u, so at (D, m D, N) = D (1, m, U) its coefficients are
+    D^2 times polynomials A, B, C whose quadratic has the roots D^2 x(1, m).
+    With R the exact square root of B^2 - 4AC (the check that U lies on
+    the quartic model), the cubic's roots scaled by the square (2AD)^2 are
+
+        (1 + m^2) (2AD)^2,  (-B + R) 2A,  (-B - R) 2A.
+
+    Their common squares are stripped in m, and each member p becomes the
+    form s^d p(t/s), with d the largest degree in m rounded up to even:
+    a + b + c is a square, so the family's degree is even, and s^2 cannot
+    divide all three members of a canonical family.
     """
-    S, T = RatFunc(var("s")), RatFunc(var("t"))
-    roots = roots_quad(*quad_in_x(S, T, u))
+    m = var("m")
+    D2 = D * D
+    A, B, C = (_divexact(c, D2) for c in quad_in_x(D, m * D, N))
+    roots = quad_root_numerators(A, B, C)
     if roots is None:
         raise DomainError("discriminant is not a square for this u")
-    return (S * S + T * T, *roots)
+    two_a = 2 * A
+    members = strip_common_squares(((1 + m * m) * (two_a * D) ** 2, roots[0] * two_a, roots[1] * two_a))
+    d = max(mp.degree_in("m") for mp in members)
+    d += d & 1
+    return tuple(sorted((_homogenize_m(mp, d) for mp in members), key=canonical_sort_key))
+
+
+def _homogenize_m(p: Poly, d: int) -> Poly:
+    """s^d p(t/s) for p in m alone and d >= deg p, computed term by term."""
+    if p.is_const:
+        terms = {(d, 0): p.terms[()]} if not p.is_zero else {}
+        return Poly._make(("s", "t"), terms)
+    i = p.vars.index("m")
+    return Poly._make(("s", "t"), {(d - e[i], e[i]): c for e, c in p.terms.items()})
+
+
+def _weights_ok(f: RatFunc, weight: int) -> bool:
+    """f is zero, or a quotient of forms whose degrees differ by weight."""
+    if f.is_zero:
+        return True
+    if not (f.num.is_homogeneous() and f.den.is_homogeneous()):
+        return False
+    return f.num.total_degree() - f.den.total_degree() == weight
 
 
 def polynomialize_roots(roots: tuple[RatFunc, ...]) -> tuple[Poly, ...]:
@@ -127,5 +164,13 @@ def square_witnesses(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def solution_family_polys(u: RatFunc) -> tuple[Poly, Poly, Poly]:
-    """Canonical polynomial triple generated by a u on the quartic model."""
-    return polynomialize_roots(cubic_root_triple(u))
+    """Canonical polynomial triple generated by a u(s, t) on the quartic model.
+
+    A point of the quartic over Q(s, t) is s U(t/s), so u must be a
+    function of s and t, homogeneous of weight 1; its U is u at s = 1,
+    t = m.
+    """
+    if not _weights_ok(u, 1) or not set(u.num.vars) | set(u.den.vars) <= {"s", "t"}:
+        raise DomainError("u must be a homogeneous function of s and t of weight 1")
+    line = {"s": 1, "t": var("m")}
+    return line_u_triple(substitute(u.num, line), substitute(u.den, line))

@@ -239,18 +239,24 @@ def _sort_pair(x1, x2):
     return tuple(sorted((x1, x2), key=canonical_sort_key))
 
 
+def quad_root_numerators(A, B, C):
+    """(-B + r, -B - r) with r^2 = B^2 - 4AC, the roots of A x^2 + B x + C
+    times 2A, when the discriminant is a square in its domain, else None."""
+    root = exact_sqrt(B * B - 4 * A * C)
+    if root is None:
+        return None
+    return -B + root, -B - root
+
+
 def roots_quad(A, B, C):
     """Both roots of A x^2 + B x + C when the discriminant is a square, else None."""
     if A == 0:
         raise DegenerateParameterError("leading coefficient of quadratic vanishes")
     A = promote_int(A)
-    disc = B * B - 4 * A * C
-    root = exact_sqrt(disc)
-    if root is None:
+    nums = quad_root_numerators(A, B, C)
+    if nums is None:
         return None
-    x1 = (-B + root) / (2 * A)
-    x2 = (-B - root) / (2 * A)
-    return _sort_pair(x1, x2)
+    return _sort_pair(nums[0] / (2 * A), nums[1] / (2 * A))
 
 
 def is_sum_two_rational_squares(x: Fraction) -> TwoSquares | None:

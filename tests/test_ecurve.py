@@ -10,6 +10,7 @@ from squaretriads.cli import main
 from squaretriads.errors import DomainError, PoleError, VerificationError
 from squaretriads.families import family_to_json, get_family, verify_family_symbolic
 from squaretriads.multipoly import Poly, RatFunc, evaluate, var
+from squaretriads.pipeline import solution_family_polys
 from squaretriads.quartic import euler_quartic
 
 
@@ -86,6 +87,13 @@ class TestGroupLaw:
             left = ec.ec_add(E4, ec.ec_add(E4, a, b), c)
             right = ec.ec_add(E4, a, ec.ec_add(E4, b, c))
             assert left == right
+
+    def test_ec_mul_commutes_with_specialization(self, curve, P):
+        for k in range(1, 9):
+            kP = ec.ec_mul(curve, k, P)
+            for m0 in (Fraction(2), Fraction(3), Fraction(5, 3)):
+                Em = ec.specialize_curve(curve, m0)
+                assert ec.specialize_point(kP, m0) == ec.ec_mul(Em, k, ec.specialize_point(P, m0))
 
     def test_off_curve_rejected(self, curve):
         E4 = ec.specialize_curve(curve, Fraction(4))
@@ -247,8 +255,10 @@ class TestGenerateFamily:
             assert verify_triad(triad) is not None
 
     def test_invalid_k(self):
-        with pytest.raises(DomainError):
-            ec.generate_family(0)
+        # bool is a subclass of int, but True is not the multiple 1
+        for k in (0, True, False):
+            with pytest.raises(DomainError):
+                ec.generate_family(k)
 
     @pytest.mark.parametrize(
         "k, digest",
@@ -259,11 +269,26 @@ class TestGenerateFamily:
             (4, "4741491ce4e7f6e46b77605f95dd31a8492d041190f48118990afad926db19fd"),
             (5, "33469a5e8c0e59fe3fce7931525bb7be8755a1f4bb73a71673ab11710e1595d0"),
             (6, "34a80711e12d1ac6b30c146c2449c9c507f3828b8537772c448bf0b79257900a"),
+            (7, "2dd5bcf2ba2173822d0c80bdb2c21387af38c95b582b3f1e58fe50976ae73f3a"),
+            (8, "8626aa6a10dfffce6c669ccb6e13171470b13a610ef84419d70ebbeb3c8bc89e"),
         ],
     )
     def test_family_json_is_pinned(self, k, digest):
         payload = json.dumps(family_to_json(ec.generate_family(k)), sort_keys=True)
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+    def test_both_entry_points_share_one_path(self, curve, P):
+        m = RatFunc(var("m"))
+        for k in (1, 2, 3):
+            Pk = ec.ec_mul(curve, k, P)
+            U, _ = ec._quartic_u(Pk.x, Pk.y, m)
+            assert solution_family_polys(ec._homogenize_univar(U, 1)) == ec.generate_family(k).members()
+
+    @pytest.mark.parametrize("u", [RatFunc(var("s") * var("t")), RatFunc(var("s") ** 2, var("t"))])
+    def test_u_off_the_model_is_rejected(self, u):
+        # s*t has weight 2; s^2/t has weight 1 but a non-square discriminant
+        with pytest.raises(DomainError):
+            solution_family_polys(u)
 
     def test_off_model_u_is_an_internal_error(self, monkeypatch, capsys):
         honest = ec._quartic_u

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from squaretriads.errors import DomainError, PoleError
+from squaretriads.errors import DomainError, ImageTooLargeError, PoleError
 from squaretriads.multipoly import (
     Poly,
     RatFunc,
@@ -756,6 +756,17 @@ class TestListImage:
             shapes.add((len(vars), hom, low > 0, any(type(c) is Fraction for c in L)))
         assert {(n, h) for n, h, _, _ in shapes} == {(0, False), (1, False), (2, False), (2, True), (3, False)}
         assert any(lo for _, _, lo, _ in shapes) and any(f for _, _, _, f in shapes)
+
+    def test_sparse_image_in_several_variables_is_bounded(self):
+        # squaring needs 121^3 slots: refused before the image is allocated
+        p = s**60 * t**60 * m**60 + s + 1
+        with pytest.raises(ImageTooLargeError):
+            p * p
+        assert issubclass(ImageTooLargeError, DomainError)
+        # one variable and forms in two variables have images as long as
+        # the polynomials themselves, so they are not bounded
+        assert (m**600 + 1) * (m**600 + 1) == m**1200 + 2 * m**600 + 1
+        assert (s**600 + t**600) ** 2 == s**1200 + 2 * s**600 * t**600 + t**1200
 
     @staticmethod
     def sqf_cases(seed):
