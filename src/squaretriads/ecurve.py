@@ -4,6 +4,16 @@ The quartic model in (U, V) is birationally a short Weierstrass curve
 Y^2 = X^3 + A X + B over Q(m); its point P of infinite order generates,
 through the birational map and the homogenization m = t/s, infinitely many
 polynomial solution families.
+
+The generator reaches kP without the group law: scaled by m, the curve and
+P have coefficients in Z[m], and the division-polynomial values
+W_n = psi_n(P) form an elliptic divisibility sequence in Z[m] (Ward, Amer.
+J. Math. 70, 1948; Washington, Elliptic Curves, section 3.2) that gives kP
+in Jacobian coordinates with exact divisions only.  P has additive
+reduction at m^2 + 1 = 0, where the valuation of W_n grows like n^2
+(Silverman, Math. Ann. 332, 2005), so each W_n is carried as
+(m^2 + 1)^v R_n.  The chord-and-tangent `ec_mul` works over any exact
+domain and is the oracle for the sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +25,7 @@ from functools import lru_cache
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
 from .exactnum import promote_int
 from .families import ParametricFamily, make_family
-from .multipoly import Poly, RatFunc, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
+from .multipoly import Poly, RatFunc, _divexact, poly_divide_exact, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import _homogenize_m, _weights_ok, line_u_triple
 from .quartic import phi
 
@@ -115,10 +125,15 @@ def ec_add(E: WeierstrassModel, P: ECPoint, Q: ECPoint) -> ECPoint:
     return _add_unchecked(E, P, Q)
 
 
+def _require_multiple(k, least: int, caller: str):
+    # bool is a subclass of int, but True is not the multiple 1
+    if isinstance(k, bool) or not isinstance(k, int) or k < least:
+        raise DomainError("%s requires an integer k >= %d" % (caller, least))
+
+
 def ec_mul(E: WeierstrassModel, k: int, P: ECPoint) -> ECPoint:
-    """k-fold sum of P (k >= 0), validated once on entry."""
-    if k < 0:
-        raise DomainError("ec_mul requires k >= 0")
+    """k-fold sum of P (integer k >= 0) by chord and tangent, validated once on entry."""
+    _require_multiple(k, 0, "ec_mul")
     _require_on_curve(E, P)
     acc = ECPoint.identity()
     for _ in range(k):
@@ -149,15 +164,21 @@ def point_P() -> ECPoint:
     return ECPoint(X, Y)
 
 
-def _quartic_u(X, Y, m):
-    """(U, den): U of the birational image of (X, Y), and den = 6(X - 24m^4 - 36m^2 - 12).
+def _quartic_u(X, Y, m, z=1):
+    """(U, den): U of the birational image of the point (X/z^2, Y/z^3), and
+    den = 6z(X - 12(2m^4 + 3m^2 + 1)z^2).
 
-    U = (6(m^2+1)X + mY + 72m^6 + 72m^4 - 72m^2 - 72) / den.
+    U = (6(m^2+1)Xz + mY + 72(m^6 + m^4 - m^2 - 1)z^3) / den.  z = 1 is the
+    affine map; Jacobian coordinates in Z[m] give U as one quotient of
+    polynomials.  The powers of z multiply the integer coefficients first,
+    so z = 1 costs no extra operation on X, Y or m.
     """
-    den = promote_int(6 * (X - 24 * m**4 - 36 * m * m - 12))
+    z2 = z * z
+    den = promote_int(6 * z * (X - 12 * z2 * (2 * m**4 + 3 * m * m + 1)))
     if den == 0:
         raise PoleError("X lies on the pole line of the birational map")
-    return (6 * (m * m + 1) * X + m * Y + 72 * m**6 + 72 * m**4 - 72 * m * m - 72) / den, den
+    num = 6 * z * (m * m + 1) * X + m * Y + 72 * z2 * z * (m**6 + m**4 - m * m - 1)
+    return num / den, den
 
 
 def xy_to_quartic(X, Y, m):
@@ -278,25 +299,131 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# kP from the elliptic divisibility sequence
+# ---------------------------------------------------------------------------
+
+
+def _integral_model() -> tuple[WeierstrassModel, ECPoint]:
+    """ecweier and point_P scaled by m into Z[m]: A' = m^4 A, B' = m^6 B,
+    P' = (m^2 X, m^3 Y) = (-12(m^6 - 4m^2 - 3), 216(m^2 + 1)^2)."""
+    m = var("m")
+    E, P = ecweier(), point_P()
+    A, B, x, y = (_divexact(f.num * m**e, f.den) for f, e in ((E.A, 4), (E.B, 6), (P.x, 2), (P.y, 3)))
+    return WeierstrassModel(A, B), ECPoint(x, y)
+
+
+class _DivisionValues:
+    """W_n = psi_n(P) for a point P = (x, y) of a curve E over Z[m], on demand.
+
+    W_0..W_4 are the division polynomials at P, W_{-1} = -1, and
+
+        W_{2n+1} = W_{n+2} W_n^3 - W_{n-1} W_{n+1}^3,
+        W_{2n} = W_n (W_{n+2} W_{n-1}^2 - W_{n-2} W_{n+1}^2) / W_2,
+
+    so W_n needs O(log n) levels below it (Washington, Elliptic Curves,
+    section 3.2).  Each value is a pair (v, R), W_n = (m^2 + 1)^v R, with
+    R = 0 or R prime to m^2 + 1: a product adds exponents, a difference
+    takes out the smaller power and divides by m^2 + 1 while that is exact,
+    and a division must be exact, so a failure is a VerificationError.
+    """
+
+    def __init__(self, E: WeierstrassModel, P: ECPoint):
+        m = var("m")
+        self.s1 = m * m + 1
+        A, B, x, y = E.A, E.B, P.x, P.y
+        w3 = 3 * x**4 + 6 * A * x * x + 12 * B * x - A * A
+        w4 = 4 * y * (x**6 + 5 * A * x**4 + 20 * B * x**3 - 5 * A * A * x * x - 4 * A * B * x - 8 * B * B - A**3)
+        self.values = {-1: (0, Poly.const(-1)), 0: (0, Poly.zero()), 1: (0, Poly.one())}
+        for n, w in ((2, 2 * y), (3, w3), (4, w4)):
+            self.values[n] = self.strip(0, w)
+
+    def strip(self, v: int, r: Poly) -> tuple[int, Poly]:
+        """(m^2 + 1)^v r as a pair (v', R) with R prime to m^2 + 1."""
+        if r.is_zero:
+            return 0, r
+        while (q := poly_divide_exact(r, self.s1)) is not None:
+            v, r = v + 1, q
+        return v, r
+
+    @staticmethod
+    def mul(*factors: tuple[int, Poly]) -> tuple[int, Poly]:
+        v, r = factors[0]
+        for fv, fr in factors[1:]:
+            v, r = v + fv, r * fr
+        return v, r
+
+    def sub(self, a: tuple[int, Poly], b: tuple[int, Poly]) -> tuple[int, Poly]:
+        (va, ra), (vb, rb) = a, b
+        if rb.is_zero:
+            return a
+        if ra.is_zero:
+            return vb, -rb
+        v = min(va, vb)
+        return self.strip(v, ra * self.s1 ** (va - v) - rb * self.s1 ** (vb - v))
+
+    def div(self, a: tuple[int, Poly], b: tuple[int, Poly]) -> tuple[int, Poly]:
+        # R_a is prime to m^2 + 1, so with v < 0 the division fails, and
+        # _divexact reports it
+        v = a[0] - b[0]
+        return max(v, 0), _divexact(a[1], b[1] * self.s1 ** max(-v, 0))
+
+    def __getitem__(self, n: int) -> tuple[int, Poly]:
+        if n not in self.values:
+            W, h = self.__getitem__, n // 2
+            if n & 1:
+                w = self.sub(self.mul(W(h), W(h), W(h), W(h + 2)), self.mul(W(h + 1), W(h + 1), W(h + 1), W(h - 1)))
+            else:
+                inner = self.sub(self.mul(W(h - 1), W(h - 1), W(h + 2)), self.mul(W(h + 1), W(h + 1), W(h - 2)))
+                w = self.div(self.mul(W(h), inner), W(2))
+            self.values[n] = w
+        return self.values[n]
+
+
+def _kp_jacobian(E: WeierstrassModel, P: ECPoint, k: int) -> tuple[Poly, Poly, Poly]:
+    """(x, y, z) in Z[m] with kP = (x/z^2, y/z^3) on E over Z[m], for k >= 1.
+
+        x = x_P W_k^2 - W_{k-1} W_{k+1},
+        y = (W_{k+2} W_{k-1}^2 - W_{k-2} W_{k+1}^2) / (4 y_P),
+        z = W_k
+
+    (Washington, Elliptic Curves, section 3.2); z = 0 when kP is the
+    identity.  Jacobian coordinates have weights (2, 3, 1), so before the
+    triple is expanded it is divided by (m^2 + 1)^(2e, 3e, e) for the
+    largest e the valuations allow.
+    """
+    _require_on_curve(E, P)
+    W = _DivisionValues(E, P)
+    wk = W[k]
+    x = W.sub(W.mul(W.strip(0, P.x), wk, wk), W.mul(W[k - 1], W[k + 1]))
+    y = W.div(
+        W.sub(W.mul(W[k - 1], W[k - 1], W[k + 2]), W.mul(W[k + 1], W[k + 1], W[k - 2])),
+        W.strip(0, 4 * P.y),
+    )
+    triple = ((x, 2), (y, 3), (wk, 1))
+    e = min((v // weight for (v, r), weight in triple if not r.is_zero), default=0)
+    return tuple(r * W.s1 ** (v - weight * e) for (v, r), weight in triple)
+
+
 def generate_family(k: int) -> ParametricFamily:
     """Polynomial solution family from the k-th multiple of P on the curve.
 
-    Maps kP to the U-coordinate of the quartic model and runs the shared
-    solution pipeline on U's numerator and denominator in m; u = s U(t/s)
-    gives the constraint.  k = 1 recovers the constant-side ascent family.
+    kP comes from the elliptic divisibility sequence of P on the integral
+    model (Ward 1948; Washington, Elliptic Curves, section 3.2) as
+    Jacobian coordinates in Z[m], with no group law and no gcd on the way.
+    Its U-coordinate on the quartic model is reduced once, and the shared
+    solution pipeline runs on U's numerator and denominator in m;
+    u = s U(t/s) gives the constraint.  k = 1 recovers the constant-side
+    ascent family.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-        raise DomainError("generate_family requires an integer k >= 1")
-    E = ecweier()
-    P = point_P()
-    try:
-        Pk = ec_mul(E, k, P)
-    except (PoleError, ZeroDivisionError) as exc:
-        raise PipelineStepError("group law degenerated at k = %d: %s" % (k, exc)) from exc
-    if Pk.is_identity:
+    _require_multiple(k, 1, "generate_family")
+    m = var("m")
+    x, y, z = _kp_jacobian(*_integral_model(), k)
+    if z.is_zero:
         raise PipelineStepError("kP is the identity at k = %d" % k)
     try:
-        U, _ = _quartic_u(Pk.x, Pk.y, RatFunc(var("m")))
+        # the integral model's coordinates are m^2 X and m^3 Y, so kP = (x/(mz)^2, y/(mz)^3)
+        U, _ = _quartic_u(x, y, m, m * z)
     except PoleError as exc:
         raise PipelineStepError("birational map has a pole at k = %d" % k) from exc
     # a DomainError here can only be a non-square discriminant: U is off

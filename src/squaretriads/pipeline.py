@@ -21,7 +21,6 @@ from .exactnum import is_perfect_square, squarefree_decompose
 from .multipoly import (
     Poly,
     RatFunc,
-    _divexact,
     canonical_sort_key,
     largest_square_root_divisor,
     poly_divide_exact,
@@ -31,7 +30,7 @@ from .multipoly import (
     substitute,
     var,
 )
-from .triads import quad_in_x, quad_root_numerators
+from .triads import quad_root_numerators
 
 __all__ = [
     "line_u_triple",
@@ -45,11 +44,10 @@ __all__ = [
 def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
     """Canonical family in (s, t) of the line point U = N/D, N and D in Z[m].
 
-    quad_in_x is homogeneous of degrees 2, 4, 6, and its B and C have
-    degree 2 in u, so at (D, m D, N) = D (1, m, U) its coefficients are
-    D^2 times polynomials A, B, C whose quadratic has the roots D^2 x(1, m).
-    With R the exact square root of B^2 - 4AC (the check that U lies on
-    the quartic model), the cubic's roots scaled by the square (2AD)^2 are
+    With A, B, C from _line_quadratic, the quadratic A x^2 + B x + C has
+    the roots D^2 x(1, m).  With R the exact square root of B^2 - 4AC (the
+    check that U lies on the quartic model), the cubic's roots scaled by
+    the square (2AD)^2 are
 
         (1 + m^2) (2AD)^2,  (-B + R) 2A,  (-B - R) 2A.
 
@@ -59,8 +57,7 @@ def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
     divide all three members of a canonical family.
     """
     m = var("m")
-    D2 = D * D
-    A, B, C = (_divexact(c, D2) for c in quad_in_x(D, m * D, N))
+    A, B, C = _line_quadratic(N, D)
     roots = quad_root_numerators(A, B, C)
     if roots is None:
         raise DomainError("discriminant is not a square for this u")
@@ -69,6 +66,18 @@ def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
     d = max(mp.degree_in("m") for mp in members)
     d += d & 1
     return tuple(sorted((_homogenize_m(mp, d) for mp in members), key=canonical_sort_key))
+
+
+def _line_quadratic(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
+    """quad_in_x(D, m D, N) / D^2 in closed form.
+
+    quad_in_x is homogeneous of degrees 2, 4, 6, and its B and C have
+    degree 2 in u, so at (D, m D, N) = D (1, m, U) each coefficient is D^2
+    times a polynomial: A = m^2, B = -((1 + m^2) D (D - 2N) + N^2) and
+    C = m^2 (1 + m^2) (N D)^2.
+    """
+    m2 = var("m") ** 2
+    return m2, -((1 + m2) * D * (D - 2 * N) + N * N), m2 * (1 + m2) * (N * D) ** 2
 
 
 def _homogenize_m(p: Poly, d: int) -> Poly:

@@ -7,11 +7,12 @@ import pytest
 
 from squaretriads import ecurve as ec
 from squaretriads.cli import main
-from squaretriads.errors import DomainError, PoleError, VerificationError
+from squaretriads.errors import DomainError, PipelineStepError, PoleError, VerificationError
 from squaretriads.families import family_to_json, get_family, verify_family_symbolic
-from squaretriads.multipoly import Poly, RatFunc, evaluate, var
-from squaretriads.pipeline import solution_family_polys
+from squaretriads.multipoly import Poly, RatFunc, _divexact, evaluate, poly_divide_exact, var
+from squaretriads.pipeline import _line_quadratic, solution_family_polys
 from squaretriads.quartic import euler_quartic
+from squaretriads.triads import quad_in_x
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +100,84 @@ class TestGroupLaw:
         E4 = ec.specialize_curve(curve, Fraction(4))
         with pytest.raises(DomainError):
             ec.ec_add(E4, ec.ECPoint(Fraction(1), Fraction(1)), ec.ECPoint.identity())
+
+    @pytest.mark.parametrize("k", [True, 2.5, Fraction(2), -1])
+    def test_ec_mul_requires_an_integer_multiple(self, k):
+        E = ec.WeierstrassModel(Fraction(0), Fraction(-2))
+        with pytest.raises(DomainError, match="integer k >= 0"):
+            ec.ec_mul(E, k, ec.ECPoint(Fraction(3), Fraction(5)))
+
+
+def _constant_model(A, B, x, y):
+    """A curve over Q and a point on it, with Poly coordinates in Z[m]."""
+    c = Poly.const
+    return ec.WeierstrassModel(c(A), c(B)), ec.ECPoint(c(x), c(y))
+
+
+class TestDivisionValues:
+    """kP from the elliptic divisibility sequence, against the group law."""
+
+    def test_u_matches_the_group_law(self, curve, P):
+        m = var("m")
+        E, Pi = ec._integral_model()
+        assert Pi == ec.ECPoint(-12 * (m**6 - 4 * m * m - 3), 216 * (m * m + 1) ** 2)
+        for k in range(1, 11):
+            kP = ec.ec_mul(curve, k, P)
+            x, y, z = ec._kp_jacobian(E, Pi, k)
+            assert all(c.rational_content().denominator == 1 for c in (x, y, z))
+            # no power of m^2 + 1 is left to divide out with weights (2, 3, 1)
+            assert not all(poly_divide_exact(c, (m * m + 1) ** w) for c, w in ((x, 2), (y, 3), (z, 1)))
+            assert y * y == x**3 + E.A * x * z**4 + E.B * z**6
+            U, _ = ec._quartic_u(x, y, m, m * z)
+            assert U == ec._quartic_u(kP.x, kP.y, RatFunc(m))[0]
+
+    def test_jacobian_multiples_over_q(self):
+        # Y^2 = X^3 - 2 with (3, 5) has rank one and no torsion
+        E, P = _constant_model(0, -2, 3, 5)
+        Eq, Pq = ec.WeierstrassModel(Fraction(0), Fraction(-2)), ec.ECPoint(Fraction(3), Fraction(5))
+        for k in range(1, 13):
+            x, y, z = (c.evaluate({}) for c in ec._kp_jacobian(E, P, k))
+            kP = ec.ec_mul(Eq, k, Pq)
+            assert (x / z**2, y / z**3) == (kP.x, kP.y)
+
+    def test_carried_parts_are_prime_to_m2_plus_1(self):
+        m = var("m")
+        W = ec._DivisionValues(*ec._integral_model())
+        W[12]  # on demand: 12 needs 4..8, not 9..11
+        assert 9 not in W.values
+        for v, R in W.values.values():
+            assert R.is_zero or poly_divide_exact(R, m * m + 1) is None
+        # additive reduction at m^2 + 1 = 0: the valuation grows like n^2
+        assert [W[n][0] for n in range(2, 11)] == [2, 5, 10, 15, 22, 30, 40, 50, 62]
+
+    def test_torsion_point_gives_the_identity(self, monkeypatch):
+        # (2, 3) on Y^2 = X^3 + 1 has order 6
+        E, P = _constant_model(0, 1, 2, 3)
+        assert [ec._kp_jacobian(E, P, k)[2].is_zero for k in range(1, 8)] == [False] * 5 + [True, False]
+        monkeypatch.setattr(ec, "_integral_model", lambda: (E, P))
+        with pytest.raises(PipelineStepError, match="kP is the identity at k = 6"):
+            ec.generate_family(6)
+
+    def test_zero_u_denominator_is_a_pipeline_step_error(self, monkeypatch):
+        # z = 1 puts x = 12(2m^4 + 3m^2 + 1) m^2 on the pole line of the map
+        m = var("m")
+        pole = (12 * (2 * m**4 + 3 * m * m + 1) * m * m, Poly.zero(), Poly.one())
+        with pytest.raises(PoleError):
+            ec._quartic_u(pole[0], pole[1], m, m * pole[2])
+        monkeypatch.setattr(ec, "_kp_jacobian", lambda E, P, k: pole)
+        with pytest.raises(PipelineStepError, match="birational map has a pole at k = 2") as info:
+            ec.generate_family(2)
+        assert isinstance(info.value.__cause__, PoleError)
+
+    def test_line_quadratic_closed_form(self):
+        m = var("m")
+        E, Pi = ec._integral_model()
+        for k in range(1, 5):
+            x, y, z = ec._kp_jacobian(E, Pi, k)
+            U, _ = ec._quartic_u(x, y, m, m * z)
+            N, D = U.num, U.den
+            expanded = tuple(_divexact(c, D * D) for c in quad_in_x(D, m * D, N))
+            assert _line_quadratic(N, D) == expanded
 
 
 class TestBirationalMaps:
@@ -256,7 +335,7 @@ class TestGenerateFamily:
 
     def test_invalid_k(self):
         # bool is a subclass of int, but True is not the multiple 1
-        for k in (0, True, False):
+        for k in (0, True, False, 2.0, Fraction(2)):
             with pytest.raises(DomainError):
                 ec.generate_family(k)
 
@@ -293,8 +372,8 @@ class TestGenerateFamily:
     def test_off_model_u_is_an_internal_error(self, monkeypatch, capsys):
         honest = ec._quartic_u
 
-        def shifted(X, Y, m):
-            U, den = honest(X, Y, m)
+        def shifted(X, Y, m, z=1):
+            U, den = honest(X, Y, m, z)
             return U + 1, den
 
         monkeypatch.setattr(ec, "_quartic_u", shifted)
