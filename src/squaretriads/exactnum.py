@@ -4,7 +4,10 @@ Integers are plain Python ints (arbitrary precision, canonical zero) and
 rationals are fractions.Fraction (always reduced, positive denominator),
 so the representation invariants come for free.  This module adds the
 square-detection and sum-of-two-squares structure everything else is
-built on.
+built on, and the number theory under it: `is_prime` is deterministic
+Miller-Rabin below 3.3e24 and BPSW above, and `factorize` is trial
+division, then Brent rho on cofactors that are neither prime nor square,
+splitting each factor it finds against its cofactor by a gcd.
 """
 
 from __future__ import annotations
@@ -44,9 +47,14 @@ def _primes_below(n: int) -> list[int]:
 
 _TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
 
-# Deterministic Miller-Rabin witness set: correct for all n < 3.317e24,
-# which comfortably covers every size this package factorizes.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases, deterministic below each bound: Sinclair's seven bases
+# below 2^64, and the primes 2..41 below psi_13 (Sorenson and Webster, Math.
+# Comp. 86, 2017).  Above the last bound is_prime runs BPSW.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_TABLE = (
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (3317044064679887385961981, _SMALL_PRIMES),
+)
 
 
 def isqrt(n: int) -> int:
@@ -81,27 +89,97 @@ def sqrt_fraction(x: Fraction | int) -> Fraction | None:
     return Fraction(pn, pd)
 
 
-def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set (deterministic below 3.3e24)."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Strong Fermat test of an odd n > 2 to base a; a = 0 (mod n) passes."""
+    a %= n
+    if a == 0:
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    x = pow(a, d >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for an odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a & 3 == 3 and n & 3 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of an odd n > 2 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35, 1980).
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and abs(D) != n:
             return False
-    return True
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    # U_k, V_k and Q^k mod n, from k = 1 by doubling and by k -> k + 1
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U = U * V % n
+        V = (V * V - 2 * Qk) % n
+        Qk = Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Primality, deterministic at every size this package meets.
+
+    Trial division by the primes up to 41, then Miller-Rabin with the bases
+    of the first _MR_TABLE row whose bound exceeds n; above the table, BPSW:
+    a strong base-2 test and a strong Lucas test, with no known composite
+    passing both.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    for bound, bases in _MR_TABLE:
+        if n < bound:
+            return all(_strong_probable_prime(n, a) for a in bases)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def _brent_rho(n: int) -> int:
@@ -140,8 +218,14 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as an ordered {prime: exponent} mapping.
 
-    Trial division by the sieved small primes, then Brent rho on whatever
-    composite cofactor remains; every reported prime passes is_prime.
+    Trial division by the sieved primes below _TRIAL_BOUND; a cofactor below
+    _TRIAL_BOUND^2 is then 1 or a prime.  A larger cofactor goes on a stack
+    of pairs (m, e), each meaning m^e divides what is left.  A prime m adds
+    e to its exponent, a square m = r^2 becomes (r, 2e), and any other m is
+    split by Brent rho into d and m/d with g = gcd(d, m/d), as (g, 2e),
+    (d/g, e) and (m/(d g), e).  No two of these share a prime unless its
+    cube divides m, so a prime is not found again by a second rho on each
+    piece that holds it.  Every reported prime passes is_prime.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1, got %d" % n)
@@ -152,17 +236,28 @@ def factorize(n: int) -> dict[int, int]:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    stack = [n] if n > 1 else []
+    if n < _TRIAL_BOUND * _TRIAL_BOUND:
+        if n > 1:
+            factors[n] = 1
+        return dict(sorted(factors.items()))
+    stack = [(n, 1)]
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
+        r = math.isqrt(m)
+        if r * r == m:
+            stack.append((r, 2 * e))
+            continue
         if is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + e
             continue
         d = _brent_rho(m)
-        stack.append(d)
-        stack.append(m // d)
+        g = math.gcd(d, m // d)
+        if g == 1:
+            stack += [(d, e), (m // d, e)]
+        else:
+            stack += [(g, 2 * e), (d // g, e), (m // (d * g), e)]
     return dict(sorted(factors.items()))
 
 

@@ -264,7 +264,8 @@ def is_sum_two_rational_squares(x: Fraction) -> TwoSquares | None:
 
     x = n / d^2 with n = numerator * denominator, so x is a sum of two
     rational squares iff n is a sum of two integer squares, iff no prime
-    = 3 (mod 4) divides the squarefree kernel of n.
+    = 3 (mod 4) divides the squarefree kernel of n.  The numerator and the
+    denominator are coprime, so n is factored as the two of them.
     """
     x = Fraction(x)
     if x <= 0:
@@ -272,11 +273,11 @@ def is_sum_two_rational_squares(x: Fraction) -> TwoSquares | None:
     root = exactnum.sqrt_fraction(x)
     if root is not None:
         return TwoSquares(Fraction(0), root, x)
-    n = x.numerator * x.denominator
-    rep = exactnum.sum_of_two_squares(n)
+    d = x.denominator
+    factors = exactnum.factorize(x.numerator) | exactnum.factorize(d)
+    rep = exactnum.two_squares_from_factorization(dict(sorted(factors.items())))
     if rep is None:
         return None
-    d = x.denominator
     return TwoSquares(Fraction(rep[0], d), Fraction(rep[1], d), x)
 
 

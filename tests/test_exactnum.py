@@ -78,6 +78,78 @@ def test_factorize_large_deterministic():
     assert prod == n
 
 
+# Strong pseudoprimes to the first 12 and the first 13 prime bases (psi_12
+# and psi_13), each the product of two primes.
+PSI_12 = (318665857834031151167461, 399165290221, 798330580441)
+PSI_13 = (3317044064679887385961981, 1287836182261, 2575672364521)
+
+
+@pytest.mark.parametrize("n,p,q", [PSI_12, PSI_13])
+def test_is_prime_rejects_strong_pseudoprimes_to_the_first_primes(n, p, q):
+    assert n == p * q
+    assert not en.is_prime(n)
+    assert en.is_prime(p) and en.is_prime(q)
+
+
+def test_is_prime_rejects_strong_lucas_pseudoprimes():
+    for n in (5459, 5777, 10877, 16109, 18971):
+        assert en._strong_lucas_probable_prime(n)
+        assert not en.is_prime(n)
+
+
+@pytest.mark.parametrize("k", [89, 107, 127])
+def test_is_prime_accepts_mersenne_primes(k):
+    assert en.is_prime(2**k - 1)
+
+
+def test_is_prime_matches_sympy_above_2_to_60():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for _ in range(400):
+        n = rng.randrange(2**60, 2**140) | 1
+        assert en.is_prime(n) == sympy.isprime(n), n
+    for _ in range(100):
+        p = sympy.nextprime(rng.randrange(2**60, 2**140))
+        assert en.is_prime(p), p
+
+
+def test_factorize_matches_sympy_on_prime_power_products():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for _ in range(200):
+        n = 1
+        for _ in range(3):
+            n *= sympy.nextprime(rng.randrange(10**4, 10**7)) ** rng.randint(1, 4)
+        assert en.factorize(n) == sympy.factorint(n), n
+
+
+P, Q = 5264258143, 955544304821  # the shape p^2 q comes from a certify request
+
+
+@pytest.mark.parametrize(
+    "n,factors,rho_calls",
+    [
+        (P**2 * Q, {P: 2, Q: 1}, 1),
+        ((18612541 * P) ** 2, {18612541: 2, P: 2}, 1),
+        (P**2, {P: 2}, 0),
+    ],
+)
+def test_factorize_finds_each_large_prime_once(monkeypatch, n, factors, rho_calls):
+    calls = []
+    rho = en._brent_rho
+    monkeypatch.setattr(en, "_brent_rho", lambda m: calls.append(m) or rho(m))
+    assert en.factorize(n) == factors
+    assert len(calls) == rho_calls
+
+
+def test_factorize_trial_cofactor_is_taken_as_prime(monkeypatch):
+    """A cofactor below the square of the trial bound is prime, so is_prime is not asked."""
+    monkeypatch.setattr(en, "is_prime", lambda n: pytest.fail("is_prime(%d) called" % n))
+    assert en.factorize(2 * 99_999_989) == {2: 1, 99_999_989: 1}
+    assert en.factorize(9973 * 9973) == {9973: 2}
+    assert en.factorize(10_007) == {10_007: 1}
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(DomainError):
         en.factorize(0)
