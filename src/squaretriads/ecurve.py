@@ -3,7 +3,8 @@
 The quartic model in (U, V) is birationally a short Weierstrass curve
 Y^2 = X^3 + A X + B over Q(m); its point P of infinite order generates,
 through the birational map and the homogenization m = t/s, infinitely many
-polynomial solution families.
+polynomial solution families.  The map between the line s = 1, t = m and
+the plane (s, t) is `pipeline`'s alone.
 
 The generator reaches kP without the group law: scaled by m, the curve and
 P have coefficients in Z[m], and the division-polynomial values
@@ -26,7 +27,7 @@ from .errors import DomainError, PipelineStepError, PoleError, VerificationError
 from .exactnum import promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, _divexact, poly_divide_exact, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
-from .pipeline import _homogenize_m, _weights_ok, line_u_triple
+from .pipeline import _homogenize_m, line_u_triple
 from .quartic import phi
 
 __all__ = [
@@ -39,10 +40,6 @@ __all__ = [
     "point_P",
     "xy_to_quartic",
     "quartic_to_xy",
-    "dehomogenize",
-    "homogenize",
-    "line_to_plane",
-    "plane_to_line",
     "specialize_curve",
     "specialize_point",
     "infinite_order_screen",
@@ -216,53 +213,6 @@ def quartic_to_xy(U, V, m):
     return X, Y
 
 
-def dehomogenize(s, t, u, v):
-    """(m, U, V) = (t/s, u/s, v/s^2); works over any exact domain."""
-    if s == 0:
-        raise DomainError("dehomogenize requires s != 0")
-    s = promote_int(s)
-    return (t / s, u / s, v / (s * s))
-
-
-def homogenize(m, U, V, s):
-    """(t, u, v) = (m s, s U, s^2 V), the inverse of dehomogenize at this s."""
-    if s == 0:
-        raise DomainError("homogenize requires s != 0")
-    return (m * s, s * U, s * s * V)
-
-
-def plane_to_line(u: RatFunc, v: RatFunc) -> tuple[RatFunc, RatFunc]:
-    """(U(m), V(m)) from weight-(1, 2) homogeneous u(s, t), v(s, t)."""
-    if not (_weights_ok(u, 1) and _weights_ok(v, 2)):
-        raise DomainError("u, v must be homogeneous of weights 1 and 2")
-    binding = {"s": 1, "t": var("m")}
-    return u.substitute(binding), v.substitute(binding)
-
-
-def _homogenize_univar(f: RatFunc, weight: int) -> RatFunc:
-    """s^weight * f(t/s) for f univariate in m, computed term by term."""
-    dn = f.num.degree_in("m")
-    dd = f.den.degree_in("m")
-    shift = weight + dd - dn
-    num = _homogenize_m(f.num, dn)
-    den = _homogenize_m(f.den, dd)
-    s = var("s")
-    if shift >= 0:
-        num = num * s**shift
-    else:
-        den = den * s ** (-shift)
-    return RatFunc(num, den)
-
-
-def line_to_plane(U: RatFunc, V: RatFunc) -> tuple[RatFunc, RatFunc]:
-    """(u(s, t), v(s, t)) = (s U(t/s), s^2 V(t/s))."""
-    for f in (U, V):
-        extra = set(f.num.vars) | set(f.den.vars)
-        if extra - {"m"}:
-            raise DomainError("line functions must be rational functions of m only")
-    return _homogenize_univar(U, 1), _homogenize_univar(V, 2)
-
-
 def specialize_curve(E: WeierstrassModel, m_val: Fraction) -> WeierstrassModel:
     point = {"m": Fraction(m_val)}
     return WeierstrassModel(E.A.evaluate(point), E.B.evaluate(point))
@@ -412,8 +362,8 @@ def generate_family(k: int) -> ParametricFamily:
     model (Ward 1948; Washington, Elliptic Curves, section 3.2) as
     Jacobian coordinates in Z[m], with no group law and no gcd on the way.
     Its U-coordinate on the quartic model is reduced once, and the shared
-    solution pipeline runs on U's numerator and denominator in m;
-    u = s U(t/s) gives the constraint.  k = 1 recovers the constant-side
+    solution pipeline runs on U's numerator and denominator in m; the
+    denominator of u = s U(t/s) is the constraint.  k = 1 recovers the constant-side
     ascent family.
     """
     _require_multiple(k, 1, "generate_family")
@@ -432,11 +382,13 @@ def generate_family(k: int) -> ParametricFamily:
         members = line_u_triple(U.num, U.den)
     except DomainError as exc:
         raise VerificationError("birational image is off the quartic model") from exc
+    # u = s U(t/s) has the denominator s^e U.den(t/s), e = max(deg U.den, deg U.num - 1)
+    den = _homogenize_m(U.den, max(U.den.degree_in("m"), U.num.degree_in("m") - 1))
     return make_family(
         "ecgen%d" % k,
         ("s", "t"),
         members,
-        (var("s"), var("t"), _homogenize_univar(U, 1).den),
+        (var("s"), var("t"), -den if den.leading_coeff() < 0 else den),
         "function-field generator, k = %d" % k,
     )
 

@@ -45,7 +45,6 @@ __all__ = [
     "poly_divide_exact",
     "poly_sqrt",
     "poly_gcd",
-    "poly_lcm",
     "substitute",
     "evaluate",
     "exact_sqrt",
@@ -948,12 +947,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return _normalize_gcd(_poly_gcd_core(a, b))
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero or b.is_zero:
-        return _ZERO
-    return _normalize_gcd(_divexact(a * b, poly_gcd(a, b)))
-
-
 # ---------------------------------------------------------------------------
 # Polynomial square root
 # ---------------------------------------------------------------------------
@@ -1163,10 +1156,6 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den == _ONE
 
     def __bool__(self):
         return not self.num.is_zero

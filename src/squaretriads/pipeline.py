@@ -8,24 +8,25 @@ rational solution triple.  Every point of the quartic over Q(s, t) is
 s U(t/s) for a U on the line s = 1, t = m, so the triple is built in m
 alone, from the numerator and denominator of U, scaled by a square into
 polynomials, stripped of common square factors and homogenized once: the
-canonical polynomial family.
+canonical polynomial family.  This module is the only one that maps
+between the line and the plane (s, t).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
-from .errors import DomainError, VerificationError
-from .exactnum import is_perfect_square, squarefree_decompose
+from .errors import DomainError, PoleError, VerificationError
+from .exactnum import squarefree_decompose
 from .multipoly import (
     Poly,
     RatFunc,
+    _divexact,
     canonical_sort_key,
     largest_square_root_divisor,
-    poly_divide_exact,
     poly_gcd,
-    poly_lcm,
     poly_sqrt,
     substitute,
     var,
@@ -56,6 +57,11 @@ def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
     a + b + c is a square, so the family's degree is even, and s^2 cannot
     divide all three members of a canonical family.
     """
+    if D.is_zero:
+        raise PoleError("U = N/D has a zero denominator")
+    extra = sorted((set(N.vars) | set(D.vars)) - {"m"})
+    if extra:
+        raise DomainError("U must be a function of m alone, not of %s" % ", ".join(extra))
     m = var("m")
     A, B, C = _line_quadratic(N, D)
     roots = quad_root_numerators(A, B, C)
@@ -89,38 +95,16 @@ def _homogenize_m(p: Poly, d: int) -> Poly:
     return Poly._make(("s", "t"), {(d - e[i], e[i]): c for e, c in p.terms.items()})
 
 
-def _weights_ok(f: RatFunc, weight: int) -> bool:
-    """f is zero, or a quotient of forms whose degrees differ by weight."""
-    if f.is_zero:
-        return True
-    if not (f.num.is_homogeneous() and f.den.is_homogeneous()):
-        return False
-    return f.num.total_degree() - f.den.total_degree() == weight
-
-
 def polynomialize_roots(roots: tuple[RatFunc, ...]) -> tuple[Poly, ...]:
     """Scale a rational root triple by a square into canonical polynomials.
 
-    The scale is the lcm of the denominators (or its square, whichever is
-    a perfect square), with integer contents handled alongside the
-    polynomial parts; canonical_triple then strips surplus square factors.
+    The scale is the square of the product of the denominators;
+    canonical_triple then strips the surplus square factors, and the
+    stripped triple is the one representative of its class under scaling
+    by squares.
     """
-    den = Poly.one()
-    cden = 1
-    for rt in roots:
-        den = poly_lcm(den, rt.den)
-        c = int(rt.den.rational_content())
-        cden = cden * c // math.gcd(cden, c)
-    scale_poly = den if poly_sqrt(den) is not None else den * den
-    scale_int = cden if is_perfect_square(cden) else cden * cden
-    scale = scale_poly * scale_int
-    members = []
-    for rt in roots:
-        scaled = rt * scale
-        if not scaled.is_polynomial:
-            raise VerificationError("square scaling failed to clear a denominator")
-        members.append(scaled.num)
-    return canonical_triple(tuple(members))
+    scale = math.prod((rt.den for rt in roots), start=Poly.one()) ** 2
+    return canonical_triple(tuple(rt.num * _divexact(scale, rt.den) for rt in roots))
 
 
 def canonical_triple(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
@@ -134,24 +118,14 @@ def canonical_triple(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
 
 def strip_common_squares(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
     """canonical_triple's members before sorting, in the order given."""
-    g = members[0]
-    for mpoly in members[1:]:
-        g = poly_gcd(g, mpoly)
-    root = largest_square_root_divisor(g)
+    root = largest_square_root_divisor(reduce(poly_gcd, members))
     if not root.is_const:
         sq = root * root
-        stripped = tuple(poly_divide_exact(mp, sq) for mp in members)
-        if any(q is None for q in stripped):
-            raise VerificationError("canonical square factor did not divide a member")
-        members = stripped
+        members = tuple(_divexact(mp, sq) for mp in members)
     contents = [mp.rational_content() for mp in members]
-    for c in contents:
-        if c.denominator != 1:
-            raise VerificationError("family member has non-integer content")
-    gc = 0
-    for c in contents:
-        gc = math.gcd(gc, c.numerator)
-    _, croot = squarefree_decompose(gc)
+    if any(c.denominator != 1 for c in contents):
+        raise VerificationError("family member has non-integer content")
+    _, croot = squarefree_decompose(math.gcd(*(c.numerator for c in contents)))
     if croot > 1:
         inv = Fraction(1, croot * croot)
         members = tuple(mp * inv for mp in members)
@@ -179,7 +153,11 @@ def solution_family_polys(u: RatFunc) -> tuple[Poly, Poly, Poly]:
     function of s and t, homogeneous of weight 1; its U is u at s = 1,
     t = m.
     """
-    if not _weights_ok(u, 1) or not set(u.num.vars) | set(u.den.vars) <= {"s", "t"}:
+    num, den = u.num, u.den
+    weight_one = u.is_zero or (
+        num.is_homogeneous() and den.is_homogeneous() and num.total_degree() - den.total_degree() == 1
+    )
+    if not weight_one or not set(num.vars) | set(den.vars) <= {"s", "t"}:
         raise DomainError("u must be a homogeneous function of s and t of weight 1")
     line = {"s": 1, "t": var("m")}
-    return line_u_triple(substitute(u.num, line), substitute(u.den, line))
+    return line_u_triple(substitute(num, line), substitute(den, line))

@@ -48,8 +48,9 @@ class Triad:
     c: int
 
     def __post_init__(self):
+        # bool is a subclass of int, but True is not the integer 1 here
         for v in (self.a, self.b, self.c):
-            if not isinstance(v, int) or v <= 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
                 raise DomainError("triad members must be positive integers, got %r" % (v,))
 
     def sorted(self) -> "Triad":
@@ -70,7 +71,7 @@ class SquareCertificate:
 
     def __post_init__(self):
         for v in (self.f, self.g, self.h):
-            if not isinstance(v, int) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
                 raise DomainError("certificate entries must be nonnegative integers")
 
 

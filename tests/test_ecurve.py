@@ -10,7 +10,7 @@ from squaretriads.cli import main
 from squaretriads.errors import DomainError, PipelineStepError, PoleError, VerificationError
 from squaretriads.families import family_to_json, get_family, verify_family_symbolic
 from squaretriads.multipoly import Poly, RatFunc, _divexact, evaluate, poly_divide_exact, var
-from squaretriads.pipeline import _line_quadratic, solution_family_polys
+from squaretriads.pipeline import _line_quadratic, line_u_triple, solution_family_polys
 from squaretriads.quartic import euler_quartic
 from squaretriads.triads import quad_in_x
 
@@ -254,38 +254,6 @@ class TestBirationalMaps:
         assert image / target == RatFunc(var("s") ** 4)
 
 
-class TestHomogenization:
-    def test_tuple_maps_are_inverse(self):
-        svals = (Fraction(3), Fraction(5, 2))
-        for sval in svals:
-            m, U, V = ec.dehomogenize(sval, Fraction(7), Fraction(11), Fraction(13))
-            tv, u, v = ec.homogenize(m, U, V, sval)
-            assert (tv, u, v) == (7, 11, 13)
-
-    def test_s_one_is_identity_on_uv(self):
-        m, U, V = ec.dehomogenize(Fraction(1), Fraction(9), Fraction(4), Fraction(25))
-        assert (m, U, V) == (9, 4, 25)
-
-    def test_zero_s_rejected(self):
-        with pytest.raises(DomainError):
-            ec.dehomogenize(Fraction(0), Fraction(1), Fraction(1), Fraction(1))
-
-    def test_line_plane_roundtrip(self):
-        s, t = var("s"), var("t")
-        u = RatFunc(2 * s**3, s**2 - t**2)
-        v = RatFunc(-(s**6 - s**4 * t**2 - 5 * s**2 * t**4 + t**6), (s**2 - t**2) ** 2)
-        U, V = ec.plane_to_line(u, v)
-        m = var("m")
-        assert U == RatFunc(-Poly.const(2), m**2 - 1)
-        u2, v2 = ec.line_to_plane(U, V)
-        assert (u2, v2) == (u, v)
-
-    def test_plane_to_line_requires_homogeneous(self):
-        s, t = var("s"), var("t")
-        with pytest.raises(DomainError):
-            ec.plane_to_line(RatFunc(s + 1), RatFunc(t))
-
-
 class TestInfiniteOrderScreen:
     def test_displayed_point_is_infinite(self, curve, P):
         E4 = ec.specialize_curve(curve, Fraction(4))
@@ -357,17 +325,44 @@ class TestGenerateFamily:
         assert hashlib.sha256(payload.encode()).hexdigest() == digest
 
     def test_both_entry_points_share_one_path(self, curve, P):
-        m = RatFunc(var("m"))
+        m, plane_m = RatFunc(var("m")), RatFunc(var("t"), var("s"))
         for k in (1, 2, 3):
             Pk = ec.ec_mul(curve, k, P)
             U, _ = ec._quartic_u(Pk.x, Pk.y, m)
-            assert solution_family_polys(ec._homogenize_univar(U, 1)) == ec.generate_family(k).members()
+            u = U.substitute({"m": plane_m}) * var("s")
+            assert solution_family_polys(u) == ec.generate_family(k).members()
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_constraint_is_the_denominator_of_s_u(self, k):
+        # u = s U(t/s) by rational-function substitution, sign included
+        m, s, t = var("m"), var("s"), var("t")
+        x, y, z = ec._kp_jacobian(*ec._integral_model(), k)
+        U, _ = ec._quartic_u(x, y, m, m * z)
+        u = U.substitute({"m": RatFunc(t, s)}) * s
+        assert ec.generate_family(k).constraints == (s, t, u.den)
 
     @pytest.mark.parametrize("u", [RatFunc(var("s") * var("t")), RatFunc(var("s") ** 2, var("t"))])
     def test_u_off_the_model_is_rejected(self, u):
         # s*t has weight 2; s^2/t has weight 1 but a non-square discriminant
         with pytest.raises(DomainError):
             solution_family_polys(u)
+
+    def test_zero_line_denominator_is_a_pole(self):
+        with pytest.raises(PoleError):
+            line_u_triple(var("m"), Poly.zero())
+
+    @pytest.mark.parametrize(
+        "N, D, names",
+        [
+            # U = -2/(m^2 - 1), the k = 1 point, written with a spare factor r
+            (-2 * var("r"), (var("m") ** 2 - 1) * var("r"), "r"),
+            # off the model as well: the variables are named, not the discriminant
+            (var("s"), var("m") * var("t"), "s, t"),
+        ],
+    )
+    def test_line_u_triple_names_variables_other_than_m(self, N, D, names):
+        with pytest.raises(DomainError, match="not of %s$" % names):
+            line_u_triple(N, D)
 
     def test_off_model_u_is_an_internal_error(self, monkeypatch, capsys):
         honest = ec._quartic_u

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 from types import MappingProxyType
@@ -6,7 +10,7 @@ import pytest
 
 from squaretriads import families as fam
 from squaretriads.errors import DomainError, ExcludedLocusError, VerificationError
-from squaretriads.multipoly import RatFunc, evaluate, poly_sqrt, var
+from squaretriads.multipoly import Poly, RatFunc, evaluate, poly_sqrt, var
 from squaretriads.triads import (
     Triad,
     canonicalize,
@@ -264,6 +268,38 @@ class TestTwoNonzeroSquaresPipeline:
 
         triad = canonicalize(Triad(*[int(v) for v in vals]))
         assert verify_triad(triad) is not None
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (lambda: fam.gensol1_steps().family, "349230c4bb162d3f40e3ed82fa33e20248fb4d40e98dd3504f3e9b9b29bad7f9"),
+            (fam.second_u_family, "474d95b8c744cbc422c077a85624fdbee2fc51e49622297205b2f4526f105bcb"),
+        ],
+        ids=["gensol1", "gensol2"],
+    )
+    def test_family_json_is_pinned(self, build, digest):
+        payload = json.dumps(fam.family_to_json(build()), sort_keys=True)
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("name", [f.name for f in fam.registry()] + ["gensol1 pipeline"])
+    def test_unchanged_by_square_scaling(self, name):
+        # the stripped triple is the one representative of its class under
+        # scaling by squares: q^2 n^2 with q a polynomial, n an integer
+        from squaretriads.pipeline import canonical_triple
+
+        family = fam.gensol1_steps().family if name == "gensol1 pipeline" else fam.get_family(name)
+        rng = random.Random(name)
+        vs = [var(name) for name in family.params]
+        monomials = [e for e in itertools.product(range(3), repeat=len(vs)) if sum(e) <= 2]
+        base = canonical_triple(family.members())
+        for _ in range(3):
+            q = Poly.zero()
+            while q.is_zero:
+                q = sum((rng.randint(-3, 3) * math.prod(v**e for v, e in zip(vs, es)) for es in monomials), Poly.zero())
+            scale = (q * rng.randint(1, 30)) ** 2
+            assert canonical_triple(tuple(mp * scale for mp in family.members())) == base
 
 
 class TestJson:

@@ -286,7 +286,7 @@ def test_int_arguments_give_the_fraction_result():
     # give for ints exactly what it gives for the same values as Fractions
     from dataclasses import astuple, is_dataclass
 
-    from squaretriads.ecurve import dehomogenize, quartic_to_xy, xy_to_quartic
+    from squaretriads.ecurve import quartic_to_xy, xy_to_quartic
     from squaretriads.triads import roots_quad
 
     def values(x):
@@ -305,7 +305,6 @@ def test_int_arguments_give_the_fraction_result():
         (euler_quartic, (2, 1)),
         (ascend_constant_side, (1,) + quartic),
         (ascend_leading_side, (1,) + quartic),
-        (dehomogenize, (2, 1, 1, 1)),
         (xy_to_quartic, (1, 1, 1)),
         (quartic_to_xy, (1, 1, 2)),
         (lambda *a: fermat_ascend(euler_quartic(*a), "constant"), (1, 2)),

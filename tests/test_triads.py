@@ -12,6 +12,7 @@ from squaretriads.multipoly import RatFunc, var
 from squaretriads.triads import (
     CubicSpec,
     PQParameterization,
+    SquareCertificate,
     Triad,
     canonicalize,
     elementary_symmetric,
@@ -43,6 +44,12 @@ class TestTriadBasics:
             Triad(0, 1, 2)
         with pytest.raises(DomainError):
             Triad(1, -1, 2)
+
+    @pytest.mark.parametrize("cls, args", [(Triad, (True, 1, 2)), (SquareCertificate, (1, False, 3))])
+    def test_bool_members_rejected(self, cls, args):
+        # bool is a subclass of int; triad_json would render "True"
+        with pytest.raises(DomainError):
+            cls(*args)
 
     def test_canonicalize(self):
         assert canonicalize(Triad(139264, 73728, 156672)) == Triad(72, 136, 153)
