@@ -1,0 +1,61 @@
+"""Wall time and peak RSS of generate_family(k), each k in a fresh process.
+
+    python3 scripts/generate_wall.py 16 24
+
+For each k, a new interpreter imports squaretriads from this checkout's
+src/ and builds generate_family(k).  wall_s is the child's whole life as
+the parent sees it, interpreter start-up and imports included; peak_rss_mb
+is the child's own maximum resident set size.  One JSON line goes to
+standard output.  A child that fails makes the exit code 1.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+CHILD = """
+import json, resource, sys
+from squaretriads.ecurve import generate_family
+generate_family(int(sys.argv[1]))
+print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def measure(k: int) -> dict:
+    """{"k", "wall_s", "peak_rss_mb"} of one fresh process that builds generate_family(k)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", CHILD, str(k)], env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    if done.returncode != 0:
+        raise RuntimeError("generate_family(%d) failed:\n%s" % (k, done.stderr))
+    child = json.loads(done.stdout.splitlines()[-1])
+    return {"k": k, "wall_s": round(wall, 3), "peak_rss_mb": round(child["peak_rss_mb"], 1)}
+
+
+def main(argv: list[str]) -> int:
+    ks = [int(a) for a in argv if a.isdigit()]
+    if not ks or len(ks) != len(argv) or min(ks) < 1:
+        print("usage: generate_wall.py K [K ...]  (each K >= 1)", file=sys.stderr)
+        return 2
+    try:
+        runs = [measure(k) for k in ks]
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    info = {"python": platform.python_version(), "cpus": os.cpu_count(), "machine": platform.machine()}
+    print(json.dumps({**info, "generate_family": runs}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
 from .exactnum import promote_int
 from .families import ParametricFamily, make_family
-from .multipoly import Poly, RatFunc, _divexact, poly_divide_exact, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
+from .multipoly import Poly, RatFunc, _divexact, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import _homogenize_m, line_u_triple
 from .quartic import phi
 
@@ -254,6 +254,7 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _integral_model() -> tuple[WeierstrassModel, ECPoint]:
     """ecweier and point_P scaled by m into Z[m]: A' = m^4 A, B' = m^6 B,
     P' = (m^2 X, m^3 Y) = (-12(m^6 - 4m^2 - 3), 216(m^2 + 1)^2)."""
@@ -261,6 +262,43 @@ def _integral_model() -> tuple[WeierstrassModel, ECPoint]:
     E, P = ecweier(), point_P()
     A, B, x, y = (_divexact(f.num * m**e, f.den) for f, e in ((E.A, 4), (E.B, 6), (P.x, 2), (P.y, 3)))
     return WeierstrassModel(A, B), ECPoint(x, y)
+
+
+_M2_PLUS_1 = var("m") ** 2 + 1
+
+
+def _vanishes_at_i(r: Poly) -> bool:
+    """True when m^2 + 1 divides r in Z[m], i.e. when r(i) = 0 in Z[i].
+
+    i^e is 1, i, -1, -i as e = 0, 1, 2, 3 mod 4, so the real and imaginary
+    parts of r(i) are alternating sums of the coefficients of the even and
+    the odd powers of m.
+    """
+    if r.vars != ("m",):
+        return r.is_zero
+    parts = [0, 0]
+    for (e,), c in r.terms.items():
+        parts[e & 1] += -c if e & 2 else c
+    return parts == [0, 0]
+
+
+def _strip(v: int, r: Poly) -> tuple[int, Poly]:
+    """(m^2 + 1)^v r as a pair (v', R) with R prime to m^2 + 1."""
+    if r.is_zero:
+        return 0, r
+    while _vanishes_at_i(r):
+        v, r = v + 1, _divexact(r, _M2_PLUS_1)
+    return v, r
+
+
+@lru_cache(maxsize=4)
+def _division_seeds(E: WeierstrassModel, P: ECPoint) -> tuple[tuple[int, tuple[int, Poly]], ...]:
+    """(n, W_n) for n = -1..4, as _DivisionValues carries them."""
+    A, B, x, y = E.A, E.B, P.x, P.y
+    w3 = 3 * x**4 + 6 * A * x * x + 12 * B * x - A * A
+    w4 = 4 * y * (x**6 + 5 * A * x**4 + 20 * B * x**3 - 5 * A * A * x * x - 4 * A * B * x - 8 * B * B - A**3)
+    seeds = ((-1, (0, Poly.const(-1))), (0, (0, Poly.zero())), (1, (0, Poly.one())))
+    return seeds + tuple((n, _strip(0, w)) for n, w in ((2, 2 * y), (3, w3), (4, w4)))
 
 
 class _DivisionValues:
@@ -276,25 +314,12 @@ class _DivisionValues:
     R = 0 or R prime to m^2 + 1: a product adds exponents, a difference
     takes out the smaller power and divides by m^2 + 1 while that is exact,
     and a division must be exact, so a failure is a VerificationError.
+    W_{-1}..W_4 of each (E, P) are computed once per process.
     """
 
     def __init__(self, E: WeierstrassModel, P: ECPoint):
-        m = var("m")
-        self.s1 = m * m + 1
-        A, B, x, y = E.A, E.B, P.x, P.y
-        w3 = 3 * x**4 + 6 * A * x * x + 12 * B * x - A * A
-        w4 = 4 * y * (x**6 + 5 * A * x**4 + 20 * B * x**3 - 5 * A * A * x * x - 4 * A * B * x - 8 * B * B - A**3)
-        self.values = {-1: (0, Poly.const(-1)), 0: (0, Poly.zero()), 1: (0, Poly.one())}
-        for n, w in ((2, 2 * y), (3, w3), (4, w4)):
-            self.values[n] = self.strip(0, w)
-
-    def strip(self, v: int, r: Poly) -> tuple[int, Poly]:
-        """(m^2 + 1)^v r as a pair (v', R) with R prime to m^2 + 1."""
-        if r.is_zero:
-            return 0, r
-        while (q := poly_divide_exact(r, self.s1)) is not None:
-            v, r = v + 1, q
-        return v, r
+        # a copy: __getitem__ adds to it
+        self.values = dict(_division_seeds(E, P))
 
     @staticmethod
     def mul(*factors: tuple[int, Poly]) -> tuple[int, Poly]:
@@ -303,20 +328,22 @@ class _DivisionValues:
             v, r = v + fv, r * fr
         return v, r
 
-    def sub(self, a: tuple[int, Poly], b: tuple[int, Poly]) -> tuple[int, Poly]:
+    @staticmethod
+    def sub(a: tuple[int, Poly], b: tuple[int, Poly]) -> tuple[int, Poly]:
         (va, ra), (vb, rb) = a, b
         if rb.is_zero:
             return a
         if ra.is_zero:
             return vb, -rb
         v = min(va, vb)
-        return self.strip(v, ra * self.s1 ** (va - v) - rb * self.s1 ** (vb - v))
+        return _strip(v, ra * _M2_PLUS_1 ** (va - v) - rb * _M2_PLUS_1 ** (vb - v))
 
-    def div(self, a: tuple[int, Poly], b: tuple[int, Poly]) -> tuple[int, Poly]:
+    @staticmethod
+    def div(a: tuple[int, Poly], b: tuple[int, Poly]) -> tuple[int, Poly]:
         # R_a is prime to m^2 + 1, so with v < 0 the division fails, and
         # _divexact reports it
         v = a[0] - b[0]
-        return max(v, 0), _divexact(a[1], b[1] * self.s1 ** max(-v, 0))
+        return max(v, 0), _divexact(a[1], b[1] * _M2_PLUS_1 ** max(-v, 0))
 
     def __getitem__(self, n: int) -> tuple[int, Poly]:
         if n not in self.values:
@@ -345,14 +372,14 @@ def _kp_jacobian(E: WeierstrassModel, P: ECPoint, k: int) -> tuple[Poly, Poly, P
     _require_on_curve(E, P)
     W = _DivisionValues(E, P)
     wk = W[k]
-    x = W.sub(W.mul(W.strip(0, P.x), wk, wk), W.mul(W[k - 1], W[k + 1]))
+    x = W.sub(W.mul(_strip(0, P.x), wk, wk), W.mul(W[k - 1], W[k + 1]))
     y = W.div(
         W.sub(W.mul(W[k - 1], W[k - 1], W[k + 2]), W.mul(W[k + 1], W[k + 1], W[k - 2])),
-        W.strip(0, 4 * P.y),
+        _strip(0, 4 * P.y),
     )
     triple = ((x, 2), (y, 3), (wk, 1))
     e = min((v // weight for (v, r), weight in triple if not r.is_zero), default=0)
-    return tuple(r * W.s1 ** (v - weight * e) for (v, r), weight in triple)
+    return tuple(r * _M2_PLUS_1 ** (v - weight * e) for (v, r), weight in triple)
 
 
 def generate_family(k: int) -> ParametricFamily:

@@ -45,33 +45,56 @@ __all__ = [
 def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
     """Canonical family in (s, t) of the line point U = N/D, N and D in Z[m].
 
-    With A, B, C from _line_quadratic, the quadratic A x^2 + B x + C has
-    the roots D^2 x(1, m).  With R the exact square root of B^2 - 4AC (the
-    check that U lies on the quartic model), the cubic's roots scaled by
-    the square (2AD)^2 are
+    N/D is first reduced by one gcd.  With A, B, C from _line_quadratic,
+    the quadratic A x^2 + B x + C has the roots D^2 x(1, m).  With R the
+    exact square root of B^2 - 4AC (the check that U lies on the quartic
+    model), the cubic's roots scaled by the square (2AD)^2 are
 
         (1 + m^2) (2AD)^2,  (-B + R) 2A,  (-B - R) 2A.
 
-    Their common squares are stripped in m, and each member p becomes the
-    form s^d p(t/s), with d the largest degree in m rounded up to even:
-    a + b + c is a square, so the family's degree is even, and s^2 cannot
-    divide all three members of a canonical family.
+    Their common squares are stripped in m (_strip_m_squares), and each
+    member p becomes the form s^d p(t/s), with d the largest degree in m
+    rounded up to even: a + b + c is a square, so the family's degree is
+    even, and s^2 cannot divide all three members of a canonical family.
     """
     if D.is_zero:
         raise PoleError("U = N/D has a zero denominator")
+    if N.is_zero:
+        raise DomainError("U = 0 gives a zero member, so no triad")
     extra = sorted((set(N.vars) | set(D.vars)) - {"m"})
     if extra:
         raise DomainError("U must be a function of m alone, not of %s" % ", ".join(extra))
-    m = var("m")
+    g = poly_gcd(N, D)
+    if not g.is_const:
+        N, D = _divexact(N, g), _divexact(D, g)
+    m2 = var("m") ** 2
     A, B, C = _line_quadratic(N, D)
     roots = quad_root_numerators(A, B, C)
     if roots is None:
         raise DomainError("discriminant is not a square for this u")
     two_a = 2 * A
-    members = strip_common_squares(((1 + m * m) * (two_a * D) ** 2, roots[0] * two_a, roots[1] * two_a))
+    members = _strip_m_squares(((1 + m2) * (two_a * D) ** 2, roots[0] * two_a, roots[1] * two_a))
     d = max(mp.degree_in("m") for mp in members)
     d += d & 1
     return tuple(sorted((_homogenize_m(mp, d) for mp in members), key=canonical_sort_key))
+
+
+def _strip_m_squares(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """line_u_triple's members a0, b0, c0 stripped of their common squares.
+
+    With gcd(N, D) = 1 the gcd G of the members divides m^4 (1 + m^2): an
+    irreducible p other than m and m^2 + 1 that divides all three divides
+    a0 = (1 + m^2)(2 m^2 D)^2, hence D, and b0 + c0 = -4 m^2 B, hence B
+    and so N^2; and the same argument on a0 and b0 + c0 gives v_m(G) <= 4
+    and v_{m^2+1}(G) <= 1.  So the largest square dividing G is m^(2j),
+    with 2j the least m-valuation of the members rounded down to even,
+    and what is left to strip is the square integer content.
+    """
+    j = min(e[0] for mp in members for e in mp.terms) >> 1
+    if j:
+        sq = var("m") ** (2 * j)
+        members = tuple(_divexact(mp, sq) for mp in members)
+    return _strip_square_content(members)
 
 
 def _line_quadratic(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
@@ -101,8 +124,10 @@ def polynomialize_roots(roots: tuple[RatFunc, ...]) -> tuple[Poly, ...]:
     The scale is the square of the product of the denominators;
     canonical_triple then strips the surplus square factors, and the
     stripped triple is the one representative of its class under scaling
-    by squares.
+    by squares.  A zero root would be a zero member, which no triad has.
     """
+    if any(rt.is_zero for rt in roots):
+        raise DomainError("a zero root gives a zero member, so no triad")
     scale = math.prod((rt.den for rt in roots), start=Poly.one()) ** 2
     return canonical_triple(tuple(rt.num * _divexact(scale, rt.den) for rt in roots))
 
@@ -122,6 +147,11 @@ def strip_common_squares(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
     if not root.is_const:
         sq = root * root
         members = tuple(_divexact(mp, sq) for mp in members)
+    return _strip_square_content(members)
+
+
+def _strip_square_content(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
+    """members divided by the largest square dividing their integer contents."""
     contents = [mp.rational_content() for mp in members]
     if any(c.denominator != 1 for c in contents):
         raise VerificationError("family member has non-integer content")
@@ -154,9 +184,7 @@ def solution_family_polys(u: RatFunc) -> tuple[Poly, Poly, Poly]:
     t = m.
     """
     num, den = u.num, u.den
-    weight_one = u.is_zero or (
-        num.is_homogeneous() and den.is_homogeneous() and num.total_degree() - den.total_degree() == 1
-    )
+    weight_one = num.is_homogeneous() and den.is_homogeneous() and num.total_degree() - den.total_degree() == 1
     if not weight_one or not set(num.vars) | set(den.vars) <= {"s", "t"}:
         raise DomainError("u must be a homogeneous function of s and t of weight 1")
     line = {"s": 1, "t": var("m")}

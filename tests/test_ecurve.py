@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -9,10 +10,17 @@ from squaretriads import ecurve as ec
 from squaretriads.cli import main
 from squaretriads.errors import DomainError, PipelineStepError, PoleError, VerificationError
 from squaretriads.families import family_to_json, get_family, verify_family_symbolic
-from squaretriads.multipoly import Poly, RatFunc, _divexact, evaluate, poly_divide_exact, var
-from squaretriads.pipeline import _line_quadratic, line_u_triple, solution_family_polys
+from squaretriads.multipoly import Poly, RatFunc, _divexact, evaluate, poly_divide_exact, poly_gcd, var
+from squaretriads.pipeline import (
+    _line_quadratic,
+    _strip_m_squares,
+    line_u_triple,
+    polynomialize_roots,
+    solution_family_polys,
+    strip_common_squares,
+)
 from squaretriads.quartic import euler_quartic
-from squaretriads.triads import quad_in_x
+from squaretriads.triads import quad_in_x, quad_root_numerators
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +157,25 @@ class TestDivisionValues:
             assert R.is_zero or poly_divide_exact(R, m * m + 1) is None
         # additive reduction at m^2 + 1 = 0: the valuation grows like n^2
         assert [W[n][0] for n in range(2, 11)] == [2, 5, 10, 15, 22, 30, 40, 50, 62]
+
+    def test_seeds_are_not_shared_between_instances(self):
+        assert ec._integral_model() is ec._integral_model()
+        W = ec._DivisionValues(*ec._integral_model())
+        W[12]
+        fresh = ec._DivisionValues(*ec._integral_model())
+        assert set(fresh.values) == {-1, 0, 1, 2, 3, 4}
+        assert fresh[12] == W[12]
+
+    def test_vanishing_at_i_is_divisibility_by_m2_plus_1(self):
+        m = var("m")
+        s1 = m * m + 1
+        rng = random.Random(20261018)
+        for _ in range(200):
+            r = sum((rng.randint(-3, 3) * m**e for e in range(rng.randint(0, 7))), Poly.zero())
+            r = r * s1 ** rng.randint(0, 2) if rng.random() < 0.5 else r
+            if r.is_zero:
+                continue
+            assert ec._vanishes_at_i(r) == (poly_divide_exact(r, s1) is not None), r
 
     def test_torsion_point_gives_the_identity(self, monkeypatch):
         # (2, 3) on Y^2 = X^3 + 1 has order 6
@@ -364,6 +391,16 @@ class TestGenerateFamily:
         with pytest.raises(DomainError, match="not of %s$" % names):
             line_u_triple(N, D)
 
+    def test_zero_u_is_rejected_at_every_entry_point(self):
+        m = var("m")
+        with pytest.raises(DomainError, match="zero member"):
+            line_u_triple(Poly.zero(), m * m - 1)
+        with pytest.raises(DomainError):
+            solution_family_polys(RatFunc(0))
+        x = RatFunc(var("s"), var("t"))
+        with pytest.raises(DomainError, match="zero member"):
+            polynomialize_roots((x, RatFunc(0), x + 1))
+
     def test_off_model_u_is_an_internal_error(self, monkeypatch, capsys):
         honest = ec._quartic_u
 
@@ -376,3 +413,61 @@ class TestGenerateFamily:
             ec.generate_family(2)
         assert main(["generate", "2"]) == 3
         assert json.loads(capsys.readouterr().err) == {"error": "birational image is off the quartic model"}
+
+
+def _line_point(k):
+    """(N, D) of the U-coordinate of kP on the line s = 1, t = m."""
+    x, y, z = ec._kp_jacobian(*ec._integral_model(), k)
+    U, _ = ec._quartic_u(x, y, var("m"), var("m") * z)
+    return U.num, U.den
+
+
+def _unstripped_members(N, D):
+    """line_u_triple's members before any common square is stripped."""
+    m2 = var("m") ** 2
+    A, B, C = _line_quadratic(N, D)
+    roots = quad_root_numerators(A, B, C)
+    return ((1 + m2) * (2 * A * D) ** 2, roots[0] * 2 * A, roots[1] * 2 * A)
+
+
+def _plane_u_line_point(u):
+    line = {"s": 1, "t": var("m")}
+    return u.num.substitute(line), u.den.substitute(line)
+
+
+class TestCommonSquareFromTheValuation:
+    """line_u_triple strips m^(2j) and square content instead of a gcd fold."""
+
+    @staticmethod
+    def _plane_points():
+        s, t = var("s"), var("t")
+        a6 = s**6 - s**4 * t**2 - 5 * s**2 * t**4 + t**6
+        b6 = 3 * s**6 + s**4 * t**2 + s**2 * t**4 - t**6
+        # the two ascent points and the two composed points of the paper
+        return [
+            RatFunc(2 * s**3, s**2 - t**2),
+            RatFunc(s**4 - t**4, 2 * s**3),
+            RatFunc((s**4 - t**4) * b6, 2 * s**3 * a6),
+            RatFunc(2 * s**3 * a6, b6 * (s**2 - t**2)),
+        ]
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_member_gcd_divides_m4_times_m2_plus_1(self, k):
+        m = var("m")
+        g = reduce(poly_gcd, _unstripped_members(*_line_point(k)))
+        assert poly_divide_exact(m**4 * (m * m + 1), g) is not None
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_valuation_strip_equals_the_gcd_strip(self, k):
+        members = _unstripped_members(*_line_point(k))
+        assert _strip_m_squares(members) == strip_common_squares(members)
+
+    def test_valuation_strip_on_the_paper_points(self):
+        for u in self._plane_points():
+            members = _unstripped_members(*_plane_u_line_point(u))
+            assert _strip_m_squares(members) == strip_common_squares(members)
+
+    @pytest.mark.parametrize("h", [var("m") ** 3 - 2 * var("m") + 7, var("m") * (var("m") ** 2 + 1), Poly.const(-6)])
+    def test_a_common_factor_of_n_and_d_is_reduced_first(self, h):
+        for N, D in [_line_point(2), _line_point(3), _plane_u_line_point(self._plane_points()[2])]:
+            assert line_u_triple(N * h, D * h) == line_u_triple(N, D)

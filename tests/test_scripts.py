@@ -1,0 +1,32 @@
+"""The measuring scripts in scripts/ run against the package in src/."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generate_wall_reports_one_fresh_process_per_k(capsys):
+    script = _load("generate_wall")
+    # one child process, for k = 2
+    assert script.main(["2"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    (run,) = line["generate_family"]
+    assert run["k"] == 2
+    assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+    assert {"python", "cpus", "machine"} <= set(line)
+
+
+def test_generate_wall_rejects_a_bad_k(capsys):
+    script = _load("generate_wall")
+    assert script.main([]) == 2
+    assert script.main(["0"]) == 2
+    assert script.main(["two"]) == 2
