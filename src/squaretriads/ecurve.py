@@ -27,7 +27,7 @@ from .errors import DomainError, PipelineStepError, PoleError, VerificationError
 from .exactnum import promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, _divexact, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
-from .pipeline import _homogenize_m, line_u_triple
+from .pipeline import _homogenize_m, _line_u_members
 from .quartic import phi
 
 __all__ = [
@@ -406,7 +406,8 @@ def generate_family(k: int) -> ParametricFamily:
     # a DomainError here can only be a non-square discriminant: U is off
     # the quartic model
     try:
-        members = line_u_triple(U.num, U.den)
+        # U is a reduced RatFunc, so its numerator and denominator are coprime
+        members = _line_u_members(U.num, U.den)
     except DomainError as exc:
         raise VerificationError("birational image is off the quartic model") from exc
     # u = s U(t/s) has the denominator s^e U.den(t/s), e = max(deg U.den, deg U.num - 1)

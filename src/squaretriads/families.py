@@ -18,6 +18,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Integral
 
 from .errors import DomainError, ExcludedLocusError, VerificationError
 from .multipoly import (
@@ -275,7 +276,9 @@ def evaluate_family(name: str, point) -> tuple[Triad, SquareCertificate]:
     """Evaluate a family at integer parameters; canonicalized triad + certificate.
 
     point is a mapping {param: int} or a sequence matching the family's
-    parameter order.  Parameters on an excluded locus are rejected.
+    parameter order.  A parameter that is a bool or not of an integer type
+    (numpy ints are accepted) raises DomainError before anything is
+    evaluated; parameters on an excluded locus are rejected.
     """
     fam = get_family(name)
     if not isinstance(point, Mapping):
@@ -288,6 +291,11 @@ def evaluate_family(name: str, point) -> tuple[Triad, SquareCertificate]:
     for p in fam.params:
         if p not in point:
             raise DomainError("missing parameter %r" % p)
+        value = point[p]
+        # bool is a subclass of int, but True is not the parameter 1
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise DomainError("family parameter %s must be an integer, not %r" % (p, value))
+    point = {p: int(point[p]) for p in fam.params}
     for cons in fam.constraints:
         if evaluate(cons, point) == 0:
             raise ExcludedLocusError(

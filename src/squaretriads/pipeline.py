@@ -67,6 +67,15 @@ def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
     g = poly_gcd(N, D)
     if not g.is_const:
         N, D = _divexact(N, g), _divexact(D, g)
+    return _line_u_members(N, D)
+
+
+def _line_u_members(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
+    """line_u_triple for N, D in Z[m] with N, D nonzero and gcd(N, D) = 1.
+
+    The coprimality is what bounds the common square (_strip_m_squares), so
+    a caller that has not reduced N/D goes through line_u_triple.
+    """
     m2 = var("m") ** 2
     A, B, C = _line_quadratic(N, D)
     roots = quad_root_numerators(A, B, C)

@@ -13,6 +13,7 @@ from squaretriads.families import family_to_json, get_family, verify_family_symb
 from squaretriads.multipoly import Poly, RatFunc, _divexact, evaluate, poly_divide_exact, poly_gcd, var
 from squaretriads.pipeline import (
     _line_quadratic,
+    _line_u_members,
     _strip_m_squares,
     line_u_triple,
     polynomialize_roots,
@@ -466,6 +467,13 @@ class TestCommonSquareFromTheValuation:
         for u in self._plane_points():
             members = _unstripped_members(*_plane_u_line_point(u))
             assert _strip_m_squares(members) == strip_common_squares(members)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_the_generator_needs_no_reducing_gcd(self, k):
+        # generate_family calls _line_u_members on U's coprime numerator and denominator
+        N, D = _line_point(k)
+        assert poly_gcd(N, D).is_const
+        assert _line_u_members(N, D) == line_u_triple(N, D)
 
     @pytest.mark.parametrize("h", [var("m") ** 3 - 2 * var("m") + 7, var("m") * (var("m") ** 2 + 1), Poly.const(-6)])
     def test_a_common_factor_of_n_and_d_is_reduced_first(self, h):

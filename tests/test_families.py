@@ -100,6 +100,25 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             fam.evaluate_family("parmsol1", (1,))
 
+    @pytest.mark.parametrize(
+        "params", [(True, 2), (2, False), (Fraction(1, 2), 1), (Fraction(2), 1), (2.0, 1), ("2", 1)]
+    )
+    def test_non_integer_parameters_are_refused_before_evaluation(self, params, monkeypatch):
+        def no_evaluation(*args):
+            raise AssertionError("evaluated at a refused point")
+
+        monkeypatch.setattr(fam, "evaluate", no_evaluation)
+        with pytest.raises(DomainError, match="must be an integer") as info:
+            fam.evaluate_family("parmsol1", params)
+        # a usage error, not a mathematical "no"
+        assert not isinstance(info.value, ExcludedLocusError)
+
+    def test_numpy_integer_parameters_are_accepted(self):
+        np = pytest.importorskip("numpy")
+        expected = fam.evaluate_family("parmsol1", (1, 2))
+        assert fam.evaluate_family("parmsol1", (np.int64(1), np.int32(2))) == expected
+        assert fam.evaluate_family("parmsol1", {"s": np.uint8(1), "t": np.int64(2)}) == expected
+
     def test_any_mapping_names_parameters(self):
         expected = fam.evaluate_family("parmsol1", (1, 2))
         assert fam.evaluate_family("parmsol1", MappingProxyType({"s": 1, "t": 2})) == expected

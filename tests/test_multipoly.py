@@ -1,3 +1,6 @@
+import itertools
+import math
+import operator
 import random
 import signal
 from fractions import Fraction
@@ -359,6 +362,124 @@ class TestSubstituteEvaluate:
             lhs = evaluate(substitute(p, sigma), tau)
             rhs = evaluate(p, {k: evaluate(v, tau) for k, v in sigma.items()})
             assert lhs == rhs
+
+
+def fraction_evaluate(p, point):
+    """evaluate's oracle: the term-by-term loop in Fractions."""
+    if isinstance(p, RatFunc):
+        den = fraction_evaluate(p.den, point)
+        if den == 0:
+            raise PoleError("denominator vanishes")
+        return fraction_evaluate(p.num, point) / den
+    vals = [Fraction(x if isinstance(x, Fraction) else operator.index(x)) for x in map(point.get, p.vars)]
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        term = Fraction(c)
+        for x, k in zip(vals, e):
+            term *= x**k
+        total += term
+    return total
+
+
+class TestEvaluateDifferential:
+    """evaluate sums in integers; the Fraction loop and sympy are its oracles."""
+
+    NAMES = ("s", "t", "m")
+
+    @classmethod
+    def random_poly(cls, rng, nvars):
+        p = Poly.zero()
+        for _ in range(rng.randint(0, 6)):
+            c = rng.randint(-9, 9)
+            if rng.random() < 0.4:
+                c = Fraction(c, rng.randint(1, 12))
+            mono = const(c)
+            for name in cls.NAMES[:nvars]:
+                mono = mono * var(name) ** rng.randint(0, 6)
+            p = p + mono
+        return p
+
+    @classmethod
+    def random_point(cls, rng):
+        np = pytest.importorskip("numpy")
+        kinds = (
+            lambda: 0,
+            lambda: rng.randint(-7, 7),
+            lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+            lambda: np.int64(rng.randint(-7, 7)),
+        )
+        return {name: rng.choice(kinds)() for name in cls.NAMES}
+
+    def test_equals_the_fraction_loop(self):
+        rng = random.Random(17)
+        for trial in range(600):
+            p = self.random_poly(rng, trial % 4)
+            for _ in range(3):
+                point = self.random_point(rng)
+                got = evaluate(p, point)
+                assert type(got) is Fraction
+                assert got == fraction_evaluate(p, point)
+
+    def test_rational_functions_and_their_poles(self):
+        rng = random.Random(18)
+        poles = 0
+        for trial in range(300):
+            num, den = self.random_poly(rng, trial % 4), self.random_poly(rng, trial % 4)
+            if den.is_zero:
+                continue
+            f = RatFunc(num, den)
+            point = self.random_point(rng)
+            if fraction_evaluate(f.den, point) == 0:
+                poles += 1
+                with pytest.raises(PoleError):
+                    evaluate(f, point)
+            else:
+                got = evaluate(f, point)
+                assert type(got) is Fraction and got == fraction_evaluate(f, point)
+        assert poles > 0
+
+    def test_equals_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        syms = dict(zip(self.NAMES, sympy.symbols(self.NAMES)))
+        rng = random.Random(19)
+        for trial in range(120):
+            p = self.random_poly(rng, trial % 4)
+            point = self.random_point(rng)
+            expr = sum(
+                (sympy.Rational(str(c)) * sympy.Mul(*(syms[v] ** k for v, k in zip(p.vars, e))) for e, c in p.terms.items()),
+                sympy.Integer(0),
+            )
+            at = {syms[v]: sympy.Rational(str(x)) for v, x in point.items()}
+            theirs = sympy.Rational(expr.subs(at))
+            assert evaluate(p, point) == Fraction(int(theirs.p), int(theirs.q))
+
+    def test_zero_and_constants_are_fractions(self):
+        for p, value in ((Poly.zero(), 0), (const(7), 7), (const(Fraction(-3, 4)), Fraction(-3, 4))):
+            for point in ({}, {"s": 2}):
+                got = evaluate(p, point)
+                assert type(got) is Fraction and got == value
+
+    def test_domain_errors_with_fraction_coefficients(self):
+        p = Fraction(1, 3) * s**2 * t + Fraction(5, 2) * m
+        with pytest.raises(DomainError, match="unbound"):
+            evaluate(p, {"s": 1, "t": Fraction(1, 2)})
+        with pytest.raises(DomainError, match="exact"):
+            evaluate(p, {"s": 1, "t": 0.5, "m": 2})
+        with pytest.raises(PoleError):
+            evaluate(RatFunc(p, 2 * s - 1), {"s": Fraction(1, 2), "t": 3, "m": 2})
+
+    def test_every_registry_polynomial_at_every_certify_point(self):
+        from squaretriads.families import registry
+
+        for fam in registry():
+            polys = (*fam.members(), *fam.constraints)
+            for vals in itertools.product(range(1, 17), repeat=len(fam.params)):
+                if len(vals) == 2 and math.gcd(*vals) != 1:
+                    continue
+                point = dict(zip(fam.params, vals))
+                for p in polys:
+                    got = evaluate(p, point)
+                    assert type(got) is Fraction and got == fraction_evaluate(p, point)
 
 
 class TestRatFunc:

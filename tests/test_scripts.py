@@ -30,3 +30,23 @@ def test_generate_wall_rejects_a_bad_k(capsys):
     assert script.main([]) == 2
     assert script.main(["0"]) == 2
     assert script.main(["two"]) == 2
+
+
+def test_certify_kinds_splits_the_first_requests_by_kind(capsys):
+    script = _load("certify_kinds")
+    assert script.main(["1", "30"]) == 0
+    line = json.loads(capsys.readouterr().out)["certify"]
+    assert line["seed"] == 1 and line["requests"] == 30
+    kinds = [line[kind] for kind in ("family", "quartic", "witness")]
+    # one request of each kind per block of three
+    assert [k["count"] for k in kinds] == [10, 10, 10]
+    for k in kinds:
+        assert 0 < k["p50_ms"] <= k["p90_ms"] <= k["max_ms"]
+
+
+def test_certify_kinds_rejects_bad_arguments(capsys):
+    script = _load("certify_kinds")
+    assert script.main([]) == 2
+    assert script.main(["1"]) == 2
+    assert script.main(["1", "0"]) == 2
+    assert script.main(["one", "30"]) == 2
