@@ -8,7 +8,11 @@ result with the workload's own oracle.  Only the request itself is timed,
 as perfbench times it; the witness requests' triads are made while the
 request is drawn, so they are not in the time.  One JSON line goes to
 standard output, with count, p50, p90 and max in ms for each kind
-(family, quartic, witness).  These are raw wall times, without perfbench's
+(family, quartic, witness), and under "rounds" the total ms of each kind
+in each round of Certify.round_length requests; a partial last round gives
+its own request count.  Every round draws the same requests in a new
+order, so a later round that runs faster than the first shows work carried
+over between rounds.  These are raw wall times, without perfbench's
 machine-speed correction.  A failed check makes the exit code 1.
 """
 
@@ -48,21 +52,34 @@ def _summary(samples: list[float]) -> dict:
     }
 
 
+def round_totals(timed: list[tuple[str, float]], round_length: int, kinds) -> list[dict]:
+    """{"requests", kind + "_ms": total, ...} for each round of round_length timed requests."""
+    rounds = []
+    for start in range(0, len(timed), round_length):
+        chunk = timed[start : start + round_length]
+        totals = dict.fromkeys(kinds, 0.0)
+        for kind, seconds in chunk:
+            totals[kind] += seconds
+        rounds.append({"requests": len(chunk), **{k + "_ms": round(t * 1e3, 3) for k, t in totals.items()}})
+    return rounds
+
+
 def measure(workloads, seed: int, n: int) -> dict:
-    """{"seed", "requests", "setup_s", kind: summary, ...} of the first n certify requests."""
+    """{"seed", "requests", "setup_s", kind: summary, ..., "rounds"} of the first n certify requests."""
     certify = workloads.Certify(seed)
     t0 = time.perf_counter()
     certify.setup()
     setup_s = time.perf_counter() - t0
-    samples: dict[str, list[float]] = {kind: [] for kind in certify.KINDS}
+    timed: list[tuple[str, float]] = []
     for _ in range(n):
         op = certify.next_op()
         t0 = time.perf_counter()
         result = certify.run(op)
-        samples[op[0]].append(time.perf_counter() - t0)
+        timed.append((op[0], time.perf_counter() - t0))
         certify.check(op, result)
     out = {"seed": seed, "requests": n, "setup_s": round(setup_s, 3)}
-    out.update((kind, _summary(s)) for kind, s in samples.items())
+    out.update((kind, _summary([s for k, s in timed if k == kind])) for kind in certify.KINDS)
+    out["rounds"] = round_totals(timed, certify.round_length, certify.KINDS)
     return out
 
 

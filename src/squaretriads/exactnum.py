@@ -8,14 +8,27 @@ built on, and the number theory under it: `is_prime` is deterministic
 Miller-Rabin below 3.3e24 and BPSW above, and `factorize` is trial
 division, then Brent rho on cofactors that are neither prime nor square,
 splitting each factor it finds against its cofactor by a gcd.
+
+`factorize` keeps a small memory of the last large primes it proved: every
+prime above the trial bound that its stack loop passes through `is_prime`,
+at most _RECENT_PRIMES_BOUND of them, newest last, with no repeats.  It
+tries them as divisors of each composite cofactor before it runs rho, so
+the members of one triad, which share their large primes, run rho once
+per shared prime.  The bound keeps this memory to the primes of the last
+few requests.  No result depends on what it holds: a remembered prime is
+proved and smaller than the cofactor it divides, it only stands in for the
+factor rho would find, and a factorization is unique.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import threading
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 from .errors import DomainError, VerificationError
 
@@ -34,6 +47,12 @@ __all__ = [
 ]
 
 _TRIAL_BOUND = 10_000
+
+# One certify request proves at most 5 new primes above the trial bound and
+# one certify round about 1560, so 16 covers a request and never a round.
+_RECENT_PRIMES_BOUND = 16
+_recent_primes: deque[int] = deque(maxlen=_RECENT_PRIMES_BOUND)
+_recent_primes_lock = threading.Lock()
 
 
 def _primes_below(n: int) -> list[int]:
@@ -55,6 +74,16 @@ _MR_TABLE = (
     (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
     (3317044064679887385961981, _SMALL_PRIMES),
 )
+
+
+def _integer(n) -> int:
+    """n as an int: ints and other integer types (numpy ints, ...) pass
+    through __index__; bool, float, Fraction and the rest are refused."""
+    if type(n) is int:
+        return n
+    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+        raise DomainError("not an integer: %r" % (n,))
+    return index(n)
 
 
 def isqrt(n: int) -> int:
@@ -171,6 +200,7 @@ def is_prime(n: int) -> bool:
     a strong base-2 test and a strong Lucas test, with no known composite
     passing both.
     """
+    n = _integer(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -225,8 +255,10 @@ def factorize(n: int) -> dict[int, int]:
     split by Brent rho into d and m/d with g = gcd(d, m/d), as (g, 2e),
     (d/g, e) and (m/(d g), e).  No two of these share a prime unless its
     cube divides m, so a prime is not found again by a second rho on each
-    piece that holds it.  Every reported prime passes is_prime.
+    piece that holds it.  Before rho, the remembered primes (see the module
+    docstring) are tried as d.  Every reported prime passes is_prime.
     """
+    n = _integer(n)
     if n < 1:
         raise DomainError("factorize requires n >= 1, got %d" % n)
     factors: dict[int, int] = {}
@@ -251,8 +283,11 @@ def factorize(n: int) -> dict[int, int]:
             continue
         if is_prime(m):
             factors[m] = factors.get(m, 0) + e
+            with _recent_primes_lock:
+                if m not in _recent_primes:
+                    _recent_primes.append(m)
             continue
-        d = _brent_rho(m)
+        d = next((p for p in tuple(_recent_primes) if m % p == 0), 0) or _brent_rho(m)
         g = math.gcd(d, m // d)
         if g == 1:
             stack += [(d, e), (m // d, e)]
@@ -263,6 +298,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = kernel * root**2 with kernel squarefree; returns (kernel, root)."""
+    n = _integer(n)
     if n < 1:
         raise DomainError("squarefree_decompose requires n >= 1, got %d" % n)
     kernel = root = 1

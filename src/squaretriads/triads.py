@@ -19,7 +19,7 @@ from .errors import (
     ExcludedBranchError,
 )
 from .exactnum import TwoSquares, is_perfect_square, promote_int, squarefree_decompose
-from .multipoly import canonical_sort_key, exact_sqrt
+from .multipoly import _exact_scalar, canonical_sort_key, exact_sqrt
 
 __all__ = [
     "Triad",
@@ -266,9 +266,12 @@ def is_sum_two_rational_squares(x: Fraction) -> TwoSquares | None:
     x = n / d^2 with n = numerator * denominator, so x is a sum of two
     rational squares iff n is a sum of two integer squares, iff no prime
     = 3 (mod 4) divides the squarefree kernel of n.  The numerator and the
-    denominator are coprime, so n is factored as the two of them.
+    denominator are coprime, so n is factored as the two of them.  x must
+    be exact: a float or a bool raises DomainError.
     """
-    x = Fraction(x)
+    if isinstance(x, bool):
+        raise DomainError("is_sum_two_rational_squares requires an exact rational, got %r" % (x,))
+    x = Fraction(_exact_scalar(x))
     if x <= 0:
         raise DomainError("is_sum_two_rational_squares requires x > 0")
     root = exactnum.sqrt_fraction(x)

@@ -1,10 +1,27 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 from squaretriads import exactnum as en
 from squaretriads.errors import DomainError
+
+
+@pytest.fixture(autouse=True)
+def empty_prime_memory():
+    """Each test starts from an empty memory of recently proved primes."""
+    en._recent_primes.clear()
+    yield
+    en._recent_primes.clear()
+
+
+def _count_rho(monkeypatch) -> list[int]:
+    calls = []
+    rho = en._brent_rho
+    monkeypatch.setattr(en, "_brent_rho", lambda m: calls.append(m) or rho(m))
+    return calls
 
 
 def test_isqrt_examples():
@@ -135,9 +152,7 @@ P, Q = 5264258143, 955544304821  # the shape p^2 q comes from a certify request
     ],
 )
 def test_factorize_finds_each_large_prime_once(monkeypatch, n, factors, rho_calls):
-    calls = []
-    rho = en._brent_rho
-    monkeypatch.setattr(en, "_brent_rho", lambda m: calls.append(m) or rho(m))
+    calls = _count_rho(monkeypatch)
     assert en.factorize(n) == factors
     assert len(calls) == rho_calls
 
@@ -153,6 +168,119 @@ def test_factorize_trial_cofactor_is_taken_as_prime(monkeypatch):
 def test_factorize_rejects_nonpositive():
     with pytest.raises(DomainError):
         en.factorize(0)
+
+
+@pytest.mark.parametrize("f", [en.factorize, en.is_prime, en.squarefree_decompose])
+@pytest.mark.parametrize("n", [12.0, 7.0, True, False, Fraction(12), "12", None])
+def test_integer_functions_refuse_non_integers(f, n):
+    # 12.0 factored as {2: 2, 3.0: 1}, 7.0 was prime and True factored as {}
+    with pytest.raises(DomainError):
+        f(n)
+
+
+def test_integer_functions_take_numpy_integers():
+    np = pytest.importorskip("numpy")
+    for t in (np.int64, np.uint32, np.int16):
+        got = en.factorize(t(360))
+        assert got == {2: 3, 3: 2, 5: 1} and all(type(p) is int for p in got)
+        assert en.is_prime(t(7)) and not en.is_prime(t(9))
+        assert en.squarefree_decompose(t(360)) == (10, 6)
+    assert en.factorize(np.int64(2**61 - 1)) == {2**61 - 1: 1}
+
+
+# Two members of one family triad in a certify request; the prime
+# 18977384429 divides both.
+FOUND_A = 909509377239181866686741846682540840000
+FOUND_C = 1746536991837839353739890339997654974900
+
+
+def test_factorize_remembers_a_shared_prime(monkeypatch):
+    calls = _count_rho(monkeypatch)
+    fa = en.factorize(FOUND_A)
+    assert len(calls) == 1
+    calls.clear()
+    fc = en.factorize(FOUND_C)
+    assert calls == []
+    assert 18977384429 in fa and 18977384429 in fc
+    for n, f in ((FOUND_A, fa), (FOUND_C, fc)):
+        prod = 1
+        for p, e in f.items():
+            prod *= p**e
+        assert prod == n and all(en.is_prime(p) for p in f)
+
+
+def _shared_prime_products(seed: int, sympy, top: int = 10**9) -> tuple[list[int], list[int]]:
+    """Products of three large prime powers, each sharing a prime with the next."""
+    rng = random.Random(seed)
+    primes = [sympy.nextprime(rng.randrange(10**5, top)) for _ in range(12)]
+    products = []
+    for i in range(len(primes) - 2):
+        n = rng.randrange(1, 10**4)
+        for p in primes[i : i + 3]:
+            n *= p ** rng.randint(1, 3)
+        products.append(n)
+    return primes, products
+
+
+@pytest.mark.parametrize("memory", ["empty", "holds the primes", "full of other primes"])
+def test_factorize_with_prime_memory_matches_sympy(monkeypatch, memory):
+    sympy = pytest.importorskip("sympy")
+    primes, products = _shared_prime_products(21, sympy)
+    if memory == "holds the primes":
+        for p in primes:
+            en.factorize(p)
+    elif memory == "full of other primes":
+        rng = random.Random(22)
+        while len(en._recent_primes) < en._RECENT_PRIMES_BOUND:
+            en.factorize(sympy.nextprime(rng.randrange(10**9, 10**12)))
+    calls = _count_rho(monkeypatch)
+    for n in products:
+        assert en.factorize(n) == sympy.factorint(n), n
+    if memory == "holds the primes":
+        assert calls == []
+
+
+def test_prime_memory_holds_recent_proved_primes_once():
+    sympy = pytest.importorskip("sympy")
+    proved = set()
+    for seed in range(6):
+        primes, products = _shared_prime_products(seed, sympy)
+        proved.update(primes)
+        for n in products + products:
+            en.factorize(n)
+            memory = list(en._recent_primes)
+            assert len(memory) == len(set(memory)) <= en._RECENT_PRIMES_BOUND
+            assert all(p > en._TRIAL_BOUND and en.is_prime(p) and p in proved for p in memory)
+    assert len(en._recent_primes) == en._RECENT_PRIMES_BOUND
+    # a factorization that stops before the stack loop remembers nothing
+    en._recent_primes.clear()
+    en.factorize(2 * 99_999_989)
+    assert not en._recent_primes
+
+
+def test_prime_memory_under_threads():
+    sympy = pytest.importorskip("sympy")
+    work = [_shared_prime_products(seed, sympy, 10**7)[1] for seed in range(4)]
+    expected = [[sympy.factorint(n) for n in products] for products in work]
+    got: list = [None] * len(work)
+
+    def run(i):
+        got[i] = [en.factorize(n) for n in work[i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(work))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
+    memory = list(en._recent_primes)
+    assert len(memory) == len(set(memory)) <= en._RECENT_PRIMES_BOUND
 
 
 def test_sum_of_two_squares_examples():

@@ -42,6 +42,21 @@ def test_certify_kinds_splits_the_first_requests_by_kind(capsys):
     assert [k["count"] for k in kinds] == [10, 10, 10]
     for k in kinds:
         assert 0 < k["p50_ms"] <= k["p90_ms"] <= k["max_ms"]
+    # 30 requests are a partial first round
+    (first,) = line["rounds"]
+    assert first["requests"] == 30
+    for name, k in zip(("family", "quartic", "witness"), kinds):
+        assert k["max_ms"] - 1e-3 <= first[name + "_ms"] <= k["count"] * k["max_ms"] + 1e-3
+
+
+def test_certify_kinds_totals_each_round_and_a_partial_last_one():
+    script = _load("certify_kinds")
+    timed = [("family", 0.001), ("witness", 0.002), ("family", 0.004)] * 3 + [("quartic", 0.008)]
+    assert script.round_totals(timed, 4, ("family", "quartic", "witness")) == [
+        {"requests": 4, "family_ms": 6.0, "quartic_ms": 0.0, "witness_ms": 2.0},
+        {"requests": 4, "family_ms": 5.0, "quartic_ms": 0.0, "witness_ms": 4.0},
+        {"requests": 2, "family_ms": 4.0, "quartic_ms": 8.0, "witness_ms": 0.0},
+    ]
 
 
 def test_certify_kinds_rejects_bad_arguments(capsys):

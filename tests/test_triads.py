@@ -215,6 +215,19 @@ class TestTwoRationalSquares:
         with pytest.raises(DomainError):
             is_sum_two_rational_squares(Fraction(-1))
 
+    @pytest.mark.parametrize("x", [0.1, 5.0, True, False, "5"])
+    def test_refuses_inexact_values(self, x):
+        # 0.1 is 3602879701896397/2^55 in binary and True is not the integer 1
+        with pytest.raises(DomainError):
+            is_sum_two_rational_squares(x)
+
+    def test_accepts_integer_types(self):
+        np = pytest.importorskip("numpy")
+        for x in (5, np.int64(5), np.uint8(5)):
+            w = is_sum_two_rational_squares(x)
+            assert (w.p, w.q, w.value) == (1, 2, 5)
+        assert is_sum_two_rational_squares(np.int32(3)) is None
+
     def test_perfect_square_shortcut(self):
         w = is_sum_two_rational_squares(Fraction(49, 4))
         assert w is not None and (w.p, w.q) == (0, Fraction(7, 2))
