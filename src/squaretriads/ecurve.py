@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
-from .exactnum import promote_int
+from .exactnum import _exact_scalar, _integer, promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, _divexact, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import _homogenize_m, _line_u_members
@@ -122,15 +122,9 @@ def ec_add(E: WeierstrassModel, P: ECPoint, Q: ECPoint) -> ECPoint:
     return _add_unchecked(E, P, Q)
 
 
-def _require_multiple(k, least: int, caller: str):
-    # bool is a subclass of int, but True is not the multiple 1
-    if isinstance(k, bool) or not isinstance(k, int) or k < least:
-        raise DomainError("%s requires an integer k >= %d" % (caller, least))
-
-
 def ec_mul(E: WeierstrassModel, k: int, P: ECPoint) -> ECPoint:
     """k-fold sum of P (integer k >= 0) by chord and tangent, validated once on entry."""
-    _require_multiple(k, 0, "ec_mul")
+    k = _integer(k, "ec_mul requires an integer k >= 0, not %r", 0)
     _require_on_curve(E, P)
     acc = ECPoint.identity()
     for _ in range(k):
@@ -214,14 +208,14 @@ def quartic_to_xy(U, V, m):
 
 
 def specialize_curve(E: WeierstrassModel, m_val: Fraction) -> WeierstrassModel:
-    point = {"m": Fraction(m_val)}
+    point = {"m": _exact_scalar(m_val)}
     return WeierstrassModel(E.A.evaluate(point), E.B.evaluate(point))
 
 
 def specialize_point(P: ECPoint, m_val: Fraction) -> ECPoint:
+    point = {"m": _exact_scalar(m_val)}
     if P.is_identity:
         return P
-    point = {"m": Fraction(m_val)}
     return ECPoint(P.x.evaluate(point), P.y.evaluate(point))
 
 
@@ -393,7 +387,7 @@ def generate_family(k: int) -> ParametricFamily:
     denominator of u = s U(t/s) is the constraint.  k = 1 recovers the constant-side
     ascent family.
     """
-    _require_multiple(k, 1, "generate_family")
+    k = _integer(k, "generate_family requires an integer k >= 1, not %r", 1)
     m = var("m")
     x, y, z = _kp_jacobian(*_integral_model(), k)
     if z.is_zero:

@@ -18,6 +18,12 @@ per shared prime.  The bound keeps this memory to the primes of the last
 few requests.  No result depends on what it holds: a remembered prime is
 proved and smaller than the cofactor it divides, it only stands in for the
 factor rho would find, and a factorization is unique.
+
+This module also holds the package's one rule for exact inputs: an integer
+is an int or any other integer type (numpy ints are converted to int), and
+a rational is one of those or a Fraction; bool and floats raise DomainError.
+Every entry point that takes a scalar checks it with `_integer` or
+`_exact_scalar` and keeps the converted value.
 """
 
 from __future__ import annotations
@@ -76,18 +82,38 @@ _MR_TABLE = (
 )
 
 
-def _integer(n) -> int:
+def _integer(n, message: str = "not an integer: %r", least: int | None = None) -> int:
     """n as an int: ints and other integer types (numpy ints, ...) pass
-    through __index__; bool, float, Fraction and the rest are refused."""
-    if type(n) is int:
-        return n
-    if isinstance(n, bool) or not hasattr(type(n), "__index__"):
-        raise DomainError("not an integer: %r" % (n,))
-    return index(n)
+    through __index__; bool, float, Fraction and the rest, and with `least`
+    any value below it, raise DomainError(message % (n,)).  The package's
+    one rule for integer inputs."""
+    if type(n) is not int:
+        if isinstance(n, bool) or not hasattr(type(n), "__index__"):
+            raise DomainError(message % (n,))
+        n = index(n)
+    if least is not None and n < least:
+        raise DomainError(message % (n,))
+    return n
+
+
+def _exact_scalar(x, message: str = "not an exact rational: %r") -> int | Fraction:
+    """x as an exact rational: a Fraction as it is, anything else by the rule
+    of _integer.  Floats are refused, since their binary value is not the
+    rational meant.  The package's one rule for rational inputs."""
+    if type(x) is int or isinstance(x, Fraction):
+        return x
+    return _integer(x, message)
+
+
+def _fraction(x, message: str = "not an exact rational: %r") -> Fraction:
+    """x as a Fraction, by the rule of _exact_scalar."""
+    return x if type(x) is Fraction else Fraction(_exact_scalar(x, message))
 
 
 def isqrt(n: int) -> int:
     """Floor square root of a nonnegative integer."""
+    if type(n) is not int:
+        n = _integer(n)
     if n < 0:
         raise DomainError("isqrt of negative integer %d" % n)
     return math.isqrt(n)
@@ -95,6 +121,8 @@ def isqrt(n: int) -> int:
 
 def is_perfect_square(n: int) -> int | None:
     """Return the nonnegative root if n is a perfect square, else None."""
+    if type(n) is not int:
+        n = _integer(n)
     if n < 0:
         return None
     r = math.isqrt(n)
@@ -102,13 +130,23 @@ def is_perfect_square(n: int) -> int | None:
 
 
 def promote_int(x):
-    """Fraction(x) for an int x, so that x / y stays exact; any other value as it is."""
-    return Fraction(x) if isinstance(x, int) else x
+    """Fraction(x) for an integer x, so that x / y stays exact; a Fraction,
+    Poly or RatFunc as it is.  Anything else (bool, floats, ...) raises
+    DomainError."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    from .multipoly import Poly, RatFunc  # multipoly imports this module
+
+    if isinstance(x, (Poly, RatFunc)):
+        return x
+    return Fraction(_integer(x, "not an exact value: %r"))
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction | None:
     """Exact nonnegative square root of a rational, or None."""
-    x = Fraction(x)
+    x = _exact_scalar(x)
     pn = is_perfect_square(x.numerator)
     if pn is None:
         return None
@@ -258,9 +296,7 @@ def factorize(n: int) -> dict[int, int]:
     piece that holds it.  Before rho, the remembered primes (see the module
     docstring) are tried as d.  Every reported prime passes is_prime.
     """
-    n = _integer(n)
-    if n < 1:
-        raise DomainError("factorize requires n >= 1, got %d" % n)
+    n = _integer(n, "factorize requires an integer n >= 1, got %r", 1)
     factors: dict[int, int] = {}
     for p in _TRIAL_PRIMES:
         if p * p > n:
@@ -298,9 +334,7 @@ def factorize(n: int) -> dict[int, int]:
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = kernel * root**2 with kernel squarefree; returns (kernel, root)."""
-    n = _integer(n)
-    if n < 1:
-        raise DomainError("squarefree_decompose requires n >= 1, got %d" % n)
+    n = _integer(n, "squarefree_decompose requires an integer n >= 1, got %r", 1)
     kernel = root = 1
     for p, e in factorize(n).items():
         if e & 1:
@@ -354,8 +388,7 @@ def two_squares_from_factorization(factors: dict[int, int]) -> tuple[int, int] |
 
 def sum_of_two_squares(n: int) -> tuple[int, int] | None:
     """(p, q) with p^2 + q^2 = n and 0 <= p <= q, or None if no such pair exists."""
-    if n < 1:
-        raise DomainError("sum_of_two_squares requires n >= 1, got %d" % n)
+    n = _integer(n, "sum_of_two_squares requires an integer n >= 1, got %r", 1)
     return two_squares_from_factorization(factorize(n))
 
 
@@ -368,9 +401,8 @@ class TwoSquares:
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "value", Fraction(self.value))
+        for name in ("p", "q", "value"):
+            object.__setattr__(self, name, _fraction(getattr(self, name)))
         if self.p * self.p + self.q * self.q != self.value:
             raise DomainError(
                 "invalid two-squares witness: (%s)^2 + (%s)^2 != %s" % (self.p, self.q, self.value)

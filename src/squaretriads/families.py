@@ -18,9 +18,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral
 
 from .errors import DomainError, ExcludedLocusError, VerificationError
+from .exactnum import _integer
 from .multipoly import (
     Poly,
     RatFunc,
@@ -288,14 +288,12 @@ def evaluate_family(name: str, point) -> tuple[Triad, SquareCertificate]:
                 "family %s expects %d parameters, got %d" % (name, len(fam.params), len(values))
             )
         point = dict(zip(fam.params, values))
+    ints = {}
     for p in fam.params:
         if p not in point:
             raise DomainError("missing parameter %r" % p)
-        value = point[p]
-        # bool is a subclass of int, but True is not the parameter 1
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise DomainError("family parameter %s must be an integer, not %r" % (p, value))
-    point = {p: int(point[p]) for p in fam.params}
+        ints[p] = _integer(point[p], "family parameter %s must be an integer, not %%r" % p)
+    point = ints
     for cons in fam.constraints:
         if evaluate(cons, point) == 0:
             raise ExcludedLocusError(
@@ -472,6 +470,8 @@ def gensol1_pipeline(r_val: int, s_val: int) -> tuple[Triad, SquareCertificate]:
     Returns the canonicalized (Triad, SquareCertificate) built through the
     steps of the symbolic run (`gensol1_steps`).
     """
+    r_val = _integer(r_val, "gensol1_pipeline requires an integer r, not %r")
+    s_val = _integer(s_val, "gensol1_pipeline requires an integer s, not %r")
     if r_val == 0 or s_val == 0:
         raise ExcludedLocusError("r and s must be nonzero")
     # The anchor root e = s^3 (r^2+s^2)^2 / r^3 is positive on the positive

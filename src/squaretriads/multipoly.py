@@ -30,11 +30,11 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import getitem, index, mul
+from operator import getitem, mul
 from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, ImageTooLargeError, PoleError, VerificationError
-from .exactnum import is_perfect_square, is_prime, sqrt_fraction
+from .exactnum import _exact_scalar, _integer, is_perfect_square, is_prime, sqrt_fraction
 
 __all__ = [
     "VAR_ORDER",
@@ -64,17 +64,6 @@ def _canon_coeff(c: Coeff) -> Coeff:
     if type(c) is Fraction and c.denominator == 1:
         return c.numerator
     return c
-
-
-def _exact_scalar(c) -> Coeff:
-    """c as an exact rational: ints and Fractions as they are, other integer
-    types (numpy ints, ...) converted exactly to int; floats and anything
-    else are refused, since their binary value is not the rational meant."""
-    if isinstance(c, (int, Fraction)):
-        return c
-    if hasattr(type(c), "__index__"):
-        return index(c)
-    raise DomainError("not an exact rational scalar: %r" % (c,))
 
 
 def _var_key(name: str):
@@ -259,8 +248,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("Poly powers require a nonnegative integer exponent")
+        n = _integer(n, "Poly powers require a nonnegative integer exponent, not %r", 0)
         result = _ONE
         base = self
         while n:
@@ -1112,16 +1100,12 @@ def exact_sqrt(x):
     ints/Fractions give a nonnegative rational; Poly/RatFunc give the
     positive-leading-coefficient root.
     """
-    if isinstance(x, int):
-        r = is_perfect_square(x)
-        return r
-    if isinstance(x, Fraction):
-        return sqrt_fraction(x)
     if isinstance(x, Poly):
         return poly_sqrt(x)
     if isinstance(x, RatFunc):
         return x.sqrt()
-    raise DomainError("exact_sqrt does not support %r" % type(x))
+    x = _exact_scalar(x, "exact_sqrt does not support %r")
+    return is_perfect_square(x) if type(x) is int else sqrt_fraction(x)
 
 
 # ---------------------------------------------------------------------------

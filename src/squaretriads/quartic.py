@@ -57,7 +57,7 @@ def euler_quartic(s, t) -> QuarticModel:
     """
     if s == 0:
         raise DomainError("euler_quartic requires s != 0")
-    s = promote_int(s)
+    s, t = promote_int(s), promote_int(t)
     s2t2 = s * s + t * t
     a1 = -4 * s2t2 / s
     a2 = 2 * s2t2 * (3 * s**4 + 2 * s * s * t * t - 2 * t**4) / s**4

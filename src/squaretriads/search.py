@@ -15,7 +15,6 @@ the correctness oracle for small bounds.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, VerificationError
-from .exactnum import is_perfect_square
+from .exactnum import _integer, is_perfect_square
 from .families import evaluate_family
 from .triads import SquareCertificate, Triad, canonicalize, verify_triad
 
@@ -57,17 +56,12 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("bound", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise DomainError("search %s must be an integer, not %r" % (name, value))
+            value = _integer(getattr(self, name), "search %s must be an integer >= 1, not %%r" % name, 1)
+            object.__setattr__(self, name, value)
         if not isinstance(self.primitive_only, bool):
             raise DomainError("search primitive_only must be a bool, not %r" % (self.primitive_only,))
-        if self.bound < 1:
-            raise DomainError("search bound must be >= 1")
         if 3 * self.bound * self.bound >= _EXACT_FLOAT:
             raise DomainError("search bound %d is too large: 3 * bound**2 must stay below 2**53" % self.bound)
-        if self.workers < 1:
-            raise DomainError("worker count must be >= 1")
 
 
 def _kernel_sieve(n: int) -> np.ndarray:

@@ -18,8 +18,8 @@ from .errors import (
     DomainError,
     ExcludedBranchError,
 )
-from .exactnum import TwoSquares, is_perfect_square, promote_int, squarefree_decompose
-from .multipoly import _exact_scalar, canonical_sort_key, exact_sqrt
+from .exactnum import TwoSquares, _fraction, _integer, is_perfect_square, promote_int, squarefree_decompose
+from .multipoly import canonical_sort_key, exact_sqrt
 
 __all__ = [
     "Triad",
@@ -39,6 +39,15 @@ __all__ = [
 ]
 
 
+def _int_fields(obj, names: str, message: str, least: int) -> None:
+    """Check and convert the one-letter integer fields of a frozen dataclass
+    by exactnum's rule; an int field of at least `least` is left as it is."""
+    for name in names:
+        v = getattr(obj, name)
+        if type(v) is not int or v < least:
+            object.__setattr__(obj, name, _integer(v, message, least))
+
+
 @dataclass(frozen=True, order=True)
 class Triad:
     """Three strictly positive integers; order as given (canonicalize sorts)."""
@@ -48,10 +57,7 @@ class Triad:
     c: int
 
     def __post_init__(self):
-        # bool is a subclass of int, but True is not the integer 1 here
-        for v in (self.a, self.b, self.c):
-            if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-                raise DomainError("triad members must be positive integers, got %r" % (v,))
+        _int_fields(self, "abc", "triad members must be positive integers, got %r", 1)
 
     def sorted(self) -> "Triad":
         a, b, c = sorted((self.a, self.b, self.c))
@@ -70,9 +76,7 @@ class SquareCertificate:
     h: int
 
     def __post_init__(self):
-        for v in (self.f, self.g, self.h):
-            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-                raise DomainError("certificate entries must be nonnegative integers")
+        _int_fields(self, "fgh", "certificate entries must be nonnegative integers, got %r", 0)
 
 
 @dataclass(frozen=True)
@@ -84,9 +88,8 @@ class CubicSpec:
     h: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "f", Fraction(self.f))
-        object.__setattr__(self, "g", Fraction(self.g))
-        object.__setattr__(self, "h", Fraction(self.h))
+        for name in ("f", "g", "h"):
+            object.__setattr__(self, name, _fraction(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ class PQParameterization:
 
     def __post_init__(self):
         for name in ("p", "q", "m", "h"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _fraction(getattr(self, name)))
         if self.m * self.m * self.p - 2 * self.m * self.q - self.p == 0:
             raise DegenerateParameterError("degenerate parameters: m^2 p - 2 m q - p = 0")
 
@@ -144,7 +147,7 @@ def rational_to_integer_triad(ra: Fraction, rb: Fraction, rc: Fraction) -> Triad
     the result verifies exactly when the rational triple did.  The triad is
     canonicalized before being returned.
     """
-    ra, rb, rc = Fraction(ra), Fraction(rb), Fraction(rc)
+    ra, rb, rc = _fraction(ra), _fraction(rb), _fraction(rc)
     if ra <= 0 or rb <= 0 or rc <= 0:
         raise DomainError("rational triple must be strictly positive")
     k = 1
@@ -269,9 +272,7 @@ def is_sum_two_rational_squares(x: Fraction) -> TwoSquares | None:
     denominator are coprime, so n is factored as the two of them.  x must
     be exact: a float or a bool raises DomainError.
     """
-    if isinstance(x, bool):
-        raise DomainError("is_sum_two_rational_squares requires an exact rational, got %r" % (x,))
-    x = Fraction(_exact_scalar(x))
+    x = _fraction(x, "is_sum_two_rational_squares requires an exact rational, got %r")
     if x <= 0:
         raise DomainError("is_sum_two_rational_squares requires x > 0")
     root = exactnum.sqrt_fraction(x)

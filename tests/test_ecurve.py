@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from squaretriads import ecurve as ec
@@ -110,11 +111,16 @@ class TestGroupLaw:
         with pytest.raises(DomainError):
             ec.ec_add(E4, ec.ECPoint(Fraction(1), Fraction(1)), ec.ECPoint.identity())
 
-    @pytest.mark.parametrize("k", [True, 2.5, Fraction(2), -1])
+    @pytest.mark.parametrize("k", [True, 2.5, Fraction(2), -1, False, 2.0, pytest.param(np.float64(2), id="np.float64(2)"), "2", None])
     def test_ec_mul_requires_an_integer_multiple(self, k):
         E = ec.WeierstrassModel(Fraction(0), Fraction(-2))
         with pytest.raises(DomainError, match="integer k >= 0"):
             ec.ec_mul(E, k, ec.ECPoint(Fraction(3), Fraction(5)))
+
+    def test_ec_mul_takes_integer_types(self):
+        E, P = ec.WeierstrassModel(Fraction(0), Fraction(-2)), ec.ECPoint(Fraction(3), Fraction(5))
+        for t in (np.int64, np.int32, np.uint8):
+            assert ec.ec_mul(E, t(3), P) == ec.ec_mul(E, 3, P)
 
 
 def _constant_model(A, B, x, y):

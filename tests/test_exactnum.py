@@ -3,6 +3,7 @@ import sys
 import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from squaretriads import exactnum as en
@@ -170,10 +171,14 @@ def test_factorize_rejects_nonpositive():
         en.factorize(0)
 
 
-@pytest.mark.parametrize("f", [en.factorize, en.is_prime, en.squarefree_decompose])
-@pytest.mark.parametrize("n", [12.0, 7.0, True, False, Fraction(12), "12", None])
+@pytest.mark.parametrize(
+    "f",
+    [en.factorize, en.is_prime, en.squarefree_decompose, en.isqrt, en.is_perfect_square, en.sum_of_two_squares],
+)
+@pytest.mark.parametrize("n", [12.0, 7.0, True, False, Fraction(12), "12", None, pytest.param(np.float64(12), id="np.float64(12)")])
 def test_integer_functions_refuse_non_integers(f, n):
-    # 12.0 factored as {2: 2, 3.0: 1}, 7.0 was prime and True factored as {}
+    # 12.0 factored as {2: 2, 3.0: 1}, 7.0 was prime and True factored as {};
+    # is_perfect_square(True) was 1, and 12.0 or "12" raised TypeError
     with pytest.raises(DomainError):
         f(n)
 
@@ -185,6 +190,9 @@ def test_integer_functions_take_numpy_integers():
         assert got == {2: 3, 3: 2, 5: 1} and all(type(p) is int for p in got)
         assert en.is_prime(t(7)) and not en.is_prime(t(9))
         assert en.squarefree_decompose(t(360)) == (10, 6)
+        assert en.isqrt(t(50)) == 7 and type(en.isqrt(t(50))) is int
+        assert en.is_perfect_square(t(49)) == 7 and en.is_perfect_square(t(50)) is None
+        assert en.sum_of_two_squares(t(25)) == en.sum_of_two_squares(25)
     assert en.factorize(np.int64(2**61 - 1)) == {2**61 - 1: 1}
 
 

@@ -73,3 +73,70 @@ def test_unused_import_check_sees_a_dead_import(tmp_path):
         "print(len([]))\n"
     )
     assert _unused_imports(str(path)) == ["gcd (line 3)", "os (line 1)"]
+
+
+# SearchConfig.primitive_only is a bool setting, not an integer
+_ALLOWED_BOOL_TESTS = {"self.primitive_only"}
+
+
+def _input_rule_forks(path: str) -> list[str]:
+    """Places where a module decides for itself what counts as an integer,
+    which is exactnum's rule alone: a `numbers` import, `operator.index`,
+    any use of `__index__`, or an isinstance test against bool."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names):
+            what = "numbers"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            what = "numbers"
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator" and any(a.name == "index" for a in node.names):
+            what = "operator.index"
+        elif isinstance(node, ast.Attribute) and node.attr == "index" and getattr(node.value, "id", None) == "operator":
+            what = "operator.index"
+        elif "__index__" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "value", None)):
+            what = "__index__"
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(getattr(n, "id", None) == "bool" for n in ast.walk(node.args[1]))
+            and ast.unparse(node.args[0]) not in _ALLOWED_BOOL_TESTS
+        ):
+            what = "isinstance bool"
+        else:
+            continue
+        found.append("%s (line %d)" % (what, node.lineno))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("modname", [m for m in MODULES + ["squaretriads.__main__"] if m != "squaretriads.exactnum"])
+def test_only_exactnum_decides_integer_inputs(modname):
+    # exactnum._integer and _exact_scalar are the one input rule; a module
+    # with a check of its own would drift from it
+    assert _input_rule_forks(importlib.util.find_spec(modname).origin) == []
+
+
+def test_input_rule_check_sees_a_fork(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "import numbers\n"
+        "import operator\n"
+        "from operator import index\n"
+        "def f(x, self):\n"
+        "    if isinstance(x, bool) or not isinstance(x, numbers.Integral):\n"
+        "        return hasattr(type(x), '__index__')\n"
+        "    if isinstance(x, (int, bool)):\n"
+        "        return x.__index__()\n"
+        "    return isinstance(self.primitive_only, bool), operator.index(x), isinstance(x, int)\n"
+    )
+    assert _input_rule_forks(str(path)) == [
+        "__index__ (line 6)",
+        "__index__ (line 8)",
+        "isinstance bool (line 5)",
+        "isinstance bool (line 7)",
+        "numbers (line 1)",
+        "operator.index (line 3)",
+        "operator.index (line 9)",
+    ]

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from types import MappingProxyType
 
+import numpy as np
 import pytest
 
 from squaretriads import families as fam
@@ -101,7 +102,9 @@ class TestEvaluation:
             fam.evaluate_family("parmsol1", (1,))
 
     @pytest.mark.parametrize(
-        "params", [(True, 2), (2, False), (Fraction(1, 2), 1), (Fraction(2), 1), (2.0, 1), ("2", 1)]
+        "params",
+        [(True, 2), (2, False), (Fraction(1, 2), 1), (Fraction(2), 1), (2.0, 1), ("2", 1)]
+        + [(np.float64(2), 1), (None, 1)],
     )
     def test_non_integer_parameters_are_refused_before_evaluation(self, params, monkeypatch):
         def no_evaluation(*args):

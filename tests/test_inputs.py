@@ -1,0 +1,91 @@
+"""One rule for exact inputs, at every entry point that takes a scalar.
+
+exactnum._integer and exactnum._exact_scalar decide what an integer and a
+rational are: ints and other integer types (numpy ints, converted to int),
+and for rationals also Fractions.  bool, floats and everything else raise
+DomainError.  Entry points that already have a parametrized refusal test of
+their own (factorize and the other integer functions of exactnum, Triad,
+SquareCertificate, SearchConfig, evaluate_family, ec_mul and
+is_sum_two_rational_squares) take these cases there.
+"""
+
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from squaretriads import ecurve as ec
+from squaretriads import exactnum as en
+from squaretriads.errors import DomainError
+from squaretriads.families import gensol1_pipeline
+from squaretriads.multipoly import Poly, RatFunc, evaluate, exact_sqrt, substitute, var
+from squaretriads.quartic import euler_quartic
+from squaretriads.triads import CubicSpec, PQParameterization, rational_to_integer_triad
+
+s = var("s")
+
+# (name, call, integer_only); each call is valid at x = 2
+BOUNDARIES = [
+    ("Poly.__pow__", lambda x: s**x, True),
+    ("gensol1_pipeline r", lambda x: gensol1_pipeline(x, 1), True),
+    ("gensol1_pipeline s", lambda x: gensol1_pipeline(1, x), True),
+    ("generate_family", lambda x: ec.generate_family(x), True),
+    ("promote_int", en.promote_int, False),
+    ("sqrt_fraction", en.sqrt_fraction, False),
+    ("TwoSquares", lambda x: en.TwoSquares(x, 0, 4), False),
+    ("Poly.const", Poly.const, False),
+    ("evaluate", lambda x: evaluate(s, {"s": x}), False),
+    ("substitute", lambda x: substitute(s**2, {"s": x}), False),
+    ("exact_sqrt", exact_sqrt, False),
+    ("CubicSpec", lambda x: CubicSpec(x, 1, 1), False),
+    ("PQParameterization", lambda x: PQParameterization(x, 1, 1, 1), False),
+    ("rational_to_integer_triad", lambda x: rational_to_integer_triad(x, 2, 1), False),
+    ("euler_quartic s", lambda x: euler_quartic(x, 1), False),
+    ("euler_quartic t", lambda x: euler_quartic(1, x), False),
+    ("specialize_curve", lambda x: ec.specialize_curve(ec.ecweier(), x), False),
+    ("specialize_point", lambda x: ec.specialize_point(ec.point_P(), x), False),
+]
+
+REFUSED = [True, False, 2.0, np.float64(2), "2", None]
+REFUSED_BY_INTEGERS = [Fraction(2), Fraction(1, 2)]
+ACCEPTED = [np.int64, np.int32, np.uint8]
+
+
+def _numpy_values(x) -> list:
+    """Every numpy value stored anywhere in x."""
+    if is_dataclass(x):
+        parts = [getattr(x, f.name) for f in fields(x)]
+    elif isinstance(x, (tuple, list)):
+        parts = list(x)
+    elif isinstance(x, Poly):
+        parts = list(x.terms.values())
+    elif isinstance(x, RatFunc):
+        parts = [x.num, x.den]
+    elif isinstance(x, Fraction):
+        parts = [x.numerator, x.denominator]
+    else:
+        return [x] if type(x).__module__ == "numpy" else []
+    return [v for part in parts for v in _numpy_values(part)]
+
+
+def test_every_boundary_follows_the_one_rule():
+    problems = []
+    for name, call, integer_only in BOUNDARIES:
+        for x in REFUSED + (REFUSED_BY_INTEGERS if integer_only else []):
+            try:
+                got = call(x)
+            except DomainError:
+                continue
+            except Exception as exc:  # a TypeError is a bug, not a refusal
+                got = exc
+            problems.append("%s(%r) gave %r" % (name, x, got))
+        expected = call(2)
+        for t in ACCEPTED:
+            try:
+                got = call(t(2))
+            except Exception as exc:
+                got = exc
+            if got != expected or _numpy_values(got):
+                problems.append("%s(%r) gave %r" % (name, t(2), got))
+    assert problems == []

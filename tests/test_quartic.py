@@ -319,3 +319,13 @@ def test_int_arguments_give_the_fraction_result():
         assert got == want, (f, args)
         assert all(isinstance(v, Fraction) for v in values(got)), (f, args, got)
     assert roots_quad(1, -19, 90) == (9, 10)
+
+
+def test_euler_quartic_takes_integer_types_exactly():
+    # np.int64 arguments gave a float model, since int64 / int64 is a float
+    from dataclasses import astuple
+
+    np = pytest.importorskip("numpy")
+    got = euler_quartic(np.int64(1), np.int64(2))
+    assert got == euler_quartic(1, 2)
+    assert all(type(c) is Fraction for c in astuple(got))

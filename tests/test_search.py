@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +99,24 @@ class TestSearch:
             sr.SearchConfig(10, workers=0)
 
     @pytest.mark.parametrize(
-        "bound, workers", [(300.0, 1), (300, 2.0), ("300", 1), (300, "2"), (True, 1), (300, True)]
+        "bound, workers",
+        [(300.0, 1), (300, 2.0), ("300", 1), (300, "2"), (True, 1), (300, True)]
+        + [(Fraction(300), 1), (None, 1), (300, False), (300, None)]
+        + [pytest.param(np.float64(300), 1, id="np.float64(300)-1"), pytest.param(300, np.float64(2), id="300-np.float64(2)")],
     )
     def test_non_integer_config(self, bound, workers):
         with pytest.raises(DomainError):
             sr.SearchConfig(bound, workers=workers)
+
+    def test_integer_types_are_converted_before_the_bound_check(self):
+        # 3 * bound**2 wrapped in int64 or int32, so these were accepted;
+        # the config is only built here, never searched
+        for bound in (np.int64(2**31), np.int32(10**8)):
+            with pytest.raises(DomainError):
+                sr.SearchConfig(bound)
+        cfg = sr.SearchConfig(np.int64(5000), workers=np.uint8(2))
+        assert cfg == sr.SearchConfig(5000, workers=2)
+        assert type(cfg.bound) is int and type(cfg.workers) is int
 
     @pytest.mark.parametrize("primitive_only", ["no", 1, None])
     def test_non_bool_primitive_only(self, primitive_only):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from squaretriads.errors import (
@@ -45,11 +46,25 @@ class TestTriadBasics:
         with pytest.raises(DomainError):
             Triad(1, -1, 2)
 
-    @pytest.mark.parametrize("cls, args", [(Triad, (True, 1, 2)), (SquareCertificate, (1, False, 3))])
+    @pytest.mark.parametrize(
+        "cls, args",
+        [(Triad, (True, 1, 2)), (SquareCertificate, (1, False, 3))]
+        + [(Triad, (x, 1, 2)) for x in (2.0, np.float64(2), "2", None, Fraction(2))]
+        + [(SquareCertificate, (1, x, 3)) for x in (2.0, np.float64(2), "2", None, Fraction(2))],
+    )
     def test_bool_members_rejected(self, cls, args):
         # bool is a subclass of int; triad_json would render "True"
         with pytest.raises(DomainError):
             cls(*args)
+
+    def test_integer_types_are_stored_as_int(self):
+        # numpy members were refused, and e2 or e3 of int64 members would wrap
+        t = Triad(np.int64(45), np.int32(64), np.uint8(180))
+        assert t == Triad(45, 64, 180) and all(type(v) is int for v in t.members())
+        cert = SquareCertificate(np.int64(17), np.int32(92), np.uint8(0))
+        assert cert == SquareCertificate(17, 92, 0) and all(type(v) is int for v in (cert.f, cert.g, cert.h))
+        big = Triad(np.int64(2**40), np.int64(2**41), np.int64(2**42))
+        assert elementary_symmetric(big)[2] == 2**123
 
     def test_canonicalize(self):
         assert canonicalize(Triad(139264, 73728, 156672)) == Triad(72, 136, 153)
@@ -215,7 +230,7 @@ class TestTwoRationalSquares:
         with pytest.raises(DomainError):
             is_sum_two_rational_squares(Fraction(-1))
 
-    @pytest.mark.parametrize("x", [0.1, 5.0, True, False, "5"])
+    @pytest.mark.parametrize("x", [0.1, 5.0, True, False, "5", pytest.param(np.float64(5), id="np.float64(5)"), None])
     def test_refuses_inexact_values(self, x):
         # 0.1 is 3602879701896397/2^55 in binary and True is not the integer 1
         with pytest.raises(DomainError):
