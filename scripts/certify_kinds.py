@@ -9,8 +9,8 @@ as perfbench times it; the witness requests' triads are made while the
 request is drawn, so they are not in the time.  One JSON line goes to
 standard output, with count, p50, p90 and max in ms for each kind
 (family, quartic, witness), and under "rounds" the total ms of each kind
-in each round of Certify.round_length requests; a partial last round gives
-its own request count.  Every round draws the same requests in a new
+in each round of Certify.round_length requests and its share of the
+round's request time; a partial last round gives its own request count.  Every round draws the same requests in a new
 order, so a later round that runs faster than the first shows work carried
 over between rounds.  These are raw wall times, without perfbench's
 machine-speed correction.  A failed check makes the exit code 1.
@@ -53,14 +53,23 @@ def _summary(samples: list[float]) -> dict:
 
 
 def round_totals(timed: list[tuple[str, float]], round_length: int, kinds) -> list[dict]:
-    """{"requests", kind + "_ms": total, ...} for each round of round_length timed requests."""
+    """{"requests", kind + "_ms": total, kind + "_share": share, ...} for each
+    round of round_length timed requests; a share is the kind's part of the
+    round's request time."""
     rounds = []
     for start in range(0, len(timed), round_length):
         chunk = timed[start : start + round_length]
         totals = dict.fromkeys(kinds, 0.0)
         for kind, seconds in chunk:
             totals[kind] += seconds
-        rounds.append({"requests": len(chunk), **{k + "_ms": round(t * 1e3, 3) for k, t in totals.items()}})
+        whole = sum(totals.values()) or 1.0
+        rounds.append(
+            {
+                "requests": len(chunk),
+                **{k + "_ms": round(t * 1e3, 3) for k, t in totals.items()},
+                **{k + "_share": round(t / whole, 4) for k, t in totals.items()},
+            }
+        )
     return rounds
 
 

@@ -365,6 +365,17 @@ def _parametric_model():
     return euler_quartic(RatFunc(s), RatFunc(t))
 
 
+def _printed_point(q, pt):
+    """pt, once v^2 - rhs(u) is seen to vanish in the field's own arithmetic.
+
+    The quartic formulas run on numerators and denominators over the base
+    ring; the points the command line prints are checked apart from them.
+    """
+    if pt.v * pt.v - q.rhs(pt.u) != 0:
+        raise VerificationError("point to print is off the quartic model; this is a bug")
+    return pt
+
+
 def _cmd_fermat(args) -> int:
     sides = ("constant", "leading") if args.side == "both" else (args.side,)
     out = []
@@ -373,7 +384,7 @@ def _cmd_fermat(args) -> int:
             q = euler_quartic(args.at[0], args.at[1])
         else:
             q = _parametric_model()
-        pt = fermat_ascend(q, side)
+        pt = _printed_point(q, fermat_ascend(q, side))
         out.append({"side": side, "u": str(pt.u), "v": str(pt.v)})
     _emit(
         out,
@@ -398,6 +409,7 @@ def _cmd_compose(args) -> int:
     except CompositionError:
         # the composition can degenerate for one sign of the square root
         composed = choudhry_compose(q, anchor, QuarticPoint(other.u, -other.v))
+    composed = _printed_point(q, composed)
     payload = {
         "with": args.with_side,
         "u1": str(anchor.u),

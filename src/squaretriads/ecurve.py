@@ -56,6 +56,11 @@ class ECPoint:
     x: object = None
     y: object = None
 
+    def __post_init__(self):
+        if self.x is not None or self.y is not None:
+            object.__setattr__(self, "x", promote_int(self.x))
+            object.__setattr__(self, "y", promote_int(self.y))
+
     @staticmethod
     def identity() -> "ECPoint":
         return ECPoint(None, None)
@@ -73,6 +78,8 @@ class WeierstrassModel:
     B: object
 
     def __post_init__(self):
+        object.__setattr__(self, "A", promote_int(self.A))
+        object.__setattr__(self, "B", promote_int(self.B))
         if self.discriminant() == 0:
             raise DomainError("singular curve: discriminant vanishes")
 

@@ -59,6 +59,9 @@ _VAR_RANK = {name: i for i, name in enumerate(VAR_ORDER)}
 Coeff = Union[int, Fraction]
 Scalar = Union[int, Fraction]
 
+# Scalar operands of Poly and RatFunc arithmetic follow exactnum's rule.
+_OPERAND = "polynomial arithmetic needs an exact scalar operand, not %r"
+
 
 def _canon_coeff(c: Coeff) -> Coeff:
     if type(c) is Fraction and c.denominator == 1:
@@ -195,12 +198,10 @@ class Poly:
         return Poly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
+            if isinstance(other, RatFunc):
+                return other + self
             other = Poly.const(other)
-        elif isinstance(other, RatFunc):
-            return other + self
-        elif not isinstance(other, Poly):
-            return NotImplemented
         vars, t1, t2 = self._aligned_with(other)
         out = dict(t1)
         for e, c in t2.items():
@@ -214,25 +215,24 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly, RatFunc)):
-            return self + (-other)
-        return NotImplemented
+        if not isinstance(other, (Poly, RatFunc)):
+            other = _exact_scalar(other, _OPERAND)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _canon_coeff(other)
+        if type(other) is not int and not isinstance(other, Poly):
+            if isinstance(other, RatFunc):
+                return other * self
+            other = _canon_coeff(_exact_scalar(other, _OPERAND))
+        if type(other) is not Poly:
             if other == 0:
                 return _ZERO
             if other == 1:
                 return self
             return Poly(self.vars, {e: _canon_coeff(c * other) for e, c in self.terms.items()})
-        if isinstance(other, RatFunc):
-            return other * self
-        if not isinstance(other, Poly):
-            return NotImplemented
         if self.is_zero or other.is_zero:
             return _ZERO
         if self.is_const:
@@ -260,20 +260,17 @@ class Poly:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * (Fraction(1) / Fraction(other))
         if isinstance(other, Poly):
             return RatFunc(self, other)
         if isinstance(other, RatFunc):
             return RatFunc(self, _ONE) / other
-        return NotImplemented
+        other = _exact_scalar(other, _OPERAND)
+        if other == 0:
+            raise ZeroDivisionError("division of polynomial by zero scalar")
+        return self * (Fraction(1) / Fraction(other))
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(Poly.const(other), self)
-        return NotImplemented
+        return RatFunc(Poly.const(other), self)
 
     # -- calculus / structure ---------------------------------------------------
 
@@ -1108,6 +1105,53 @@ def exact_sqrt(x):
     return is_perfect_square(x) if type(x) is int else sqrt_fraction(x)
 
 
+def _split(x):
+    """(numerator, denominator) of one exact value over its base ring."""
+    t = type(x)
+    if t is int:
+        return x, 1
+    if t is Fraction:
+        return x.numerator, x.denominator
+    if t is RatFunc:
+        return x.num, x.den
+    if t is Poly:
+        return x, 1
+    x = _exact_scalar(x, "not an exact value: %r")
+    return (x, 1) if type(x) is int else (x.numerator, x.denominator)
+
+
+def _parts(*values):
+    """The values as numerators over one denominator: (n_1, ..., n_k, d)
+    with values[i] = n_i / d, over their base ring.
+
+    The ring is int when every denominator is an int (the values are ints,
+    Fractions or Polys), and d is then their lcm; otherwise it is Poly, and
+    d is a common multiple of the denominators taken by poly_gcd.  d is
+    positive, or has a positive leading coefficient.  Formulas run on the
+    n_i and d with no gcd per operation, and _quotient reduces each result
+    once.  Any other value goes through exactnum's rule for exact scalars:
+    integer types convert, and bool, floats and the rest raise DomainError.
+    """
+    nums, dens = zip(*map(_split, values))
+    if all(type(d) is int for d in dens):
+        den = math.lcm(*dens)
+        return (*[n if d == den else n * (den // d) for n, d in zip(nums, dens)], den)
+    dens = [d if type(d) is Poly else Poly.const(d) for d in dens]
+    den = _ONE
+    for d in dens:
+        if d != den and d != _ONE:
+            den = d if den == _ONE else den * _divexact(d, poly_gcd(den, d))
+    return (*[n if d == den else n * (den if d == _ONE else _divexact(den, d)) for n, d in zip(nums, dens)], den)
+
+
+def _quotient(num, den):
+    """num / den for a nonzero den, the inverse of _parts, reduced once: a
+    Fraction of ints, a Poly over an int den, else a RatFunc."""
+    if type(den) is int:
+        return Fraction(num, den) if type(num) is int else num * Fraction(1, den)
+    return RatFunc(num, den)
+
+
 # ---------------------------------------------------------------------------
 # Rational functions
 # ---------------------------------------------------------------------------
@@ -1141,14 +1185,14 @@ class RatFunc:
         return obj
 
     @staticmethod
-    def _coerce(x) -> "RatFunc | None":
+    def _coerce(x) -> "RatFunc":
+        """x as a RatFunc; a scalar by exactnum's rule (bool, floats, ...
+        raise DomainError)."""
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, Poly):
             return RatFunc(x)
-        if isinstance(x, (int, Fraction)):
-            return RatFunc(Poly.const(x))
-        return None
+        return RatFunc(Poly.const(_exact_scalar(x, _OPERAND)))
 
     @property
     def is_zero(self) -> bool:
@@ -1158,9 +1202,9 @@ class RatFunc:
         return not self.num.is_zero
 
     def __eq__(self, other):
-        o = RatFunc._coerce(other)
-        if o is None:
+        if not isinstance(other, (RatFunc, Poly, int, Fraction)):
             return NotImplemented
+        o = RatFunc._coerce(other)
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
@@ -1171,8 +1215,6 @@ class RatFunc:
 
     def __add__(self, other):
         o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
         g = poly_gcd(self.den, o.den)
         if g.is_const:
             # with coprime denominators the sum is in lowest terms
@@ -1193,8 +1235,6 @@ class RatFunc:
 
     def __sub__(self, other):
         o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
@@ -1202,8 +1242,6 @@ class RatFunc:
 
     def __mul__(self, other):
         o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
         if self.is_zero or o.is_zero:
             return _RF_ZERO
         g1 = poly_gcd(self.num, o.den)
@@ -1219,16 +1257,12 @@ class RatFunc:
 
     def __truediv__(self, other):
         o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
         if o.is_zero:
             raise PoleError("division by zero rational function")
         return self * o._inverse()
 
     def __rtruediv__(self, other):
         o = RatFunc._coerce(other)
-        if o is None:
-            return NotImplemented
         return o / self
 
     def __pow__(self, n: int):
@@ -1314,9 +1348,9 @@ _RF_ZERO = RatFunc._raw(_ZERO, _ONE)
 
 
 def canonical_sort_key(x) -> tuple:
-    """Deterministic ordering key for Poly/RatFunc values."""
+    """Deterministic ordering key for Poly/RatFunc values; scalars by value."""
     if isinstance(x, Poly):
         return (x.total_degree(), 0, x.render())
     if isinstance(x, RatFunc):
         return (x.num.total_degree(), x.den.total_degree(), x.render())
-    return (-1, 0, str(x))
+    return (-1, x, "")

@@ -18,8 +18,8 @@ from .errors import (
     DomainError,
     ExcludedBranchError,
 )
-from .exactnum import TwoSquares, _fraction, _integer, is_perfect_square, promote_int, squarefree_decompose
-from .multipoly import canonical_sort_key, exact_sqrt
+from .exactnum import TwoSquares, _fraction, _integer, is_perfect_square, squarefree_decompose
+from .multipoly import _parts, _quotient, canonical_sort_key, exact_sqrt
 
 __all__ = [
     "Triad",
@@ -141,22 +141,19 @@ def canonicalize(t: Triad) -> Triad:
 
 
 def rational_to_integer_triad(ra: Fraction, rb: Fraction, rc: Fraction) -> Triad:
-    """Scale a positive rational triple by the least square making it integral.
+    """Scale a positive rational triple by a square making it integral.
 
-    The scale k^2 preserves squareness of all three symmetric functions, so
-    the result verifies exactly when the rational triple did.  The triad is
-    canonicalized before being returned.
+    The scale k^2, with k the lcm of the denominators, preserves squareness
+    of all three symmetric functions, so the result verifies exactly when
+    the rational triple did.  canonicalize then strips the largest square
+    from the gcd; the integral square multiple with a squarefree gcd is
+    unique, so this is the triad of the least such scale.
     """
     ra, rb, rc = _fraction(ra), _fraction(rb), _fraction(rc)
     if ra <= 0 or rb <= 0 or rc <= 0:
         raise DomainError("rational triple must be strictly positive")
-    k = 1
-    for x in (ra, rb, rc):
-        kernel, root = squarefree_decompose(x.denominator)
-        clear = kernel * root
-        k = k * clear // math.gcd(k, clear)
-    k2 = k * k
-    return canonicalize(Triad(int(ra * k2), int(rb * k2), int(rc * k2)))
+    k = math.lcm(ra.denominator, rb.denominator, rc.denominator)
+    return canonicalize(Triad(*[x.numerator * (k // x.denominator) * k for x in (ra, rb, rc)]))
 
 
 def _divisors_sorted(n: int) -> list[int]:
@@ -229,18 +226,16 @@ def quad_in_x(s, t, u):
     """Coefficients (A, B, C) of the quadratic in x produced by the reduction.
 
     A = t^2, B = -s(s^3 - 2 s^2 u + s t^2 + s u^2 - 2 t^2 u), C = u^2 t^2 (s^2 + t^2).
-    Works over any exact domain (rationals or rational functions).
+    Works over any exact domain (rationals or rational functions).  A, B and
+    C are homogeneous of degrees 2, 4 and 6, so at s, t, u = a/d, b/d, c/d
+    they are A(a, b, c) / d^2, B(a, b, c) / d^4 and C(a, b, c) / d^6.
     """
-    A = t * t
-    B = -s * (s**3 - 2 * s * s * u + s * t * t + s * u * u - 2 * t * t * u)
-    C = u * u * t * t * (s * s + t * t)
-    return A, B, C
-
-
-def _sort_pair(x1, x2):
-    if isinstance(x1, Fraction) and isinstance(x2, Fraction):
-        return (x1, x2) if x1 <= x2 else (x2, x1)
-    return tuple(sorted((x1, x2), key=canonical_sort_key))
+    a, b, c, d = _parts(s, t, u)
+    d2 = d * d
+    A = b * b
+    B = -a * (a**3 - 2 * a * a * c + a * b * b + a * c * c - 2 * b * b * c)
+    C = c * c * b * b * (a * a + b * b)
+    return _quotient(A, d2), _quotient(B, d2 * d2), _quotient(C, d2 * d2 * d2)
 
 
 def quad_root_numerators(A, B, C):
@@ -253,14 +248,17 @@ def quad_root_numerators(A, B, C):
 
 
 def roots_quad(A, B, C):
-    """Both roots of A x^2 + B x + C when the discriminant is a square, else None."""
+    """Both roots of A x^2 + B x + C when the discriminant is a square, else None.
+
+    The roots are those of the numerators of A, B and C over one denominator.
+    """
     if A == 0:
         raise DegenerateParameterError("leading coefficient of quadratic vanishes")
-    A = promote_int(A)
-    nums = quad_root_numerators(A, B, C)
+    a, b, c, _ = _parts(A, B, C)
+    nums = quad_root_numerators(a, b, c)
     if nums is None:
         return None
-    return _sort_pair(nums[0] / (2 * A), nums[1] / (2 * A))
+    return tuple(sorted((_quotient(nums[0], 2 * a), _quotient(nums[1], 2 * a)), key=canonical_sort_key))
 
 
 def is_sum_two_rational_squares(x: Fraction) -> TwoSquares | None:

@@ -20,7 +20,7 @@ from squaretriads import exactnum as en
 from squaretriads.errors import DomainError
 from squaretriads.families import gensol1_pipeline
 from squaretriads.multipoly import Poly, RatFunc, evaluate, exact_sqrt, substitute, var
-from squaretriads.quartic import euler_quartic
+from squaretriads.quartic import QuarticModel, QuarticPoint, euler_quartic
 from squaretriads.triads import CubicSpec, PQParameterization, rational_to_integer_triad
 
 s = var("s")
@@ -45,6 +45,25 @@ BOUNDARIES = [
     ("euler_quartic t", lambda x: euler_quartic(1, x), False),
     ("specialize_curve", lambda x: ec.specialize_curve(ec.ecweier(), x), False),
     ("specialize_point", lambda x: ec.specialize_point(ec.point_P(), x), False),
+    # scalar operands of Poly and RatFunc arithmetic, on either side
+    ("Poly * x", lambda x: s * x, False),
+    ("x * Poly", lambda x: x * s, False),
+    ("Poly + x", lambda x: s + x, False),
+    ("x - Poly", lambda x: x - s, False),
+    ("Poly / x", lambda x: s / x, False),
+    ("x / Poly", lambda x: x / s, False),
+    ("RatFunc * x", lambda x: RatFunc(s) * x, False),
+    ("x * RatFunc", lambda x: x * RatFunc(s), False),
+    ("RatFunc - x", lambda x: RatFunc(s) - x, False),
+    ("RatFunc / x", lambda x: RatFunc(s) / x, False),
+    # the curve and quartic containers and the quartic's own formulas
+    ("QuarticModel", lambda x: QuarticModel(x, 1, 2, 4), False),
+    ("QuarticModel.rhs", lambda x: QuarticModel(1, 1, 2, 4).rhs(x), False),
+    ("QuarticPoint u", lambda x: QuarticPoint(x, 1), False),
+    ("QuarticPoint v", lambda x: QuarticPoint(0, x), False),
+    ("WeierstrassModel", lambda x: ec.WeierstrassModel(x, 1), False),
+    ("ECPoint x", lambda x: ec.ECPoint(x, 1), False),
+    ("ECPoint y", lambda x: ec.ECPoint(1, x), False),
 ]
 
 REFUSED = [True, False, 2.0, np.float64(2), "2", None]
@@ -89,3 +108,18 @@ def test_every_boundary_follows_the_one_rule():
             if got != expected or _numpy_values(got):
                 problems.append("%s(%r) gave %r" % (name, t(2), got))
     assert problems == []
+
+
+def test_containers_compute_exactly():
+    # a float coefficient was computed in floats: QuarticModel(0.5, 1, 2, 4)
+    # .rhs(0.25) gave 4.57421875, and ec_add on float points a float point
+    with pytest.raises(DomainError):
+        QuarticModel(0.5, 1, 2, 4).rhs(0.25)
+    with pytest.raises(DomainError):
+        ec.WeierstrassModel(0.5, 1.0)
+    # integer coordinates are kept as Fractions, so the chord's slope is exact
+    E = ec.WeierstrassModel(0, 1)
+    doubled = ec.ec_add(E, ec.ECPoint(0, 1), ec.ECPoint(0, 1))
+    assert doubled == ec.ECPoint(0, -1) and type(doubled.x) is Fraction
+    assert ec.ECPoint(None, None).is_identity
+    assert QuarticModel(1, 1, 2, 4).rhs(Fraction(1, 2)) == Fraction(87, 16)

@@ -52,10 +52,17 @@ def test_certify_kinds_splits_the_first_requests_by_kind(capsys):
 def test_certify_kinds_totals_each_round_and_a_partial_last_one():
     script = _load("certify_kinds")
     timed = [("family", 0.001), ("witness", 0.002), ("family", 0.004)] * 3 + [("quartic", 0.008)]
-    assert script.round_totals(timed, 4, ("family", "quartic", "witness")) == [
+    rounds = script.round_totals(timed, 4, ("family", "quartic", "witness"))
+    assert [{k: v for k, v in r.items() if not k.endswith("_share")} for r in rounds] == [
         {"requests": 4, "family_ms": 6.0, "quartic_ms": 0.0, "witness_ms": 2.0},
         {"requests": 4, "family_ms": 5.0, "quartic_ms": 0.0, "witness_ms": 4.0},
         {"requests": 2, "family_ms": 4.0, "quartic_ms": 8.0, "witness_ms": 0.0},
+    ]
+    # each kind's share of the round's request time
+    assert [[r[k + "_share"] for k in ("family", "quartic", "witness")] for r in rounds] == [
+        [0.75, 0.0, 0.25],
+        [0.5556, 0.0, 0.4444],
+        [0.3333, 0.6667, 0.0],
     ]
 
 

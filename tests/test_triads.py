@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -253,3 +254,47 @@ class TestTwoRationalSquares:
         for _, _, members in TABLE1_ROWS:
             for x in members:
                 assert is_sum_two_rational_squares(Fraction(x)) is not None
+
+
+def ref_integer_triad(ra, rb, rc):
+    """The least k with k^2 r integral for every member, found from the
+    denominators' factorizations, then the square stripped from the gcd."""
+    from squaretriads.exactnum import factorize
+
+    k = 1
+    for x in (ra, rb, rc):
+        need = 1
+        for p, e in factorize(x.denominator).items():
+            need *= p ** ((e + 1) // 2)
+        k = k * need // math.gcd(k, need)
+    members = [x * k * k for x in (ra, rb, rc)]
+    assert all(m.denominator == 1 for m in members)
+    return canonicalize(Triad(*[int(m) for m in members]))
+
+
+def test_rational_to_integer_triad_is_the_least_square_scale():
+    """Denominators with square factors, and members sharing them, against
+    the least square scale; the lcm scale of the library may be larger."""
+    rng = random.Random(77)
+    primes = (2, 3, 5, 7, 11, 13)
+
+    def den():
+        d = 1
+        for p in rng.sample(primes, rng.randint(0, 3)):
+            d *= p ** rng.randint(1, 4)
+        return d
+
+    scaled = 0
+    for _ in range(400):
+        common = den()
+        triple = [Fraction(rng.randint(1, 10**4), common * den()) for _ in range(3)]
+        got = rational_to_integer_triad(*triple)
+        assert got == ref_integer_triad(*triple), triple
+        assert all(type(m) is int for m in got.members())
+        scaled += math.lcm(*[x.denominator for x in triple]) > 1
+    assert scaled > 300
+    # a triad divided by a square comes back, whatever its denominators share
+    for t in (Triad(45, 64, 180), Triad(80, 225, 320), Triad(81, 784, 186624)):
+        for q in (2, 6, 12, 35):
+            rational = [Fraction(m, q * q) for m in t.members()]
+            assert rational_to_integer_triad(*rational) == canonicalize(t)
