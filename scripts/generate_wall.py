@@ -29,16 +29,24 @@ print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_max
 """
 
 
-def measure(k: int) -> dict:
-    """{"k", "wall_s", "peak_rss_mb"} of one fresh process that builds generate_family(k)."""
+def fresh_process(child: str, arg: int, what: str) -> tuple[float, dict]:
+    """Run the code child with argument arg in a new interpreter that imports
+    squaretriads from src/; returns its wall time as seen from here and the
+    JSON object on its last output line.  A failed child raises RuntimeError
+    naming what."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", CHILD, str(k)], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", child, str(arg)], env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
     if done.returncode != 0:
-        raise RuntimeError("generate_family(%d) failed:\n%s" % (k, done.stderr))
-    child = json.loads(done.stdout.splitlines()[-1])
+        raise RuntimeError("%s failed:\n%s" % (what, done.stderr))
+    return wall, json.loads(done.stdout.splitlines()[-1])
+
+
+def measure(k: int) -> dict:
+    """{"k", "wall_s", "peak_rss_mb"} of one fresh process that builds generate_family(k)."""
+    wall, child = fresh_process(CHILD, k, "generate_family(%d)" % k)
     return {"k": k, "wall_s": round(wall, 3), "peak_rss_mb": round(child["peak_rss_mb"], 1)}
 
 

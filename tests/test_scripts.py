@@ -32,6 +32,27 @@ def test_generate_wall_rejects_a_bad_k(capsys):
     assert script.main(["two"]) == 2
 
 
+def test_search_wall_reports_one_fresh_process_per_bound(capsys):
+    script = _load("search_wall")
+    # two child processes; bound 300 holds the two triads (45, 64, 180) and (72, 136, 153)
+    assert script.main(["64", "300"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert [(run["bound"], run["triads"]) for run in line["search"]] == [(64, 0), (300, 2)]
+    for run in line["search"]:
+        assert 0 < run["search_s"] < run["wall_s"] and run["peak_rss_mb"] > 0
+    assert {"python", "cpus", "machine"} <= set(line)
+
+
+def test_search_wall_rejects_a_bad_bound(capsys):
+    script = _load("search_wall")
+    assert script.main([]) == 2
+    assert script.main(["0"]) == 2
+    assert script.main(["5e3"]) == 2
+    # a bound SearchConfig refuses fails in the child, with exit code 1
+    assert script.main([str(10**9)]) == 1
+    assert "too large" in capsys.readouterr().err
+
+
 def test_certify_kinds_splits_the_first_requests_by_kind(capsys):
     script = _load("certify_kinds")
     assert script.main(["1", "30"]) == 0

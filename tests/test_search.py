@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from squaretriads import search as sr
 from squaretriads.errors import DomainError, VerificationError
-from squaretriads.exactnum import squarefree_decompose
+from squaretriads.exactnum import factorize, squarefree_decompose
 from squaretriads.triads import Triad, verify_triad
 
 EXPECTED_TRIADS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_triads.json"
@@ -42,15 +42,30 @@ def inline_pool(monkeypatch):
     return pools
 
 
-def _square_product_triples(n):
-    """Brute force: every a <= b <= c <= n with abc a square."""
-    b, c = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
+def _sums_of_two_squares(n):
+    """Brute force: every x**2 + y**2 <= n, by a direct search over x and y."""
+    return {x * x + y * y for x in range(math.isqrt(n) + 1) for y in range(math.isqrt(n - x * x) + 1)}
+
+
+def _two_squares_product_triples(n):
+    """Brute force: every a <= b <= c <= n with abc a square and each of a, b, c a sum of two squares."""
+    two = np.array(sorted(_sums_of_two_squares(n) - {0}))
+    b, c = np.meshgrid(two, two, indexing="ij")
     out = set()
-    for a in range(1, n + 1):
+    for a in two.tolist():
         p = a * b * c
         hit = (np.rint(np.sqrt(p)).astype(np.int64) ** 2 == p) & (a <= b) & (b <= c)
         out.update((a, y, z) for y, z in zip(b[hit].tolist(), c[hit].tolist()))
     return out
+
+
+def _known_triads():
+    """Triads from the naive oracle, the corpus, Table 1 and the benchmark's expected list."""
+    found = [t.members() for t in sr.naive_search(400)]
+    found += [tuple(sorted(t)) for t in sr.CORPUS_TRIADS]
+    found += [tuple(sorted(row)) for _, _, row in sr.TABLE1_ROWS]
+    found += [tuple(t) for t in json.loads(EXPECTED_TRIADS.read_text())]
+    return sorted(set(found))
 
 
 class TestSearch:
@@ -162,6 +177,14 @@ class TestSearch:
         assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
         assert [pool.max_workers for pool in inline_pool] == [3]
 
+    @pytest.mark.parametrize("bound, workers", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
+    def test_u_ranges_tile_the_bound_with_u_1_alone(self, bound, workers):
+        # u = 1 holds most candidates, so it is a chunk of its own
+        chunks = sr._u_ranges(bound, workers)
+        assert chunks[0] == (1, 2, bound)
+        assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(chunks, chunks[1:]))
+        assert chunks[-1][1:] == (bound + 1, bound) and len(chunks) <= 2 * workers + 1
+
     @pytest.mark.parametrize("bound", [5000, 10_000])
     def test_expected_triads_serial_and_pooled(self, bound, inline_pool, monkeypatch):
         listed = [tuple(t) for t in json.loads(EXPECTED_TRIADS.read_text()) if t[2] <= bound]
@@ -188,14 +211,36 @@ class TestKernel:
         "n, batch", [(n, sr._CANDIDATE_BATCH) for n in range(1, 61)] + [(300, sr._CANDIDATE_BATCH), (300, 5)]
     )
     def test_candidates_are_the_square_product_triples(self, n, batch, monkeypatch):
-        # every a <= b <= c <= n with abc square, each once, before any square
-        # test; 5-element slices split long ranges on every level between batches
+        # every a <= b <= c <= n with abc square and each member a sum of two
+        # squares, each once, before any square test; 5-element slices split
+        # long ranges on every level between batches
         monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
         batches = list(sr._candidates(sr._kernel_sieve(n), 1, n + 1))
         assert all(a.size <= batch for a, _, _ in batches)
         got = [t for rows in batches for t in zip(*(x.tolist() for x in rows))]
         assert len(got) == len(set(got))
-        assert set(got) == _square_product_triples(n)
+        assert set(got) == _two_squares_product_triples(n)
+
+    def test_two_squares_table(self):
+        n = 2000
+        table = sr._two_squares(n)
+        assert set(np.flatnonzero(table).tolist()) == _sums_of_two_squares(n)
+        kernels = sr._kernel_sieve(n)
+        for m in range(1, n + 1):
+            # any divisor = 3 (mod 4) has a prime factor = 3 (mod 4)
+            if kernels[m] == m:
+                assert table[m] == all(m % p for p in range(3, m + 1, 4)), m
+
+    def test_triad_members_are_sums_of_two_squares(self):
+        # the fact the candidate mask rests on, checked apart from the search
+        triads = _known_triads()
+        assert (252782198228, 1633780814400, 3474741058973) in triads
+        for triad in triads:
+            cert = verify_triad(Triad(*triad))
+            assert cert is not None, triad
+            for a in triad:
+                assert a * (a * a + cert.g**2) == (a * cert.f) ** 2 + cert.h**2
+                assert all(e % 2 == 0 for p, e in factorize(a).items() if p % 4 == 3), (triad, a)
 
     def test_float_square_tests_exact_below_2_53(self):
         top = math.isqrt(2**53 - 1)
