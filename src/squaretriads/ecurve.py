@@ -162,56 +162,97 @@ def point_P() -> ECPoint:
     return ECPoint(X, Y)
 
 
-def _quartic_u(X, Y, m, z=1):
-    """(U, den): U of the birational image of the point (X/z^2, Y/z^3), and
-    den = 6z(X - 12(2m^4 + 3m^2 + 1)z^2).
+def _weighted_uw(x, y, m, z):
+    """(u, w) with U = u/w the U-coordinate of the curve point (x/z^2, y/z^3):
 
-    U = (6(m^2+1)Xz + mY + 72(m^6 + m^4 - m^2 - 1)z^3) / den.  z = 1 is the
-    affine map; Jacobian coordinates in Z[m] give U as one quotient of
-    polynomials.  The powers of z multiply the integer coefficients first,
-    so z = 1 costs no extra operation on X, Y or m.
+        u = 6(m^2+1)xz + my + 72(m^6 + m^4 - m^2 - 1)z^3,
+        w = 6z(x - 12(2m^4 + 3m^2 + 1)z^2).
+
+    In Jacobian coordinates, which have weights (2, 3, 1), the map is
+    polynomial (Washington, Elliptic Curves, section 2.6); w = 0 is its pole
+    line.  The powers of z multiply the integer coefficients first, so z = 1
+    costs no extra operation on x, y or m.
     """
     z2 = z * z
-    den = promote_int(6 * z * (X - 12 * z2 * (2 * m**4 + 3 * m * m + 1)))
-    if den == 0:
+    w = 6 * z * (x - 12 * z2 * (2 * m**4 + 3 * m * m + 1))
+    u = 6 * z * (m * m + 1) * x + m * y + 72 * z2 * z * (m**6 + m**4 - m * m - 1)
+    return u, w
+
+
+def _weighted_v(x, y, m, z):
+    """v with V = v/w^2 the V-coordinate of the curve point (x/z^2, y/z^3),
+    w as in _weighted_uw:
+
+        v = m^2 (2x^3 - 36(2m^2+1)(m^2+1)x^2 z^2 - y^2 - 432m(m^2+1)^2 y z^3
+                 + 1728(m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1) z^6).
+    """
+    m2, m1, z2 = m * m, m * m + 1, z * z
+    z3 = z2 * z
+    return m2 * (
+        2 * x**3
+        - 36 * (2 * m2 + 1) * m1 * z2 * x * x
+        - y * y
+        - 432 * m * m1 * m1 * z3 * y
+        + 1728 * m1**3 * (8 * m2**3 - 15 * m2 * m2 - 21 * m2 + 1) * z3 * z3
+    )
+
+
+def _weighted_xyz(u, v, m, w):
+    """(x, y, z) with (x/z^2, y/z^3) the curve point of the quartic point
+    (u/w, v/w^2), weights (1, 2, 1):
+
+        x = 6(3u^2 - 6(m^2+1)uw + 3v - cw^2),
+        y = 108(u^3 - 3(m^2+1)u^2 w + uv - cuw^2 - (m^2+1)vw - (m^2+1)^2 w^3),
+        z = mw,
+
+    with c = (m^2+1)(2m^4 - 2m^2 - 3); z = 0 at m = 0.
+    """
+    m1 = m * m + 1
+    c = m1 * (2 * m**4 - 2 * m * m - 3)
+    cw2 = c * w * w
+    x = 6 * (3 * u * u - 6 * m1 * w * u + 3 * v - cw2)
+    y = 108 * (u * (u * u - 3 * m1 * w * u + v - cw2) - m1 * w * (v + m1 * w * w))
+    return x, y, m * w
+
+
+def _quartic_u(X, Y, m, z=1):
+    """(U, w): U = u/w of _weighted_uw, reduced once, and w.
+
+    z = 1 is the affine map; w = 0 raises PoleError.
+    """
+    u, w = _weighted_uw(X, Y, m, z)
+    w = promote_int(w)
+    if w == 0:
         raise PoleError("X lies on the pole line of the birational map")
-    num = 6 * z * (m * m + 1) * X + m * Y + 72 * z2 * z * (m**6 + m**4 - m * m - 1)
-    return num / den, den
+    return u / w, w
 
 
 def xy_to_quartic(X, Y, m):
     """(U, V) image of a curve point under the birational map.
 
-    U is _quartic_u's, and
+    (U, V) = (u/w, v/w^2), with the weighted formulas of _weighted_uw and
+    _weighted_v at z = 1, each reduced once:
+    U = (6(m^2+1)X + mY + 72(m^6 + m^4 - m^2 - 1)) / w,
     V = (2m^2 X^3 - 36m^2(2m^2+1)(m^2+1)X^2 - m^2 Y^2 - 432 m^3 (m^2+1)^2 Y
-         + 1728 m^2 (m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1)) / den^2.
+         + 1728 m^2 (m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1)) / w^2,
+    w = 6(X - 12(2m^4 + 3m^2 + 1)); w = 0 raises PoleError.
     """
-    U, den = _quartic_u(X, Y, m)
-    m1 = m * m + 1
-    V = (
-        2 * m * m * X**3
-        - 36 * m * m * (2 * m * m + 1) * m1 * X * X
-        - m * m * Y * Y
-        - 432 * m**3 * m1 * m1 * Y
-        + 1728 * m * m * m1**3 * (8 * m**6 - 15 * m**4 - 21 * m * m + 1)
-    ) / (den * den)
-    return U, V
+    U, w = _quartic_u(X, Y, m)
+    return U, _weighted_v(X, Y, m, 1) / (w * w)
 
 
 def quartic_to_xy(U, V, m):
     """(X, Y) image of a quartic-model point; pole at m = 0.
 
+    (X, Y) = (x/z^2, y/z^3), with the weighted formulas of _weighted_xyz at
+    w = 1 (so z = m), each reduced once:
     X = 6(3U^2 - (6m^2+6)U + 3V - (m^2+1)(2m^4-2m^2-3)) / m^2,
     Y = 108(U^3 - (3m^2+3)U^2 + UV - (m^2+1)(2m^4-2m^2-3)U - (m^2+1)V - (m^2+1)^2) / m^3.
     """
     if m == 0:
         raise PoleError("the map back to the curve has a pole at m = 0")
-    m = promote_int(m)
-    m1 = m * m + 1
-    c = m1 * (2 * m**4 - 2 * m * m - 3)
-    X = 6 * (3 * U * U - 6 * m1 * U + 3 * V - c) / (m * m)
-    Y = 108 * (U**3 - 3 * m1 * U * U + U * V - c * U - m1 * V - m1 * m1) / (m**3)
-    return X, Y
+    x, y, z = _weighted_xyz(U, V, promote_int(m), 1)
+    return x / (z * z), y / z**3
 
 
 def specialize_curve(E: WeierstrassModel, m_val: Fraction) -> WeierstrassModel:
@@ -424,6 +465,24 @@ def generate_family(k: int) -> ParametricFamily:
 
 # ---------------------------------------------------------------------------
 # Symbolic round-trip identities modulo the curve relations
+#
+# Both trips compose the weighted formulas over Z[m] and never divide:
+#
+#     (x, y, z) -> (u, v, w):  u = 6(m^2+1)xz + my + 72(m^6 + m^4 - m^2 - 1)z^3,
+#                              v = m^2 (2x^3 - 36(2m^2+1)(m^2+1)x^2 z^2 - y^2
+#                                       - 432m(m^2+1)^2 y z^3
+#                                       + 1728(m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1) z^6),
+#                              w = 6z(x - 12(2m^4 + 3m^2 + 1)z^2),
+#     (u, v, w) -> (x, y, z):  x = 6(3u^2 - 6(m^2+1)uw + 3v - cw^2),
+#                              y = 108(u^3 - 3(m^2+1)u^2 w + uv - cuw^2 - (m^2+1)vw - (m^2+1)^2 w^3),
+#                              z = mw,
+#
+# with c = (m^2+1)(2m^4 - 2m^2 - 3), (X, Y) = (x/z^2, y/z^3) and
+# (U, V) = (u/w, v/w^2).  A trip from (X, Y, 1) is the identity when
+# x' = X z'^2 and y' = Y z'^3 modulo Y^2 = X^3 + AX + B, and one from
+# (U, V, 1) when u' = U w' and v' = V w'^2 modulo V^2 = phi(1, m, U);
+# reduced to degree <= 1 in Y or V, the differences are zero polynomials.
+# So no rational function, and no gcd, is built on the way.
 # ---------------------------------------------------------------------------
 
 
@@ -439,24 +498,36 @@ def _reduce_mod_relation(p: Poly, sq_var: str, rhs: Poly) -> Poly:
     return out
 
 
-def _roundtrip(there, back, names: tuple[str, str], rhs: RatFunc) -> bool:
-    """back(there(a, b)) == (a, b) modulo b^2 = rhs, a polynomial in a and m."""
-    a, b, M = RatFunc(var(names[0])), RatFunc(var(names[1])), RatFunc(var("m"))
-    a2, b2 = back(*there(a, b, M), M)
-    for before, after in ((a, a2), (b, b2)):
-        diff = after - before
-        if not _reduce_mod_relation(diff.num, names[1], rhs.num).is_zero:
-            return False
-        if _reduce_mod_relation(diff.den, names[1], rhs.num).is_zero:
-            raise VerificationError("round-trip denominator vanishes on the curve")
-    return True
+def _identity_mod(pairs, h, sq_var: str, rhs: Poly) -> bool:
+    """after == before * h^weight for each (after, before, weight) in pairs,
+    modulo sq_var^2 = rhs; h must not vanish there."""
+    if _reduce_mod_relation(h, sq_var, rhs).is_zero:
+        raise VerificationError("round-trip denominator vanishes on the curve")
+    return all(
+        _reduce_mod_relation(after - before * h**weight, sq_var, rhs).is_zero for after, before, weight in pairs
+    )
 
 
 def roundtrip_identity_xy() -> bool:
-    """(X, Y) -> (U, V) -> (X, Y) is the identity modulo Y^2 = X^3 + AX + B."""
-    return _roundtrip(xy_to_quartic, quartic_to_xy, ("X", "Y"), ecweier().rhs(RatFunc(var("X"))))
+    """(X, Y) -> (U, V) -> (X, Y) is the identity modulo Y^2 = X^3 + AX + B.
+
+    (X, Y, 1) -> (u, v, w) -> (x', y', z') in weighted coordinates, and
+    x' = X z'^2, y' = Y z'^3 on the curve.
+    """
+    E, X, Y, m = ecweier(), var("X"), var("Y"), var("m")
+    u, w = _weighted_uw(X, Y, m, 1)
+    x, y, z = _weighted_xyz(u, _weighted_v(X, Y, m, 1), m, w)
+    # A and B are polynomials in m (denominator 1)
+    return _identity_mod(((x, X, 2), (y, Y, 3)), z, "Y", X**3 + E.A.num * X + E.B.num)
 
 
 def roundtrip_identity_uv() -> bool:
-    """(U, V) -> (X, Y) -> (U, V) is the identity modulo V^2 = quartic(U)."""
-    return _roundtrip(quartic_to_xy, xy_to_quartic, ("U", "V"), phi(1, RatFunc(var("m")), RatFunc(var("U"))))
+    """(U, V) -> (X, Y) -> (U, V) is the identity modulo V^2 = quartic(U).
+
+    (U, V, 1) -> (x, y, z) -> (u', v', w') in weighted coordinates, and
+    u' = U w', v' = V w'^2 on the quartic model.
+    """
+    U, V, m = var("U"), var("V"), var("m")
+    x, y, z = _weighted_xyz(U, V, m, 1)
+    u, w = _weighted_uw(x, y, m, z)
+    return _identity_mod(((u, U, 1), (_weighted_v(x, y, m, z), V, 2)), w, "V", phi(1, m, U))

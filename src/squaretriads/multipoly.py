@@ -406,26 +406,28 @@ def const(c: Scalar) -> Poly:
 
 # The largest such image the test suite builds has 9025 slots (a seeded
 # sympy comparison in (m, s, t)); the largest in a generator run, in the
-# symbolic round trips, has 532.  2^18 leaves a margin of about 30x over
-# these, and a product at the limit still takes about 0.15 s and 15 MB,
-# where squaring s^60 t^60 m^60 + s + 1 (121^3 = 1.8 M slots) took 1.5 s
-# and 186 MB.
+# symbolic (U, V) round trip, has 532 (the (X, Y) trip's has 315).  2^18
+# leaves a margin of about 30x over these, and a product at the limit still
+# takes about 0.15 s and 15 MB, where squaring s^60 t^60 m^60 + s + 1
+# (121^3 = 1.8 M slots) took 1.5 s and 186 MB.
 _MAX_IMAGE_SLOTS = 1 << 18
 
 
 def _list_map(ps: tuple[Poly, ...], sized: tuple[Poly, ...]):
     """(vars, radix, hom) of the image that ps share (see above).
 
-    vars are the variables of ps together and D_i = 1 + the sum of the
-    degrees in vars[i] of the polynomials in sized; hom is true when ps are
-    forms in two variables, whose first variable leaves the image.  An
-    image in several variables with more than _MAX_IMAGE_SLOTS slots raises
-    ImageTooLargeError.
+    vars are the variables of ps together; hom is true when ps are forms in
+    two variables, whose first variable leaves the image.  radix is None
+    for a one-variable image, which is the polynomial itself; otherwise
+    D_i = 1 + the sum of the degrees in vars[i] of the polynomials in
+    sized, and more than _MAX_IMAGE_SLOTS slots raise ImageTooLargeError.
     """
     vars = _union_vars(*ps)
     hom = len(vars) == 2 and all(p.is_homogeneous() for p in ps)
+    if hom or len(vars) == 1:
+        return vars, None, hom
     radix = [1 + sum(p.degree_in(v) for p in sized) for v in vars]
-    if len(vars) > 1 and not hom and math.prod(radix) > _MAX_IMAGE_SLOTS:
+    if math.prod(radix) > _MAX_IMAGE_SLOTS:
         raise ImageTooLargeError(
             "polynomial image needs %d slots, above the limit of %d" % (math.prod(radix), _MAX_IMAGE_SLOTS)
         )
@@ -437,7 +439,13 @@ def _form_degree(p: Poly) -> int:
     return sum(next(iter(p.terms)))
 
 
-def _to_list(p: Poly, vars: tuple[str, ...], radix: list[int], hom: bool) -> tuple[int, list[Coeff]]:
+def _list_degrees(p: Poly, low: int, L: list[Coeff], hom: bool) -> tuple[int, ...]:
+    """p's degree in each variable of its one-variable image z^low * sum L[i] z^i."""
+    top = low + len(L) - 1
+    return (_form_degree(p) - low, top) if hom else (top,)
+
+
+def _to_list(p: Poly, vars: tuple[str, ...], radix: list[int] | None, hom: bool) -> tuple[int, list[Coeff]]:
     """(low, L) with image(p) = z^low * sum L[i] z^i, for nonzero p (see above)."""
     terms = _embed(p, vars)
     if hom or len(vars) == 1:
@@ -452,7 +460,7 @@ def _to_list(p: Poly, vars: tuple[str, ...], radix: list[int], hom: bool) -> tup
     return low, L
 
 
-def _from_list(vars: tuple[str, ...], radix: list[int], d: int | None, low: int, L: list[Coeff]) -> Poly:
+def _from_list(vars: tuple[str, ...], radix: list[int] | None, d: int | None, low: int, L: list[Coeff]) -> Poly:
     """The polynomial whose image is z^low * sum L[i] z^i.
 
     d is its total degree when it is a form whose first variable left the
@@ -603,10 +611,14 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
         inv = Fraction(1) / Fraction(b.terms[()])
         return a * inv
     vars, radix, hom = _list_map((a, b), (a,))
-    if any(b.degree_in(v) >= r for v, r in zip(vars, radix)):
+    # no degree of b may exceed a's: the radix holds a's, and a one-variable
+    # image's lists give them
+    if radix is not None and any(b.degree_in(v) >= r for v, r in zip(vars, radix)):
         return None
     la, A = _to_list(a, vars, radix, hom)
     lb, B = _to_list(b, vars, radix, hom)
+    if radix is None and any(db > da for da, db in zip(_list_degrees(a, la, A, hom), _list_degrees(b, lb, B, hom))):
+        return None
     low = la - lb
     d = _form_degree(a) - _form_degree(b) if hom else None
     # the quotient's exponents are >= 0: of z, and for forms of both variables
@@ -857,15 +869,15 @@ def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
             return cand
 
 
-def _gcd_list(a: Poly, b: Poly, vars: tuple[str, ...], radix: list[int], hom: bool) -> Poly:
+def _gcd_list(a: Poly, b: Poly, vars: tuple[str, ...], hom: bool) -> Poly:
     """gcd of nonconstant a, b whose image has one variable.
 
     The common monomial factor is split off, and the rest is a univariate
     gcd of the images: a form p(v1, v2) of degree d is v1^d * f(v2/v1), and
     gcds commute with this substitution.
     """
-    la, A = _to_list(a, vars, radix, hom)
-    lb, B = _to_list(b, vars, radix, hom)
+    la, A = _to_list(a, vars, None, hom)
+    lb, B = _to_list(b, vars, None, hom)
     low = min(la, lb)
     g = [1]
     # a cofactor with one coefficient is a constant
@@ -877,7 +889,7 @@ def _gcd_list(a: Poly, b: Poly, vars: tuple[str, ...], radix: list[int], hom: bo
     # a form's gcd has degree len(g) - 1 + low + the exponent of v1 in the
     # common monomial factor, the smaller of a's and b's lowest
     d = len(g) + low + min(_form_degree(a) - la - len(A), _form_degree(b) - lb - len(B)) if hom else None
-    return _from_list(vars, radix, d, low, g)
+    return _from_list(vars, None, d, low, g)
 
 
 def _primitive_dict(L: list[Coeff]) -> dict[tuple[int], int]:
@@ -919,7 +931,7 @@ def _poly_gcd_core(a: Poly, b: Poly) -> Poly:
         return _ONE
     vars, radix, hom = _list_map((a, b), (a,))
     if hom or len(vars) == 1:
-        return _gcd_list(a, b, vars, radix, hom)
+        return _gcd_list(a, b, vars, hom)
     if not (set(a.vars) & set(b.vars)):
         return _ONE
     ia = a * (Fraction(1) / a.rational_content())
@@ -947,9 +959,11 @@ def poly_sqrt(p: Poly) -> Poly | None:
         return _ZERO
     vars, radix, hom = _list_map((p,), (p,))
     # a square has an even degree in every variable
-    if any(r % 2 == 0 for r in radix):
+    if radix is not None and any(r % 2 == 0 for r in radix):
         return None
     low, L = _to_list(p, vars, radix, hom)
+    if radix is None and any(d & 1 for d in _list_degrees(p, low, L, hom)):
+        return None
     root = None if low & 1 else _dense_sqrt(L)
     if root is None:
         return None

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from squaretriads import ecurve as ec
+from squaretriads import multipoly
 from squaretriads.cli import main
 from squaretriads.errors import DomainError, PipelineStepError, PoleError, VerificationError
 from squaretriads.families import family_to_json, get_family, verify_family_symbolic
@@ -21,7 +23,7 @@ from squaretriads.pipeline import (
     solution_family_polys,
     strip_common_squares,
 )
-from squaretriads.quartic import euler_quartic
+from squaretriads.quartic import euler_quartic, phi
 from squaretriads.triads import quad_in_x, quad_root_numerators
 
 
@@ -214,13 +216,35 @@ class TestDivisionValues:
             assert _line_quadratic(N, D) == expanded
 
 
+def _affine_xy_to_quartic(X, Y, m):
+    """The (X, Y) -> (U, V) map as its affine formulas, an oracle for ecurve."""
+    m1 = m * m + 1
+    den = 6 * (X - 12 * (2 * m**4 + 3 * m * m + 1))
+    U = (6 * m1 * X + m * Y + 72 * (m**6 + m**4 - m * m - 1)) / den
+    V = (
+        2 * m * m * X**3
+        - 36 * m * m * (2 * m * m + 1) * m1 * X * X
+        - m * m * Y * Y
+        - 432 * m**3 * m1 * m1 * Y
+        + 1728 * m * m * m1**3 * (8 * m**6 - 15 * m**4 - 21 * m * m + 1)
+    ) / (den * den)
+    return U, V
+
+
+def _affine_quartic_to_xy(U, V, m):
+    """The (U, V) -> (X, Y) map as its affine formulas, an oracle for ecurve."""
+    m1 = m * m + 1
+    c = m1 * (2 * m**4 - 2 * m * m - 3)
+    X = 6 * (3 * U * U - 6 * m1 * U + 3 * V - c) / (m * m)
+    Y = 108 * (U**3 - 3 * m1 * U * U + U * V - c * U - m1 * V - m1 * m1) / m**3
+    return X, Y
+
+
 class TestBirationalMaps:
     def test_image_of_P_is_ascent_value(self, P):
         m = RatFunc(var("m"))
         U, V = ec.xy_to_quartic(P.x, P.y, m)
         assert U == 2 / (1 - m * m)
-        from squaretriads.quartic import phi
-
         assert V * V == phi(1, m, U)
 
     def test_symbolic_roundtrips_modulo_curve(self):
@@ -228,24 +252,63 @@ class TestBirationalMaps:
         assert ec.roundtrip_identity_uv() is True
 
     def test_roundtrip_xy_detects_a_broken_map(self, monkeypatch):
-        honest = ec.quartic_to_xy
+        honest = ec._weighted_xyz
 
-        def shifted(U, V, m):
-            X, Y = honest(U, V, m)
-            return X + 1, Y
+        def shifted(u, v, m, w):
+            # X + 1 in weighted coordinates
+            x, y, z = honest(u, v, m, w)
+            return x + z * z, y, z
 
-        monkeypatch.setattr(ec, "quartic_to_xy", shifted)
+        monkeypatch.setattr(ec, "_weighted_xyz", shifted)
         assert ec.roundtrip_identity_xy() is False
 
     def test_roundtrip_uv_detects_a_broken_map(self, monkeypatch):
-        honest = ec.xy_to_quartic
+        honest = ec._weighted_uw
 
-        def shifted(X, Y, m):
-            U, V = honest(X, Y, m)
-            return U + 1, V
+        def shifted(x, y, m, z):
+            # U + 1 in weighted coordinates
+            u, w = honest(x, y, m, z)
+            return u + w, w
 
-        monkeypatch.setattr(ec, "xy_to_quartic", shifted)
+        monkeypatch.setattr(ec, "_weighted_uw", shifted)
         assert ec.roundtrip_identity_uv() is False
+
+    def test_roundtrip_denominator_vanishing_on_the_curve_is_an_internal_error(self, monkeypatch):
+        # each corrupted denominator is the curve relation: nonzero as a
+        # polynomial, zero modulo it
+        X, Y, U, V, m = var("X"), var("Y"), var("U"), var("V"), var("m")
+        E = ec.ecweier()
+        xy_relation = Y * Y - (X**3 + E.A.num * X + E.B.num)
+        uv_relation = V * V - phi(1, m, U)
+        honest_xyz, honest_uw = ec._weighted_xyz, ec._weighted_uw
+        monkeypatch.setattr(ec, "_weighted_xyz", lambda u, v, m, w: honest_xyz(u, v, m, w)[:2] + (xy_relation,))
+        with pytest.raises(VerificationError, match="denominator vanishes"):
+            ec.roundtrip_identity_xy()
+        monkeypatch.setattr(ec, "_weighted_xyz", honest_xyz)
+        monkeypatch.setattr(ec, "_weighted_uw", lambda x, y, m, z: (honest_uw(x, y, m, z)[0], uv_relation))
+        with pytest.raises(VerificationError, match="denominator vanishes"):
+            ec.roundtrip_identity_uv()
+
+    def test_roundtrips_make_no_gcd(self, monkeypatch):
+        # RatFunc reduces through multipoly.poly_gcd; patch every module that
+        # binds the name, so that no route to a gcd goes uncounted
+        calls = []
+        honest = multipoly.poly_gcd
+
+        def counted(a, b):
+            calls.append((a, b))
+            return honest(a, b)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("squaretriads") and getattr(module, "poly_gcd", None) is honest:
+                monkeypatch.setattr(module, "poly_gcd", counted)
+        # the counter sees RatFunc's reduction
+        RatFunc(var("m") ** 2 - 1, var("m") - 1)
+        assert calls
+        calls.clear()
+        assert ec.roundtrip_identity_xy() is True
+        assert ec.roundtrip_identity_uv() is True
+        assert calls == []
 
     def test_roundtrip_at_random_specializations(self, curve, P):
         rng = random.Random(32)
@@ -268,6 +331,29 @@ class TestBirationalMaps:
     def test_pole_conditions(self):
         with pytest.raises(PoleError):
             ec.quartic_to_xy(Fraction(1), Fraction(1), Fraction(0))
+        with pytest.raises(PoleError):
+            ec.quartic_to_xy(RatFunc(var("U")), RatFunc(var("V")), 0)
+        for mv in (Fraction(0), Fraction(3), Fraction(-2, 7)):
+            with pytest.raises(PoleError):
+                ec.xy_to_quartic(12 * (2 * mv**4 + 3 * mv * mv + 1), Fraction(5), mv)
+        m = RatFunc(var("m"))
+        with pytest.raises(PoleError):
+            ec.xy_to_quartic(12 * (2 * m**4 + 3 * m * m + 1), RatFunc(var("Y")), m)
+
+    def test_maps_match_the_affine_formulas(self):
+        rng = random.Random(20261019)
+
+        def frac():
+            return Fraction(rng.randint(-60, 60), rng.randint(1, 9))
+
+        done = 0
+        while done < 120:
+            a, b, mv = frac(), frac(), frac()
+            if mv == 0 or a == 12 * (2 * mv**4 + 3 * mv * mv + 1):
+                continue
+            assert ec.xy_to_quartic(a, b, mv) == _affine_xy_to_quartic(a, b, mv)
+            assert ec.quartic_to_xy(a, b, mv) == _affine_quartic_to_xy(a, b, mv)
+            done += 1
 
     def test_substitution_reduces_quartic_model(self):
         """The scaled substitution carries the (u, v) model onto the (U, V) model."""
@@ -282,8 +368,6 @@ class TestBirationalMaps:
                 "v": RatFunc(s * s) * RatFunc(Vv),
             }
         )
-        from squaretriads.quartic import phi
-
         target = RatFunc(Vv * Vv) - phi(1, RatFunc(mm), RatFunc(Uv))
         assert image / target == RatFunc(var("s") ** 4)
 
