@@ -9,14 +9,22 @@ Miller-Rabin below 3.3e24 and BPSW above, and `factorize` is trial
 division, then Brent rho on cofactors that are neither prime nor square,
 splitting each factor it finds against its cofactor by a gcd.
 
-`factorize` keeps a small memory of the last large primes it proved: every
-prime above the trial bound that its stack loop passes through `is_prime`,
-at most _RECENT_PRIMES_BOUND of them, newest last, with no repeats.  It
-tries them as divisors of each composite cofactor before it runs rho, so
-the members of one triad, which share their large primes, run rho once
-per shared prime.  The bound keeps this memory to the primes of the last
-few requests.  No result depends on what it holds: a remembered prime is
-proved and smaller than the cofactor it divides, it only stands in for the
+The trial division takes one gcd of n with the product of each block of
+_TRIAL_BLOCK primes below _TRIAL_BOUND, and tests a block's primes one by
+one against that gcd only when it exceeds 1 (Bernstein, "How to find
+small factors of integers", 2002).  After it, no prime below the bound
+divides what is left, so every piece of it below _TRIAL_BOUND^2 is 1 or a
+prime: only larger pieces are passed to `is_prime`.
+
+`factorize` keeps a small memory of the last large primes it found: every
+prime that its stack loop finds (all are above the trial bound, and those
+at or above _TRIAL_BOUND^2 are proved by `is_prime`), at most
+_RECENT_PRIMES_BOUND of them, newest last, with no repeats.  It tries them
+as divisors of each composite cofactor before it runs rho, so the members
+of one triad, which share their large primes, run rho once per shared
+prime.  The bound keeps this memory to the primes of the last few
+requests.  No result depends on what it holds: a remembered prime is
+prime and smaller than the cofactor it divides, it only stands in for the
 factor rho would find, and a factorization is unique.
 
 This module also holds the package's one rule for exact inputs: an integer
@@ -53,9 +61,12 @@ __all__ = [
 ]
 
 _TRIAL_BOUND = 10_000
+_TRIAL_SQUARE = _TRIAL_BOUND * _TRIAL_BOUND
 
-# One certify request proves at most 5 new primes above the trial bound and
-# one certify round about 1560, so 16 covers a request and never a round.
+# In one seed-1 certify round the stack loops find 1992 primes (592
+# distinct, at most 10 in one request; 217 of them at or above
+# _TRIAL_BOUND^2, so proved by is_prime).  1559 of them enter the memory,
+# at most 5 in one request, so 16 covers a request and never a round.
 _RECENT_PRIMES_BOUND = 16
 _recent_primes: deque[int] = deque(maxlen=_RECENT_PRIMES_BOUND)
 _recent_primes_lock = threading.Lock()
@@ -70,7 +81,18 @@ def _primes_below(n: int) -> list[int]:
     return [i for i in range(n) if sieve[i]]
 
 
-_TRIAL_PRIMES = _primes_below(_TRIAL_BOUND)
+_TRIAL_PRIMES = tuple(_primes_below(_TRIAL_BOUND))
+
+# The trial primes in consecutive blocks of _TRIAL_BLOCK, each with the
+# product of its primes: (product, primes).  On the 9126 factorize inputs of
+# a seed-1 certify round (2-CPU x86 VM), the trial division took about 45 ms
+# with blocks of 96 to 192 primes, 49 ms with 64, 58 ms with 32 and 48-60 ms
+# with 256, against 175-190 ms for one remainder per prime.
+_TRIAL_BLOCK = 128
+_TRIAL_BLOCKS = tuple(
+    (math.prod(block), block)
+    for block in (_TRIAL_PRIMES[i : i + _TRIAL_BLOCK] for i in range(0, len(_TRIAL_PRIMES), _TRIAL_BLOCK))
+)
 
 # Miller-Rabin bases, deterministic below each bound: Sinclair's seven bases
 # below 2^64, and the primes 2..41 below psi_13 (Sorenson and Webster, Math.
@@ -286,25 +308,38 @@ def _brent_rho(n: int) -> int:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as an ordered {prime: exponent} mapping.
 
-    Trial division by the sieved primes below _TRIAL_BOUND; a cofactor below
-    _TRIAL_BOUND^2 is then 1 or a prime.  A larger cofactor goes on a stack
-    of pairs (m, e), each meaning m^e divides what is left.  A prime m adds
-    e to its exponent, a square m = r^2 becomes (r, 2e), and any other m is
-    split by Brent rho into d and m/d with g = gcd(d, m/d), as (g, 2e),
-    (d/g, e) and (m/(d g), e).  No two of these share a prime unless its
-    cube divides m, so a prime is not found again by a second rho on each
-    piece that holds it.  Before rho, the remembered primes (see the module
-    docstring) are tried as d.  Every reported prime passes is_prime.
+    Trial division by the sieved primes below _TRIAL_BOUND, a block at a
+    time: g = gcd(n, product of the block), and only the block's primes
+    that divide g are divided out.  It stops at the first block whose
+    first prime p has p^2 > n, so what is left is then 1 or a prime; so is
+    a cofactor below _TRIAL_BOUND^2 after every block.  A larger cofactor
+    goes on a stack of pairs (m, e), each meaning m^e divides what is
+    left.  A prime m adds e to its exponent, a square m = r^2 becomes
+    (r, 2e), and any other m is split by Brent rho into d and m/d with
+    g = gcd(d, m/d), as (g, 2e), (d/g, e) and (m/(d g), e).  No two of
+    these share a prime unless its cube divides m, so a prime is not found
+    again by a second rho on each piece that holds it.  Before rho, the
+    remembered primes (see the module docstring) are tried as d.  Each m
+    divides the cofactor, which has no prime below _TRIAL_BOUND, so an m
+    below _TRIAL_BOUND^2 is prime; is_prime decides only the larger ones.
     """
     n = _integer(n, "factorize requires an integer n >= 1, got %r", 1)
     factors: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
+    for product, block in _TRIAL_BLOCKS:
+        if block[0] * block[0] > n:
             break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n < _TRIAL_BOUND * _TRIAL_BOUND:
+        g = math.gcd(n, product)
+        for p in block:
+            if g == 1:
+                break
+            if g % p == 0:
+                g //= p
+                e = 0
+                while n % p == 0:
+                    e += 1
+                    n //= p
+                factors[p] = e
+    if n < _TRIAL_SQUARE:
         if n > 1:
             factors[n] = 1
         return dict(sorted(factors.items()))
@@ -317,7 +352,7 @@ def factorize(n: int) -> dict[int, int]:
         if r * r == m:
             stack.append((r, 2 * e))
             continue
-        if is_prime(m):
+        if m < _TRIAL_SQUARE or is_prime(m):
             factors[m] = factors.get(m, 0) + e
             with _recent_primes_lock:
                 if m not in _recent_primes:

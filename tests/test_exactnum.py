@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -164,6 +165,61 @@ def test_factorize_trial_cofactor_is_taken_as_prime(monkeypatch):
     assert en.factorize(2 * 99_999_989) == {2: 1, 99_999_989: 1}
     assert en.factorize(9973 * 9973) == {9973: 2}
     assert en.factorize(10_007) == {10_007: 1}
+
+
+def test_factorize_matches_sympy_on_trial_block_edges():
+    """Products of powers of the primes at the edges of the trial blocks and
+    around the trial bound and its square."""
+    sympy = pytest.importorskip("sympy")
+    atoms = {2, 9973, 10_007, sympy.prevprime(10**8), sympy.nextprime(10**8)}
+    for _, block in en._TRIAL_BLOCKS:
+        atoms.update((block[0], block[-1]))
+    atoms = sorted(atoms)
+    assert {99_999_989, 100_000_007} <= set(atoms)
+    rng = random.Random(13)
+    products = [p**e for p in atoms for e in (1, 2, 3)]
+    products += [10**8 + d for d in range(-50, 51)]
+    # composite pieces just above the trial square, which is_prime must reject
+    products += [10_007 * 10_009, 10_007 * 10_009 * 99_999_989, 10_007**2 * 10_009 * 100_000_007]
+    for _ in range(600):
+        n = 1
+        for p in rng.sample(atoms, rng.randint(2, 6)):
+            n *= p ** rng.randint(1, 3)
+        products.append(n)
+    for n in products:
+        assert en.factorize(n) == sympy.factorint(n), n
+
+
+def test_factorize_matches_sympy_up_to_20000():
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 20_001):
+        assert en.factorize(n) == sympy.factorint(n), n
+
+
+def test_factorize_proves_only_pieces_above_the_trial_square(monkeypatch):
+    """Every piece of the stack divides the trial cofactor, so one below
+    _TRIAL_BOUND^2 is prime; only larger pieces reach is_prime."""
+    rng = random.Random(14)
+
+    def prime_from(n):
+        while not en.is_prime(n):
+            n += 1
+        return n
+
+    square = en._TRIAL_BOUND**2
+    asked = []
+    is_prime = en.is_prime
+    monkeypatch.setattr(en, "is_prime", lambda n: asked.append(n) or is_prime(n))
+    for _ in range(40):
+        small = [prime_from(rng.randrange(en._TRIAL_BOUND, square)) for _ in range(rng.randint(2, 3))]
+        large = prime_from(rng.randrange(square, 10**12))
+        n = large * math.prod(small)
+        asked.clear()
+        got = en.factorize(n)
+        assert math.prod(p**e for p, e in got.items()) == n
+        assert sorted(p for p, e in got.items() for _ in range(e)) == sorted(small + [large])
+        assert large in asked and n in asked
+        assert all(m >= square for m in asked), asked
 
 
 def test_factorize_rejects_nonpositive():
