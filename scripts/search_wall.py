@@ -1,13 +1,16 @@
-"""Wall time, peak RSS and triad count of a serial search, each bound in a fresh process.
+"""Wall time, peak RSS and triad count of a search, each bound in a fresh process.
 
     python3 scripts/search_wall.py 30000 100000
 
 For each bound, a new interpreter imports squaretriads from this checkout's
-src/ and runs search_triads(SearchConfig(bound)) on one worker.  wall_s is
-the child's whole life as the parent sees it, interpreter start-up and
-imports included; search_s is the search_triads call alone, timed in the
-child; peak_rss_mb is the child's own maximum resident set size.  One JSON
-line goes to standard output.  A child that fails makes the exit code 1.
+src/ and runs search_triads(SearchConfig(bound)) on one worker, then
+search_triads(SearchConfig(bound, workers=2)) through the process pool, and
+fails unless both find the same triads.  wall_s is the child's whole life
+as the parent sees it, interpreter start-up and imports included; search_s
+and pooled_s are the two search_triads calls alone, timed in the child;
+peak_rss_mb is the child's own maximum resident set size, read after the
+serial search.  One JSON line goes to standard output.  A child that fails
+makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -26,7 +29,12 @@ t0 = time.perf_counter()
 triads = search_triads(SearchConfig(int(sys.argv[1])))
 search_s = time.perf_counter() - t0
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({"search_s": search_s, "triads": len(triads), "peak_rss_mb": peak}))
+t0 = time.perf_counter()
+pooled = search_triads(SearchConfig(int(sys.argv[1]), workers=2))
+pooled_s = time.perf_counter() - t0
+if pooled != triads:
+    sys.exit("the pooled search found other triads than the serial one")
+print(json.dumps({"search_s": search_s, "pooled_s": pooled_s, "triads": len(triads), "peak_rss_mb": peak}))
 """
 
 
@@ -39,12 +47,13 @@ def _generate_wall():
 
 
 def measure(bound: int) -> dict:
-    """{"bound", "wall_s", "search_s", "peak_rss_mb", "triads"} of one fresh process that searches to bound."""
+    """{"bound", "wall_s", "search_s", "pooled_s", "peak_rss_mb", "triads"} of one fresh process that searches to bound."""
     wall, child = _generate_wall().fresh_process(CHILD, bound, "search to %d" % bound)
     return {
         "bound": bound,
         "wall_s": round(wall, 3),
         "search_s": round(child["search_s"], 3),
+        "pooled_s": round(child["pooled_s"], 3),
         "peak_rss_mb": round(child["peak_rss_mb"], 1),
         "triads": child["triads"],
     }

@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
 from .exactnum import _exact_scalar, _integer, promote_int
 from .families import ParametricFamily, make_family
-from .multipoly import Poly, RatFunc, _divexact, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
+from .multipoly import Poly, RatFunc, _divexact, evaluate, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import _homogenize_m, _line_u_members
 from .quartic import phi
 
@@ -257,14 +257,14 @@ def quartic_to_xy(U, V, m):
 
 def specialize_curve(E: WeierstrassModel, m_val: Fraction) -> WeierstrassModel:
     point = {"m": _exact_scalar(m_val)}
-    return WeierstrassModel(E.A.evaluate(point), E.B.evaluate(point))
+    return WeierstrassModel(evaluate(E.A, point), evaluate(E.B, point))
 
 
 def specialize_point(P: ECPoint, m_val: Fraction) -> ECPoint:
     point = {"m": _exact_scalar(m_val)}
     if P.is_identity:
         return P
-    return ECPoint(P.x.evaluate(point), P.y.evaluate(point))
+    return ECPoint(evaluate(P.x, point), evaluate(P.y, point))
 
 
 def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
@@ -274,13 +274,14 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
     otherwise no multiple kP for k <= 12 may be the identity, since
     rational torsion orders never exceed 12 (Mazur's bound).
     """
-    A, B = Fraction(E.A), Fraction(E.B)
+    message = "screen requires a curve and point over Q, not %r"
+    A, B = _exact_scalar(E.A, message), _exact_scalar(E.B, message)
     if A.denominator != 1 or B.denominator != 1:
         raise DomainError("screen requires integral curve coefficients")
     if P.is_identity:
         return False
+    x, y = _exact_scalar(P.x, message), _exact_scalar(P.y, message)
     _require_on_curve(E, P)
-    x, y = Fraction(P.x), Fraction(P.y)
     if x.denominator != 1 or y.denominator != 1:
         return True
     acc = P

@@ -140,8 +140,8 @@ def _spread(start, n: np.ndarray, *cols: np.ndarray):
         yield (t, *(np.repeat(col[rows], m) for col in cols))
 
 
-def _candidates(kernels: np.ndarray, u_lo: int, u_hi: int):
-    """Every a <= b <= c <= bound that could be a triad, for u_lo <= u < u_hi.
+def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
+    """Every a <= b <= c <= bound that could be a triad, in part `part` of `parts`.
 
     That is every such a, b, c with abc a square and each member a sum of
     two squares.  Such a triad has exactly one kernel triple (kernel(a),
@@ -154,14 +154,15 @@ def _candidates(kernels: np.ndarray, u_lo: int, u_hi: int):
         so kernel(a) has no prime p = 3 (mod 4), and nor have g, u and v.
     So g, u and v are drawn only from the squarefree sums of two squares.
     Products of squarefree numbers are tested for coprimality on the sieve:
-    m*n is squarefree iff kernel(m*n) = m*n.  Yields (a, b, c) as int64
+    m*n is squarefree iff kernel(m*n) = m*n.  The i-th kernel triple to pass,
+    counted across slices, goes to part i % parts.  Yields (a, b, c) as int64
     arrays, in batches; each level rebinds the names of the level above to
     its own rows.
     """
     bound = kernels.size - 1
     sf = np.flatnonzero((kernels == np.arange(bound + 1)) & _two_squares(bound))[1:]
-    u = sf[np.searchsorted(sf, u_lo) : np.searchsorted(sf, u_hi)]
-    for vi, u in _spread(0, np.searchsorted(sf, bound // u, side="right"), u):
+    dealt = 0
+    for vi, u in _spread(0, np.searchsorted(sf, bound // sf, side="right"), sf):
         v = sf[vi]
         uv = u * v
         keep = kernels[uv] == uv
@@ -172,7 +173,8 @@ def _candidates(kernels: np.ndarray, u_lo: int, u_hi: int):
         for gi, u, v, uv, jmax in _spread(0, ng, u, v, uv, jmax):
             g = sf[gi]
             gu, gv = g * u, g * v
-            keep = (kernels[gu] == gu) & (kernels[gv] == gv)
+            keep = np.flatnonzero((kernels[gu] == gu) & (kernels[gv] == gv))
+            keep, dealt = keep[(part - dealt) % parts :: parts], dealt + keep.size
             gu, gv, uv, jmax = gu[keep], gv[keep], uv[keep], jmax[keep]
             for y, gu, gv, uv, jmax in _spread(1, _isqrt(uv * jmax * jmax // gv), gu, gv, uv, jmax):
                 b = gv * y * y
@@ -184,10 +186,10 @@ def _candidates(kernels: np.ndarray, u_lo: int, u_hi: int):
 
 
 def _search_block(args) -> list[tuple[int, int, int]]:
-    """Triads from the kernel triples with u_lo <= u < u_hi."""
-    u_lo, u_hi, bound = args
+    """Triads from part `part` of `parts` of the kernel triples."""
+    part, parts, bound = args
     out: list[tuple[int, int, int]] = []
-    for a, b, c in _candidates(_kernel_sieve(bound), u_lo, u_hi):
+    for a, b, c in _candidates(_kernel_sieve(bound), part, parts):
         hit = np.flatnonzero(_is_square(a + b + c))
         ha, hb, hc = a[hit], b[hit], c[hit]
         keep = _is_square(ha * hb + hc * (ha + hb))
@@ -195,41 +197,23 @@ def _search_block(args) -> list[tuple[int, int, int]]:
     return out
 
 
-def _pool_size(workers: int, n_chunks: int) -> int:
-    """Worker processes actually started: never more than CPUs or chunks."""
-    return min(workers, os.cpu_count() or 1, n_chunks)
-
-
-def _u_ranges(bound: int, workers: int) -> list[tuple[int, int, int]]:
-    """Pool chunks: u-ranges [lo, hi) tiling 1..bound, as _search_block arguments.
-
-    u = 1 alone carries most of the candidates (61 % at bound 5000, 56 % at
-    3*10**4), so it is a chunk of its own.  The rest falls off with u, so
-    the ranges above it grow geometrically, two per worker: every chunk
-    rebuilds the sieve, and at bound 5000 more of them cost more than they
-    balance.
-    """
-    n = workers * 2
-    edges = sorted({1, 2, bound + 1} | {round(bound ** (k / n)) for k in range(1, n)})
-    return [(lo, hi, bound) for lo, hi in zip(edges, edges[1:])]
-
-
 def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     """All triads a <= b <= c <= bound whose symmetric functions are squares.
 
-    Results are sorted lexicographically and independently re-verified;
-    with primitive_only, triads carrying a square common factor are
-    dropped (their canonical form is enumerated on its own).
+    The kernel triples are dealt to min(workers, CPUs) parts: a single part
+    runs in this process, more run in a process pool, one per process.
+    Results are sorted lexicographically and independently re-verified; with
+    primitive_only, triads carrying a square common factor are dropped
+    (their canonical form is enumerated on its own).
     """
     bound = cfg.bound
-    workers = min(cfg.workers, os.cpu_count() or 1)
-    chunks = _u_ranges(bound, workers) if workers > 1 and bound >= 256 else []
-    workers = _pool_size(workers, len(chunks))
-    if workers <= 1:
-        raw = _search_block((1, bound + 1, bound))
+    parts = min(cfg.workers, os.cpu_count() or 1)
+    if parts == 1:
+        raw = _search_block((0, 1, bound))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = [t for block in pool.map(_search_block, chunks) for t in block]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            jobs = [(part, parts, bound) for part in range(parts)]
+            raw = [t for block in pool.map(_search_block, jobs) for t in block]
     raw.sort()
     results = []
     for a, b, c in raw:

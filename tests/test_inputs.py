@@ -123,3 +123,23 @@ def test_containers_compute_exactly():
     assert doubled == ec.ECPoint(0, -1) and type(doubled.x) is Fraction
     assert ec.ECPoint(None, None).is_identity
     assert QuarticModel(1, 1, 2, 4).rhs(Fraction(1, 2)) == Fraction(87, 16)
+
+
+def test_curve_screen_refuses_a_curve_or_point_over_q_of_m():
+    # refused as a domain error, not a TypeError from Fraction(RatFunc)
+    with pytest.raises(DomainError, match="over Q"):
+        ec.infinite_order_screen(ec.ecweier(), ec.point_P())
+    # (3, 5) on Y^2 = X^3 - 2, written as constants of Q(m)
+    point = ec.ECPoint(RatFunc(Poly.const(3)), RatFunc(Poly.const(5)))
+    with pytest.raises(DomainError, match="over Q"):
+        ec.infinite_order_screen(ec.WeierstrassModel(0, -2), point)
+    assert ec.infinite_order_screen(ec.WeierstrassModel(0, -2), ec.ECPoint(3, 5)) is True
+
+
+def test_specializing_a_curve_or_point_over_q_is_refused():
+    # refused as a domain error, not an AttributeError from Fraction.evaluate
+    with pytest.raises(DomainError, match="Poly or RatFunc"):
+        ec.specialize_curve(ec.WeierstrassModel(1, 1), 2)
+    with pytest.raises(DomainError, match="Poly or RatFunc"):
+        ec.specialize_point(ec.ECPoint(0, 1), 2)
+    assert ec.specialize_point(ec.ECPoint.identity(), 2).is_identity

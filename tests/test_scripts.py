@@ -39,8 +39,17 @@ def test_search_wall_reports_one_fresh_process_per_bound(capsys):
     line = json.loads(capsys.readouterr().out)
     assert [(run["bound"], run["triads"]) for run in line["search"]] == [(64, 0), (300, 2)]
     for run in line["search"]:
-        assert 0 < run["search_s"] < run["wall_s"] and run["peak_rss_mb"] > 0
+        assert 0 < run["search_s"] + run["pooled_s"] < run["wall_s"] and run["peak_rss_mb"] > 0
+        assert run["pooled_s"] > 0
     assert {"python", "cpus", "machine"} <= set(line)
+
+
+def test_search_wall_fails_when_the_pooled_triads_differ(capsys, monkeypatch):
+    script = _load("search_wall")
+    # 800 holds (180, 256, 720) = 4 * (45, 64, 180), which primitive_only drops
+    monkeypatch.setattr(script, "CHILD", script.CHILD.replace("workers=2", "workers=2, primitive_only=True"))
+    assert script.main(["800"]) == 1
+    assert "other triads" in capsys.readouterr().err
 
 
 def test_search_wall_rejects_a_bad_bound(capsys):

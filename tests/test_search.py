@@ -161,42 +161,44 @@ class TestSearch:
         with pytest.raises(DomainError):
             sr.SearchConfig(edge + 1)
 
-    def test_pool_size_clamped(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert sr._pool_size(64, 100) == 2
-        assert sr._pool_size(64, 1) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert sr._pool_size(64, 100) == 1
-
     def test_search_starts_clamped_pool(self, inline_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial = sr.search_triads(sr.SearchConfig(600))
         assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
         assert [pool.max_workers for pool in inline_pool] == [3]
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
-        assert [pool.max_workers for pool in inline_pool] == [3]
+        assert inline_pool[0].chunks == [(0, 3, 600), (1, 3, 600), (2, 3, 600)]
+        for cpus in (1, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
+            assert [pool.max_workers for pool in inline_pool] == [3]
 
-    @pytest.mark.parametrize("bound, workers", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
-    def test_u_ranges_tile_the_bound_with_u_1_alone(self, bound, workers):
-        # u = 1 holds most candidates, so it is a chunk of its own
-        chunks = sr._u_ranges(bound, workers)
-        assert chunks[0] == (1, 2, bound)
-        assert all(hi == lo for (_, hi, _), (lo, _, _) in zip(chunks, chunks[1:]))
-        assert chunks[-1][1:] == (bound + 1, bound) and len(chunks) <= 2 * workers + 1
+    def test_pooled_equals_serial_at_every_small_bound(self, inline_pool, monkeypatch):
+        # with workers > 1 every bound goes through the pool, so tiny bounds give empty parts
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        for bound in range(1, 301):
+            serial = sr.search_triads(sr.SearchConfig(bound))
+            for workers in (2, 3):
+                assert sr.search_triads(sr.SearchConfig(bound, workers=workers)) == serial
+        assert len(inline_pool) == 600
+
+    def test_parts_share_the_candidates_evenly(self):
+        # dealt after the squarefree test: 49.6 / 50.4 % and 33.4 / 37.4 / 29.2 %
+        kernels = sr._kernel_sieve(5000)
+        total = sum(a.size for a, _, _ in sr._candidates(kernels))
+        for parts, share in ((2, 0.55), (3, 0.4)):
+            sizes = [sum(a.size for a, _, _ in sr._candidates(kernels, part, parts)) for part in range(parts)]
+            assert sum(sizes) == total and max(sizes) <= share * total
 
     @pytest.mark.parametrize("bound", [5000, 10_000])
     def test_expected_triads_serial_and_pooled(self, bound, inline_pool, monkeypatch):
         listed = [tuple(t) for t in json.loads(EXPECTED_TRIADS.read_text()) if t[2] <= bound]
         serial = sr.search_triads(sr.SearchConfig(bound))
         assert [t.members() for t, _ in serial] == listed
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert sr.search_triads(sr.SearchConfig(bound, workers=2)) == serial
-        [pool] = inline_pool
-        assert pool.max_workers == 2
-        squarefree = [u for u in range(1, bound + 1) if squarefree_decompose(u)[0] == u]
-        covered = sorted(u for lo, hi, _ in pool.chunks for u in squarefree if lo <= u < hi)
-        assert covered == squarefree
+        assert sr.search_triads(sr.SearchConfig(bound, workers=3)) == serial
+        assert [pool.max_workers for pool in inline_pool] == [2, 3]
+        assert inline_pool[0].chunks == [(0, 2, bound), (1, 2, bound)]
 
 
 class TestKernel:
@@ -213,13 +215,31 @@ class TestKernel:
     def test_candidates_are_the_square_product_triples(self, n, batch, monkeypatch):
         # every a <= b <= c <= n with abc square and each member a sum of two
         # squares, each once, before any square test; 5-element slices split
-        # long ranges on every level between batches
+        # long ranges on every level between batches; dealt to 2 or 3 parts,
+        # the parts together hold each once
         monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
-        batches = list(sr._candidates(sr._kernel_sieve(n), 1, n + 1))
-        assert all(a.size <= batch for a, _, _ in batches)
-        got = [t for rows in batches for t in zip(*(x.tolist() for x in rows))]
-        assert len(got) == len(set(got))
-        assert set(got) == _two_squares_product_triples(n)
+        kernels = sr._kernel_sieve(n)
+        expected = _two_squares_product_triples(n)
+        for parts in (1, 2, 3):
+            batches = [rows for part in range(parts) for rows in sr._candidates(kernels, part, parts)]
+            assert all(a.size <= batch for a, _, _ in batches)
+            got = [t for rows in batches for t in zip(*(x.tolist() for x in rows))]
+            assert len(got) == len(set(got))
+            assert set(got) == expected
+
+    def test_the_deal_does_not_depend_on_the_batch(self, monkeypatch):
+        # the i-th passing kernel triple goes to part i % parts, counted across slices
+        kernels = sr._kernel_sieve(300)
+
+        def dealt(parts):
+            return [
+                sorted(t for rows in sr._candidates(kernels, part, parts) for t in zip(*(x.tolist() for x in rows)))
+                for part in range(parts)
+            ]
+
+        whole = {parts: dealt(parts) for parts in (2, 3)}
+        monkeypatch.setattr(sr, "_CANDIDATE_BATCH", 5)
+        assert {parts: dealt(parts) for parts in (2, 3)} == whole
 
     def test_two_squares_table(self):
         n = 2000
