@@ -181,13 +181,15 @@ class TestSearch:
                 assert sr.search_triads(sr.SearchConfig(bound, workers=workers)) == serial
         assert len(inline_pool) == 600
 
-    def test_parts_share_the_candidates_evenly(self):
-        # dealt after the squarefree test: 49.6 / 50.4 % and 33.4 / 37.4 / 29.2 %
-        kernels = sr._kernel_sieve(5000)
+    @pytest.mark.parametrize("bound, parts", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
+    def test_parts_share_the_candidates_evenly(self, bound, parts):
+        # dealt after the squarefree test, the largest part holds 59.7 %,
+        # 50.4 %, 37.4 % and 17.2 % of the candidates
+        share = {(256, 2): 0.6, (5000, 2): 0.55, (5000, 3): 0.4, (10**5, 8): 0.18}[bound, parts]
+        kernels = sr._kernel_sieve(bound)
         total = sum(a.size for a, _, _ in sr._candidates(kernels))
-        for parts, share in ((2, 0.55), (3, 0.4)):
-            sizes = [sum(a.size for a, _, _ in sr._candidates(kernels, part, parts)) for part in range(parts)]
-            assert sum(sizes) == total and max(sizes) <= share * total
+        sizes = [sum(a.size for a, _, _ in sr._candidates(kernels, part, parts)) for part in range(parts)]
+        assert sum(sizes) == total and max(sizes) <= share * total
 
     @pytest.mark.parametrize("bound", [5000, 10_000])
     def test_expected_triads_serial_and_pooled(self, bound, inline_pool, monkeypatch):
