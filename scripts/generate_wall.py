@@ -1,12 +1,15 @@
-"""Wall time and peak RSS of generate_family(k), each k in a fresh process.
+"""Wall time, peak RSS and digest of generate_family(k), each k in a fresh process.
 
     python3 scripts/generate_wall.py 16 24
 
 For each k, a new interpreter imports squaretriads from this checkout's
 src/ and builds generate_family(k).  wall_s is the child's whole life as
 the parent sees it, interpreter start-up and imports included; peak_rss_mb
-is the child's own maximum resident set size.  One JSON line goes to
-standard output.  A child that fails makes the exit code 1.
+is the child's own maximum resident set size, read before the digest;
+sha256 is the digest of the family's family_to_json, with sorted keys, so
+two checkouts can be compared on what they built as well as how fast.  One
+JSON line goes to standard output.  A child that fails makes the exit
+code 1.
 """
 
 from __future__ import annotations
@@ -19,14 +22,29 @@ import sys
 import time
 from pathlib import Path
 
+import numpy
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 CHILD = """
-import json, resource, sys
+import hashlib, json, resource, sys
 from squaretriads.ecurve import generate_family
-generate_family(int(sys.argv[1]))
-print(json.dumps({"peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+from squaretriads.families import family_to_json
+family = generate_family(int(sys.argv[1]))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+digest = hashlib.sha256(json.dumps(family_to_json(family), sort_keys=True).encode()).hexdigest()
+print(json.dumps({"peak_rss_mb": peak, "sha256": digest}))
 """
+
+
+def machine_info() -> dict:
+    """The Python and numpy versions, CPU count and machine a measurement ran on."""
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+    }
 
 
 def fresh_process(child: str, arg: int, what: str) -> tuple[float, dict]:
@@ -45,9 +63,9 @@ def fresh_process(child: str, arg: int, what: str) -> tuple[float, dict]:
 
 
 def measure(k: int) -> dict:
-    """{"k", "wall_s", "peak_rss_mb"} of one fresh process that builds generate_family(k)."""
+    """{"k", "wall_s", "peak_rss_mb", "sha256"} of one fresh process that builds generate_family(k)."""
     wall, child = fresh_process(CHILD, k, "generate_family(%d)" % k)
-    return {"k": k, "wall_s": round(wall, 3), "peak_rss_mb": round(child["peak_rss_mb"], 1)}
+    return {"k": k, "wall_s": round(wall, 3), "peak_rss_mb": round(child["peak_rss_mb"], 1), "sha256": child["sha256"]}
 
 
 def main(argv: list[str]) -> int:
@@ -60,8 +78,7 @@ def main(argv: list[str]) -> int:
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
-    info = {"python": platform.python_version(), "cpus": os.cpu_count(), "machine": platform.machine()}
-    print(json.dumps({**info, "generate_family": runs}))
+    print(json.dumps({**machine_info(), "generate_family": runs}))
     return 0
 
 

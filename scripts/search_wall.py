@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import importlib.util
 import json
-import os
-import platform
 import sys
 from pathlib import Path
 
@@ -39,7 +37,7 @@ print(json.dumps({"search_s": search_s, "pooled_s": pooled_s, "triads": len(tria
 
 
 def _generate_wall():
-    """scripts/generate_wall.py as a module, for its fresh-process runner."""
+    """scripts/generate_wall.py as a module, for its fresh-process runner and machine info."""
     spec = importlib.util.spec_from_file_location("generate_wall", Path(__file__).resolve().parent / "generate_wall.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -69,8 +67,7 @@ def main(argv: list[str]) -> int:
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
-    info = {"python": platform.python_version(), "cpus": os.cpu_count(), "machine": platform.machine()}
-    print(json.dumps({**info, "search": runs}))
+    print(json.dumps({**_generate_wall().machine_info(), "search": runs}))
     return 0
 
 

@@ -402,6 +402,13 @@ def const(c: Scalar) -> Poly:
 # An image in several variables has prod D_i slots however sparse the
 # polynomials are, so above _MAX_IMAGE_SLOTS it is refused before anything
 # is allocated.
+#
+# Most of the generator's polynomials are even in m, so their lists have
+# zeros in every odd slot.  The list kernels then run on the halved list
+# L[::2] and spread the result back: z -> z^2 commutes with products, exact
+# quotients and gcds (Q[z] is free over Q[z^2]).  A square root is halved
+# only when L[0] != 0, which gives its root r(0) != 0 and so r(-z) = r(z);
+# z^2 (1 + z^2)^2 has the odd root z + z^3.  Strides 4, 8, ... fold too.
 # ---------------------------------------------------------------------------
 
 # The largest such image the test suite builds has 9025 slots (a seeded
@@ -504,15 +511,31 @@ def _clear_denominators(L: list[Coeff]) -> tuple[list[int], int]:
     return [c.numerator * (d // c.denominator) for c in L], d
 
 
+def _halve(L: list[Coeff]) -> list[Coeff] | None:
+    """L[::2] when L has an odd length above 2 and zeros in all odd slots, else None."""
+    return L[::2] if len(L) > 2 and len(L) & 1 and not any(L[1::2]) else None
+
+
+def _unhalve(H: list[Coeff]) -> list[Coeff]:
+    """The list of f(z^2) for the list H of f(z): a zero between the entries of H."""
+    L: list[Coeff] = [0] * (2 * len(H) - 1)
+    L[::2] = H
+    return L
+
+
 def _list_mul(A: list[Coeff], B: list[Coeff]) -> list[Coeff]:
     """Product of two coefficient lists over Q, as one product of packed ints.
 
     Denominators are cleared first.  A coefficient of the product is a sum
     of at most min(len A, len B) products, so a slot of bits(A) + bits(B) +
     bitlen(min) + 2 bits holds it with its sign.  A list passed twice is
-    squared.
+    squared.  Two even lists multiply halved (see above).
     """
     square = A is B
+    hA = _halve(A)
+    hB = hA if square or hA is None else _halve(B)
+    if hB is not None:
+        return _unhalve(_list_mul(hA, hB))
     A, da = _clear_denominators(A)
     B, db = (A, da) if square else _clear_denominators(B)
     bits_a = max(map(abs, A)).bit_length()
@@ -531,6 +554,12 @@ def _dense_divexact(a: list[Coeff], b: list[Coeff]) -> list[Coeff] | None:
     has integer coefficients (Gauss) and an inexact step settles that b
     does not divide a.
     """
+    ha = _halve(a)
+    hb = None if ha is None else _halve(b)
+    if hb is not None:
+        # a quotient of even lists is even: q(-z) = a(-z) / b(-z) = q(z)
+        hq = _dense_divexact(ha, hb)
+        return None if hq is None else _unhalve(hq)
     nb = len(b) - 1
     nq = len(a) - nb
     if nq <= 0:
@@ -564,6 +593,10 @@ def _dense_sqrt(a: list[Coeff]) -> list[Coeff] | None:
     """
     if not len(a) & 1:
         return None
+    # with a[0] != 0 a root is even (see above)
+    if a[0] and (h := _halve(a)) is not None:
+        r = _dense_sqrt(h)
+        return None if r is None else _unhalve(r)
     # sqrt(a) = sqrt(a * d^2) / d, and a * d^2 has integer coefficients
     a, d = _clear_denominators(a)
     if d > 1:
@@ -882,10 +915,15 @@ def _gcd_list(a: Poly, b: Poly, vars: tuple[str, ...], hom: bool) -> Poly:
     g = [1]
     # a cofactor with one coefficient is a constant
     if len(A) > 1 and len(B) > 1:
-        G = _gcd_modular((vars[-1],), _primitive_dict(A), _primitive_dict(B))
-        g = [0] * (max(G)[0] + 1)
+        # gcd(f(z^s), g(z^s)) = gcd(f, g)(z^s) for the largest stride s that
+        # both images halve to (see above)
+        s, hA, hB = 1, A, B
+        while (nA := _halve(hA)) is not None and (nB := _halve(hB)) is not None:
+            s, hA, hB = 2 * s, nA, nB
+        G = _gcd_modular((vars[-1],), _primitive_dict(hA), _primitive_dict(hB))
+        g = [0] * (s * max(G)[0] + 1)
         for (k,), c in G.items():
-            g[k] = c
+            g[s * k] = c
     # a form's gcd has degree len(g) - 1 + low + the exponent of v1 in the
     # common monomial factor, the smaller of a's and b's lowest
     d = len(g) + low + min(_form_degree(a) - la - len(A), _form_degree(b) - lb - len(B)) if hom else None

@@ -436,6 +436,10 @@ class TestGenerateFamily:
             (6, "34a80711e12d1ac6b30c146c2449c9c507f3828b8537772c448bf0b79257900a"),
             (7, "2dd5bcf2ba2173822d0c80bdb2c21387af38c95b582b3f1e58fe50976ae73f3a"),
             (8, "8626aa6a10dfffce6c669ccb6e13171470b13a610ef84419d70ebbeb3c8bc89e"),
+            (9, "28370ddc98320a40ab8daac3b807508022f25a219fefb0f5715d48f0d72b6e50"),
+            (10, "454f3269aace3cc8c8c8c8ed32fb3dd6483b4554a77a92b71c3410634374fe1d"),
+            (11, "22f9a8759dd582795bafd99011c82b647b7996c8bca0fd83fab81866609ee50e"),
+            (12, "99dec1e69da126ff2aea41edfa4236b2ebb2fdb5cb295c049d3383bbfd466263"),
         ],
     )
     def test_family_json_is_pinned(self, k, digest):

@@ -22,7 +22,8 @@ from squaretriads.multipoly import (
     substitute,
     var,
 )
-from squaretriads.multipoly import _dense_sqrt, _from_list, _list_mul, _pack, _to_list, _unpack
+from squaretriads.multipoly import _dense_divexact, _dense_sqrt, _from_list, _halve, _list_mul, _pack, _to_list
+from squaretriads.multipoly import _unhalve, _unpack
 from squaretriads.multipoly import _gcd_primes, _gf_divmod, _gf_gcd, _gf_mul, _gf_primitive, _gf_trim
 
 s, t, m, n = var("s"), var("t"), var("m"), var("n")
@@ -850,6 +851,151 @@ class TestPackedKernel:
         # and the images of true quotients and roots are taken back
         assert poly_sqrt(q * q * m**2) in (q * m, -q * m)
         assert poly_divide_exact(p * q * m, q * m) == p
+
+
+class TestHalvedKernels:
+    """Lists with zeros in every odd slot run the list kernels halved; the
+    oracles are schoolbook, sympy and the same kernel on lists whose odd
+    slots are not all zero."""
+
+    @staticmethod
+    def even(rng, n, stride=2, fractions=False):
+        """A list of f(z^stride) for a random f with n coefficients, f(0) != 0."""
+        out = [0] * (stride * (n - 1) + 1)
+        for i in range(0, len(out), stride):
+            c = rng.randint(-(1 << 80), 1 << 80) if rng.random() < 0.3 else rng.randint(-9, 9)
+            out[i] = Fraction(c, rng.randint(1, 12)) if fractions and rng.random() < 0.5 else c
+        out[0], out[-1] = out[0] or 1, out[-1] or 1
+        return out
+
+    @staticmethod
+    def planted(rng, L):
+        """(copy of L with one odd slot set nonzero, the list of that one term)."""
+        j = rng.randrange(1, len(L), 2)
+        c = rng.choice((-3, -1, 1, 2, Fraction(1, 3)))
+        out = list(L)
+        out[j] = c
+        return out, [0] * j + [c]
+
+    def test_halve_and_unhalve(self):
+        assert _halve([1, 0, 2]) == [1, 2] and _unhalve([1, 2]) == [1, 0, 2]
+        assert _halve([1, 0, 2, 0, 0]) == [1, 2, 0]
+        # one or two slots, an odd slot in use, or an even length stay whole
+        for L in ([5], [1, 2], [1, 1, 1], [1, 0, 0, 0], [1, 0, 1, 0, 1, 1, 0]):
+            assert _halve(L) is None
+        rng = random.Random(3)
+        for n in range(2, 12):
+            L = self.even(rng, n)
+            assert _unhalve(_halve(L)) == L
+
+    def test_products(self):
+        rng = random.Random(91)
+        for i in range(200):
+            fractions = i % 3 == 0
+            stride = 4 if i % 5 == 0 else 2
+            a = self.even(rng, rng.randint(1, 20), stride, fractions)
+            b = self.even(rng, rng.randint(1, 20), 2, fractions)
+            mixed = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))] + [1]
+            for x, y in ((a, b), (b, a), (a, mixed), (mixed, b), (a, a)):
+                want = [Fraction(c) for c in schoolbook(x, y)]
+                assert [Fraction(c) for c in _list_mul(x, y)] == want, (x, y)
+            # the squaring path: one list passed twice
+            assert [Fraction(c) for c in _list_mul(a, a)] == [Fraction(c) for c in schoolbook(a, a)]
+            if len(a) > 1:
+                # the full-length kernel on a copy with a planted odd term
+                a2, delta = self.planted(rng, a)
+                assert _halve(a2) is None
+                whole, extra = _list_mul(a2, b), schoolbook(delta, b)
+                extra += [0] * (len(whole) - len(extra))
+                assert [Fraction(c) for c in _list_mul(a, b)] == [Fraction(w - e) for w, e in zip(whole, extra)]
+
+    def test_short_lists(self):
+        for a in ([3], [Fraction(1, 2)], [1, 2], [2, 0, Fraction(-1, 3)], [-4, 0, 7]):
+            for b in ([5], [1, -1], [1, 0, 1], [Fraction(3, 4), 0, 2]):
+                assert [Fraction(c) for c in _list_mul(a, b)] == [Fraction(c) for c in schoolbook(a, b)]
+        assert _list_mul([1, 0, 1], [1, 0, 1]) == [1, 0, 2, 0, 1]
+
+    def test_lists_mod_p(self):
+        p = next(_gcd_primes())
+        rng = random.Random(93)
+        for _ in range(100):
+            a = [c % p for c in self.even(rng, rng.randint(1, 10), rng.choice((2, 4)))]
+            b = [c % p for c in self.even(rng, rng.randint(1, 10))]
+            if a[-1] and b[-1]:
+                assert _gf_mul(a, b, p) == [c % p for c in schoolbook(a, b)]
+
+    def test_exact_quotients(self):
+        rng = random.Random(95)
+        for i in range(150):
+            fractions = i % 3 == 0
+            q = self.even(rng, rng.randint(1, 12), 4 if i % 5 == 0 else 2, fractions)
+            b = self.even(rng, rng.randint(2, 12), 2, fractions)
+            a = _list_mul(q, b)
+            assert [Fraction(c) for c in _dense_divexact(a, b)] == [Fraction(c) for c in q]
+            # the full-length kernel on both lists times 1 + z
+            assert _dense_divexact(schoolbook(a, [1, 1]), schoolbook(b, [1, 1])) == _dense_divexact(a, b)
+            # even pairs that do not divide stay None
+            bumped = list(a)
+            bumped[0] += 1
+            assert _halve(bumped) is not None
+            assert _dense_divexact(bumped, b) is None
+            assert _dense_divexact(schoolbook(bumped, [1, 1]), schoolbook(b, [1, 1])) is None
+        assert _dense_divexact([1, 0, 1], [1, 0, 0, 0, 1]) is None
+
+    def test_square_roots(self):
+        # the root of z^2 (1 + z^2)^2 is odd: the list is not halved
+        assert _dense_sqrt([0, 0, 1, 0, 2, 0, 1]) == [0, 1, 0, 1]
+        # an even non-square: a candidate whose square is not the list
+        a = [4, 0, 2, 0, 1]
+        r = _dense_sqrt(a)
+        assert r == [1, 0, 1] and schoolbook(r, r) != a
+        assert poly_sqrt(m**4 + 2 * m**2 + 4) is None
+        rng = random.Random(97)
+        for i in range(150):
+            r = self.even(rng, rng.randint(1, 12), 4 if i % 5 == 0 else 2, i % 3 == 0)
+            if r[-1] < 0:
+                r = [-c for c in r]
+            a = _list_mul(r, r)
+            assert [Fraction(c) for c in _dense_sqrt(a)] == [Fraction(c) for c in r]
+            # the full-length kernel: the root of a (1 + z)^2 is r (1 + z)
+            assert _dense_sqrt(schoolbook(a, [1, 2, 1])) == _list_mul(r, [1, 1])
+            # a z^2 has the root r z, found without halving
+            assert _dense_sqrt([0, 0] + a) == [0] + r
+            for bumped in (a[:-1] + [a[-1] + 1], [a[0] + 1] + a[1:]):
+                got = _dense_sqrt(bumped)
+                assert got is None or schoolbook(got, got) != bumped
+
+    def test_gcds_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        M, S, T = sympy.symbols("m s t")
+        rng = random.Random(99)
+
+        def to_sympy(p):
+            return sympy.sympify(p.render().replace("^", "**"), locals={"m": M, "s": S, "t": T})
+
+        def even_in(name, other=None):
+            """A random polynomial in name^2, or a form of degree 2d in (other, name) even in name."""
+            d = rng.randint(1, 5)
+            p = Poly.zero()
+            for _ in range(rng.randint(1, 4)):
+                k = 2 * rng.randint(0, d)
+                mono = rng.randint(-9, 9) * var(name) ** k
+                p = p + (mono if other is None else mono * var(other) ** (2 * d - k))
+            return p
+
+        checked = 0
+        for i in range(120):
+            name, other = ("t", "s") if i % 2 else ("m", None)
+            a, b, g0 = even_in(name, other), even_in(name, other), even_in(name, other)
+            if i % 6 == 5:
+                b = b * (var(name) + 1)  # one image even, the other not
+            if a.is_zero or b.is_zero or g0.is_zero:
+                continue
+            ours = poly_gcd(a * g0, b * g0)
+            theirs = sympy.Poly(sympy.gcd(to_sympy(a * g0), to_sympy(b * g0)), M, S, T)
+            assert sympy.Poly(to_sympy(ours), M, S, T).monic() == theirs.monic(), (a * g0, b * g0)
+            checked += 1
+        assert checked > 100
 
 
 class TestListImage:

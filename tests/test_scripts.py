@@ -22,7 +22,9 @@ def test_generate_wall_reports_one_fresh_process_per_k(capsys):
     (run,) = line["generate_family"]
     assert run["k"] == 2
     assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
-    assert {"python", "cpus", "machine"} <= set(line)
+    # the pinned family_to_json digest of generate_family(2)
+    assert run["sha256"] == "b0787a908120d302d118587fa371fae01399fdbbce99963cb620168e5f8bade8"
+    assert {"python", "numpy", "cpus", "machine"} <= set(line)
 
 
 def test_generate_wall_rejects_a_bad_k(capsys):
@@ -41,7 +43,7 @@ def test_search_wall_reports_one_fresh_process_per_bound(capsys):
     for run in line["search"]:
         assert 0 < run["search_s"] + run["pooled_s"] < run["wall_s"] and run["peak_rss_mb"] > 0
         assert run["pooled_s"] > 0
-    assert {"python", "cpus", "machine"} <= set(line)
+    assert {"python", "numpy", "cpus", "machine"} <= set(line)
 
 
 def test_search_wall_fails_when_the_pooled_triads_differ(capsys, monkeypatch):
