@@ -334,6 +334,15 @@ class Poly:
         return substitute(self, bindings)
 
 
+def _require_poly(name: str, *ps) -> None:
+    """Refuse any argument that is not a Poly with DomainError; the entry
+    points that take polynomials only would otherwise fail on a missing
+    attribute of a scalar or a RatFunc."""
+    for p in ps:
+        if not isinstance(p, Poly):
+            raise DomainError("%s expects Poly arguments, not %s" % (name, type(p).__name__))
+
+
 def _union_vars(*ps: Poly) -> tuple[str, ...]:
     """The variables of ps together, in the global order."""
     vars = ps[0].vars
@@ -634,8 +643,7 @@ def poly_divide_exact(a: Poly, b: Poly) -> Poly | None:
     deg_i(a) + 1.  The quotient must have no negative exponent; one found
     on an image in two or more variables must also multiply back to a.
     """
-    if not isinstance(a, Poly) or not isinstance(b, Poly):
-        raise DomainError("poly_divide_exact expects Poly arguments")
+    _require_poly("poly_divide_exact", a, b)
     if b.is_zero:
         raise DomainError("division by the zero polynomial")
     if a.is_zero:
@@ -979,6 +987,7 @@ def _poly_gcd_core(a: Poly, b: Poly) -> Poly:
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Polynomial gcd, normalized to integer content 1 and positive leading coeff."""
+    _require_poly("poly_gcd", a, b)
     return _normalize_gcd(_poly_gcd_core(a, b))
 
 
@@ -993,6 +1002,7 @@ def poly_sqrt(p: Poly) -> Poly | None:
     Solves for the root's coefficients top-down on p's image (see above),
     with D_i = deg_i(p) + 1, and accepts the root only if its square is p.
     """
+    _require_poly("poly_sqrt", p)
     if p.is_zero:
         return _ZERO
     vars, radix, hom = _list_map((p,), (p,))
@@ -1023,6 +1033,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     positive leading coefficients.  Yun's algorithm on the main variable,
     with the part free of that variable handled recursively.
     """
+    _require_poly("squarefree_decomposition", p)
     if p.is_zero:
         raise DomainError("squarefree decomposition of zero")
     if p.is_const:
@@ -1048,6 +1059,7 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
 
 def largest_square_root_divisor(p: Poly) -> Poly:
     """Largest (primitive) g such that g^2 divides p."""
+    _require_poly("largest_square_root_divisor", p)
     if p.is_zero or p.is_const:
         return _ONE
     g = _ONE
@@ -1068,8 +1080,7 @@ def substitute(p: Poly, bindings: Mapping[str, object]):
     Returns a Poly when every binding is polynomial, otherwise a RatFunc.
     Bindings for variables absent from p are ignored.
     """
-    if not isinstance(p, Poly):
-        raise DomainError("substitute expects a Poly")
+    _require_poly("substitute", p)
     live = {k: v for k, v in bindings.items() if k in p.vars}
     if not live:
         return p
@@ -1318,6 +1329,7 @@ class RatFunc:
         return o / self
 
     def __pow__(self, n: int):
+        n = _integer(n, "RatFunc powers require an integer exponent, not %r")
         if n < 0:
             if self.is_zero:
                 raise PoleError("zero rational function to a negative power")

@@ -24,6 +24,7 @@ from .multipoly import (
     Poly,
     RatFunc,
     _divexact,
+    _require_poly,
     canonical_sort_key,
     largest_square_root_divisor,
     poly_gcd,
@@ -57,6 +58,7 @@ def line_u_triple(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
     rounded up to even: a + b + c is a square, so the family's degree is
     even, and s^2 cannot divide all three members of a canonical family.
     """
+    _require_poly("line_u_triple", N, D)
     if D.is_zero:
         raise PoleError("U = N/D has a zero denominator")
     if N.is_zero:
@@ -135,6 +137,7 @@ def polynomialize_roots(roots: tuple[RatFunc, ...]) -> tuple[Poly, ...]:
     stripped triple is the one representative of its class under scaling
     by squares.  A zero root would be a zero member, which no triad has.
     """
+    roots = tuple(map(RatFunc._coerce, roots))
     if any(rt.is_zero for rt in roots):
         raise DomainError("a zero root gives a zero member, so no triad")
     scale = math.prod((rt.den for rt in roots), start=Poly.one()) ** 2
@@ -173,6 +176,7 @@ def _strip_square_content(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
 
 def square_witnesses(a: Poly, b: Poly, c: Poly) -> tuple[Poly, Poly, Poly]:
     """(f, g, h) with f^2 = a+b+c, g^2 = ab+bc+ca, h^2 = abc; error if any fails."""
+    _require_poly("square_witnesses", a, b, c)
     names = ("sum", "pairwise-product sum", "product")
     ab = a * b
     values = (a + b + c, ab + (a + b) * c, ab * c)
@@ -192,6 +196,7 @@ def solution_family_polys(u: RatFunc) -> tuple[Poly, Poly, Poly]:
     function of s and t, homogeneous of weight 1; its U is u at s = 1,
     t = m.
     """
+    u = RatFunc._coerce(u)
     num, den = u.num, u.den
     weight_one = num.is_homogeneous() and den.is_homogeneous() and num.total_degree() - den.total_degree() == 1
     if not weight_one or not set(num.vars) | set(den.vars) <= {"s", "t"}:

@@ -103,6 +103,7 @@ def psi(s, t, x):
 
     psi = x(s^2 - x) t^4 + 2 s^4 t^2 x + s^2 (s^4 + s^2 x + x^2) x.
     """
+    s, t, x = map(promote_int, (s, t, x))
     return x * (s * s - x) * t**4 + 2 * s**4 * t * t * x + s * s * (s**4 + s * s * x + x * x) * x
 
 
@@ -212,11 +213,11 @@ def choudhry_compose(Q: QuarticModel, P1: QuarticPoint, P2: QuarticPoint) -> Qua
 
 def second_root_vieta(A, B, C, known):
     """The other root of A x^2 + B x + C = 0 given one root, via Vieta."""
+    A, B, C, known = map(promote_int, (A, B, C, known))
     if A == 0:
         raise DegenerateParameterError("Vieta step needs a true quadratic (A != 0)")
     if A * known * known + B * known + C != 0:
         raise DomainError("claimed root does not satisfy the quadratic")
-    A = promote_int(A)
     if known != 0:
         return C / (A * known)
     return -B / A - known

@@ -30,6 +30,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,20 +201,19 @@ def _search_block(args) -> list[tuple[int, int, int]]:
 def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     """All triads a <= b <= c <= bound whose symmetric functions are squares.
 
-    The kernel triples are dealt to min(workers, CPUs) parts: a single part
-    runs in this process, more run in a process pool, one per process.
-    Results are sorted lexicographically and independently re-verified; with
-    primitive_only, triads carrying a square common factor are dropped
-    (their canonical form is enumerated on its own).
+    The kernel triples are dealt to parts = min(workers, CPUs) parts.  This
+    process runs part 0, and parts - 1 worker processes run the others
+    meanwhile, one each.  Results are sorted lexicographically and
+    independently re-verified; with primitive_only, triads carrying a square
+    common factor are dropped (their canonical form is enumerated on its own).
     """
     bound = cfg.bound
     parts = min(cfg.workers, os.cpu_count() or 1)
-    if parts == 1:
-        raw = _search_block((0, 1, bound))
-    else:
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            jobs = [(part, parts, bound) for part in range(parts)]
-            raw = [t for block in pool.map(_search_block, jobs) for t in block]
+    with ProcessPoolExecutor(max_workers=parts - 1) if parts > 1 else nullcontext() as pool:
+        rest = [pool.submit(_search_block, (part, parts, bound)) for part in range(1, parts)]
+        raw = _search_block((0, parts, bound))
+        for job in rest:
+            raw += job.result()
     raw.sort()
     results = []
     for a, b, c in raw:

@@ -19,15 +19,36 @@ from squaretriads import ecurve as ec
 from squaretriads import exactnum as en
 from squaretriads.errors import DomainError
 from squaretriads.families import gensol1_pipeline
-from squaretriads.multipoly import Poly, RatFunc, evaluate, exact_sqrt, substitute, var
-from squaretriads.quartic import QuarticModel, QuarticPoint, euler_quartic
+from squaretriads.multipoly import (
+    Poly,
+    RatFunc,
+    evaluate,
+    exact_sqrt,
+    largest_square_root_divisor,
+    poly_divide_exact,
+    poly_gcd,
+    poly_sqrt,
+    squarefree_decomposition,
+    substitute,
+    var,
+)
+from squaretriads.pipeline import (
+    canonical_triple,
+    line_u_triple,
+    polynomialize_roots,
+    solution_family_polys,
+    square_witnesses,
+)
+from squaretriads.quartic import QuarticModel, QuarticPoint, euler_quartic, psi, second_root_vieta
 from squaretriads.triads import CubicSpec, PQParameterization, rational_to_integer_triad
 
 s = var("s")
+m = var("m")
 
 # (name, call, integer_only); each call is valid at x = 2
 BOUNDARIES = [
     ("Poly.__pow__", lambda x: s**x, True),
+    ("RatFunc.__pow__", lambda x: RatFunc(s, s + 1) ** x, True),
     ("gensol1_pipeline r", lambda x: gensol1_pipeline(x, 1), True),
     ("gensol1_pipeline s", lambda x: gensol1_pipeline(1, x), True),
     ("generate_family", lambda x: ec.generate_family(x), True),
@@ -59,6 +80,14 @@ BOUNDARIES = [
     # the curve and quartic containers and the quartic's own formulas
     ("QuarticModel", lambda x: QuarticModel(x, 1, 2, 4), False),
     ("QuarticModel.rhs", lambda x: QuarticModel(1, 1, 2, 4).rhs(x), False),
+    ("psi s", lambda x: psi(x, 1, 2), False),
+    ("psi t", lambda x: psi(1, x, 2), False),
+    ("psi x", lambda x: psi(1, 2, x), False),
+    # x^2 - 3x + 2 = (x - 1)(x - 2), and 2x^2 - 3x + 1 = (2x - 1)(x - 1)
+    ("second_root_vieta A", lambda x: second_root_vieta(x, -3, 1, 1), False),
+    ("second_root_vieta B", lambda x: second_root_vieta(1, x, -3, 1), False),
+    ("second_root_vieta C", lambda x: second_root_vieta(1, -3, x, 1), False),
+    ("second_root_vieta known", lambda x: second_root_vieta(1, -3, 2, x), False),
     ("QuarticPoint u", lambda x: QuarticPoint(x, 1), False),
     ("QuarticPoint v", lambda x: QuarticPoint(0, x), False),
     ("WeierstrassModel", lambda x: ec.WeierstrassModel(x, 1), False),
@@ -143,3 +172,44 @@ def test_specializing_a_curve_or_point_over_q_is_refused():
     with pytest.raises(DomainError, match="Poly or RatFunc"):
         ec.specialize_point(ec.ECPoint(0, 1), 2)
     assert ec.specialize_point(ec.ECPoint.identity(), 2).is_identity
+
+
+# entry points that take polynomials only, or (polynomialize_roots and
+# solution_family_polys) rational functions, with each argument replaced
+POLY_ENTRIES = [
+    ("poly_gcd a", lambda x: poly_gcd(x, m)),
+    ("poly_gcd b", lambda x: poly_gcd(m, x)),
+    ("poly_sqrt", poly_sqrt),
+    ("squarefree_decomposition", squarefree_decomposition),
+    ("largest_square_root_divisor", largest_square_root_divisor),
+    ("poly_divide_exact a", lambda x: poly_divide_exact(x, m)),
+    ("poly_divide_exact b", lambda x: poly_divide_exact(m, x)),
+    ("substitute", lambda x: substitute(x, {"m": 2})),
+    ("line_u_triple N", lambda x: line_u_triple(x, m + 1)),
+    ("line_u_triple D", lambda x: line_u_triple(m, x)),
+    ("canonical_triple", lambda x: canonical_triple((x, x, x))),
+    ("square_witnesses", lambda x: square_witnesses(x, x, x)),
+    ("polynomialize_roots", lambda x: polynomialize_roots((x, x, x))),
+    ("solution_family_polys", solution_family_polys),
+]
+
+
+@pytest.mark.parametrize("x", [2, Fraction(1, 2), RatFunc(m, m + 1), None], ids=repr)
+def test_polynomial_entries_refuse_other_types(x):
+    # these raised AttributeError ('int' object has no attribute 'is_zero',
+    # 'RatFunc' object has no attribute 'vars') or TypeError
+    problems = []
+    for name, call in POLY_ENTRIES:
+        try:
+            call(x)
+        except DomainError:
+            pass
+        except Exception as exc:
+            problems.append("%s(%r) gave %r" % (name, x, exc))
+    assert problems == []
+
+
+def test_solution_family_polys_takes_a_poly_u():
+    # s has weight 1, so it gets past the weight check to the model check
+    with pytest.raises(DomainError, match="discriminant"):
+        solution_family_polys(s)

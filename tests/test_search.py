@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +18,20 @@ from squaretriads.triads import Triad, verify_triad
 EXPECTED_TRIADS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_triads.json"
 
 
+class _Done:
+    """A finished future: result() returns the value it holds."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Stands in for the process pool: records each pool, runs its chunks here."""
+    """Stands in for the process pool: records each pool and the parts it is
+    given, and runs each part here when it is submitted."""
     pools = []
 
     class InlinePool:
@@ -34,12 +46,36 @@ def inline_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            self.chunks = list(items)
-            return map(fn, self.chunks)
+        def submit(self, fn, args):
+            self.chunks.append(args)
+            return _Done(fn(args))
 
     monkeypatch.setattr(sr, "ProcessPoolExecutor", InlinePool)
     return pools
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Records the arguments of every _search_block call, pooled or not."""
+    calls = []
+    block = sr._search_block
+
+    def recorded(args):
+        calls.append(args)
+        return block(args)
+
+    monkeypatch.setattr(sr, "_search_block", recorded)
+    return calls
+
+
+_SEARCH_BLOCK = sr._search_block
+
+
+def _fail_part_0(args):
+    """_search_block, except that part 0 raises; module level, so a worker process can unpickle it."""
+    if args[0] == 0:
+        raise RuntimeError("part 0 failed")
+    return _SEARCH_BLOCK(args)
 
 
 def _sums_of_two_squares(n):
@@ -162,24 +198,50 @@ class TestSearch:
             sr.SearchConfig(edge + 1)
 
     def test_search_starts_clamped_pool(self, inline_pool, monkeypatch):
+        # 3 parts: a pool of 2 workers; clamped to one part: no pool
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial = sr.search_triads(sr.SearchConfig(600))
         assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
-        assert [pool.max_workers for pool in inline_pool] == [3]
-        assert inline_pool[0].chunks == [(0, 3, 600), (1, 3, 600), (2, 3, 600)]
+        assert [pool.max_workers for pool in inline_pool] == [2]
+        assert inline_pool[0].chunks == [(1, 3, 600), (2, 3, 600)]
         for cpus in (1, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
-            assert [pool.max_workers for pool in inline_pool] == [3]
+            assert [pool.max_workers for pool in inline_pool] == [2]
+
+    def test_caller_runs_part_0_and_the_pool_the_rest(self, inline_pool, block_calls, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        sr.search_triads(sr.SearchConfig(600, workers=3))
+        [pool] = inline_pool
+        assert pool.max_workers == 2
+        assert pool.chunks == [(1, 3, 600), (2, 3, 600)]
+        assert [args for args in block_calls if args not in pool.chunks] == [(0, 3, 600)]
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 1), (1, 3)])
+    def test_one_part_starts_no_pool(self, cpus, workers, inline_pool, block_calls, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sr.search_triads(sr.SearchConfig(600, workers=workers))
+        assert inline_pool == []
+        assert block_calls == [(0, 1, 600)]
+
+    def test_failing_part_0_leaves_no_worker_running(self, monkeypatch):
+        # a real forked pool: the error in this process propagates, and the
+        # with block still joins the worker that ran part 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sr, "_search_block", _fail_part_0)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="part 0 failed"):
+            sr.search_triads(sr.SearchConfig(600, workers=2))
+        assert multiprocessing.active_children() == []
 
     def test_pooled_equals_serial_at_every_small_bound(self, inline_pool, monkeypatch):
-        # with workers > 1 every bound goes through the pool, so tiny bounds give empty parts
+        # with workers > 1 every bound starts a pool, so tiny bounds give empty parts
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for bound in range(1, 301):
             serial = sr.search_triads(sr.SearchConfig(bound))
             for workers in (2, 3):
                 assert sr.search_triads(sr.SearchConfig(bound, workers=workers)) == serial
-        assert len(inline_pool) == 600
+        assert [pool.max_workers for pool in inline_pool] == [1, 2] * 300
 
     @pytest.mark.parametrize("bound, parts", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
     def test_parts_share_the_candidates_evenly(self, bound, parts):
@@ -199,8 +261,8 @@ class TestSearch:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert sr.search_triads(sr.SearchConfig(bound, workers=2)) == serial
         assert sr.search_triads(sr.SearchConfig(bound, workers=3)) == serial
-        assert [pool.max_workers for pool in inline_pool] == [2, 3]
-        assert inline_pool[0].chunks == [(0, 2, bound), (1, 2, bound)]
+        assert [pool.max_workers for pool in inline_pool] == [1, 2]
+        assert [pool.chunks for pool in inline_pool] == [[(1, 2, bound)], [(1, 3, bound), (2, 3, bound)]]
 
 
 class TestKernel:
