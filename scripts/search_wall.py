@@ -4,13 +4,14 @@
 
 For each bound, a new interpreter imports squaretriads from this checkout's
 src/ and runs search_triads(SearchConfig(bound)) on one worker, then
-search_triads(SearchConfig(bound, workers=2)) through the process pool, and
-fails unless both find the same triads.  wall_s is the child's whole life
-as the parent sees it, interpreter start-up and imports included; search_s
-and pooled_s are the two search_triads calls alone, timed in the child;
-peak_rss_mb is the child's own maximum resident set size, read after the
-serial search.  One JSON line goes to standard output.  A child that fails
-makes the exit code 1.
+search_triads(SearchConfig(bound, workers=2)), which runs part 1 in a worker
+process where there are two CPUs.  It fails unless both find the same triads
+and no worker process is left running after the second search.  wall_s is
+the child's whole life as the parent sees it, interpreter start-up and
+imports included; search_s and pooled_s are the two search_triads calls
+alone, timed in the child; peak_rss_mb is the child's own maximum resident
+set size, read after the serial search.  One JSON line goes to standard
+output.  A child that fails makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from pathlib import Path
 
 CHILD = """
-import json, resource, sys, time
+import json, multiprocessing, resource, sys, time
 from squaretriads.search import SearchConfig, search_triads
 t0 = time.perf_counter()
 triads = search_triads(SearchConfig(int(sys.argv[1])))
@@ -32,6 +33,8 @@ pooled = search_triads(SearchConfig(int(sys.argv[1]), workers=2))
 pooled_s = time.perf_counter() - t0
 if pooled != triads:
     sys.exit("the pooled search found other triads than the serial one")
+if multiprocessing.active_children():
+    sys.exit("a worker process outlived the pooled search")
 print(json.dumps({"search_s": search_s, "pooled_s": pooled_s, "triads": len(triads), "peak_rss_mb": peak}))
 """
 

@@ -29,7 +29,7 @@ from .multipoly import (
     substitute,
     var,
 )
-from .pipeline import polynomialize_roots, square_witnesses, strip_common_squares
+from .pipeline import _triple, polynomialize_roots, square_witnesses, strip_common_squares
 from .quartic import ascend_constant_side, second_root_vieta
 from .triads import (
     SquareCertificate,
@@ -80,6 +80,11 @@ class ParametricFamily:
         return (self.a, self.b, self.c)
 
 
+def _require_family(fam) -> None:
+    if not isinstance(fam, ParametricFamily):
+        raise DomainError("expected a ParametricFamily, not %r" % (fam,))
+
+
 _CLASS_BY_SQUARES = {3: ALL_SQUARES, 1: ONE_SQUARE, 0: NO_SQUARES}
 
 
@@ -89,7 +94,7 @@ def square_classification(members) -> tuple[int, str]:
     Exactly two square members is an internal error: the product of the
     members is a square, so two square members force the third to be one.
     """
-    squares = sum(1 for mp in members if poly_sqrt(mp) is not None)
+    squares = sum(1 for mp in _triple(members) if poly_sqrt(mp) is not None)
     if squares not in _CLASS_BY_SQUARES:
         raise VerificationError("unexpected number of square members: %d" % squares)
     return squares, _CLASS_BY_SQUARES[squares]
@@ -282,7 +287,10 @@ def evaluate_family(name: str, point) -> tuple[Triad, SquareCertificate]:
     """
     fam = get_family(name)
     if not isinstance(point, Mapping):
-        values = list(point)
+        try:
+            values = list(point)
+        except TypeError:
+            raise DomainError("family parameters must be a mapping or a sequence, not %r" % (point,)) from None
         if len(values) != len(fam.params):
             raise DomainError(
                 "family %s expects %d parameters, got %d" % (name, len(fam.params), len(values))
@@ -338,6 +346,7 @@ def verify_family_symbolic(fam: ParametricFamily) -> FamilyReport:
     1, or 0; 2 raises VerificationError); no-squares families additionally
     get numeric two-rational-squares spot checks at ten in-domain points.
     """
+    _require_family(fam)
     msgs = []
     ok = True
     a, b, c = fam.members()
@@ -494,6 +503,7 @@ def second_u_family() -> ParametricFamily:
 
 def family_to_json(fam: ParametricFamily) -> dict:
     """JSON-ready description with canonical polynomial text."""
+    _require_family(fam)
     f, g, h = fam.witnesses
     return {
         "name": fam.name,

@@ -137,7 +137,7 @@ def polynomialize_roots(roots: tuple[RatFunc, ...]) -> tuple[Poly, ...]:
     stripped triple is the one representative of its class under scaling
     by squares.  A zero root would be a zero member, which no triad has.
     """
-    roots = tuple(map(RatFunc._coerce, roots))
+    roots = tuple(map(RatFunc._coerce, _triple(roots)))
     if any(rt.is_zero for rt in roots):
         raise DomainError("a zero root gives a zero member, so no triad")
     scale = math.prod((rt.den for rt in roots), start=Poly.one()) ** 2
@@ -155,11 +155,19 @@ def canonical_triple(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
 
 def strip_common_squares(members: tuple[Poly, ...]) -> tuple[Poly, ...]:
     """canonical_triple's members before sorting, in the order given."""
+    members = _triple(members)
     root = largest_square_root_divisor(reduce(poly_gcd, members))
     if not root.is_const:
         sq = root * root
         members = tuple(_divexact(mp, sq) for mp in members)
     return _strip_square_content(members)
+
+
+def _triple(members) -> tuple:
+    """members as a tuple, if it is a tuple or list of exactly three; otherwise DomainError."""
+    if not isinstance(members, (tuple, list)) or len(members) != 3:
+        raise DomainError("a triple is a tuple or list of three members, not %r" % (members,))
+    return tuple(members)
 
 
 def _strip_square_content(members: tuple[Poly, ...]) -> tuple[Poly, ...]:

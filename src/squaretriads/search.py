@@ -20,17 +20,17 @@ triad, primitive or not.
 Each batch is tested with an exact float64 square test
 (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.7.3, with
 the float test in place of residue tables).  Each survivor is checked once
-in exact integers by verify_triad.  A naive unpruned triple loop is kept as
-the correctness oracle for small bounds.
+in exact integers by verify_triad.  With workers > 1 each part but the first
+runs in a process of its own that sends its triads back over a one-way pipe.
+A naive unpruned triple loop is kept as the correctness oracle for small bounds.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,22 +198,55 @@ def _search_block(args) -> list[tuple[int, int, int]]:
     return out
 
 
+def _start_part(args):
+    """Start a worker process on _search_block(args); return it and the read end of its one-way pipe."""
+    recv, send = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(target=_send_part, args=(send, args))
+    worker.start()
+    send.close()
+    return worker, recv
+
+
+def _send_part(send, args):
+    """In a worker: send back the triads of part args, or the exception that part raised."""
+    try:
+        send.send(_search_block(args))
+    except Exception as exc:
+        send.send(exc)
+
+
 def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     """All triads a <= b <= c <= bound whose symmetric functions are squares.
 
     The kernel triples are dealt to parts = min(workers, CPUs) parts.  This
-    process runs part 0, and parts - 1 worker processes run the others
-    meanwhile, one each.  Results are sorted lexicographically and
-    independently re-verified; with primitive_only, triads carrying a square
-    common factor are dropped (their canonical form is enumerated on its own).
+    process runs part 0, and a worker process runs each other part and pipes
+    back its triads or its exception (RuntimeError if it dies silently).  On any
+    error the workers are killed; all are joined before this returns.  Results
+    are sorted and re-verified; with primitive_only, triads with a square common
+    factor are dropped (their canonical form is enumerated on its own).
     """
     bound = cfg.bound
     parts = min(cfg.workers, os.cpu_count() or 1)
-    with ProcessPoolExecutor(max_workers=parts - 1) if parts > 1 else nullcontext() as pool:
-        rest = [pool.submit(_search_block, (part, parts, bound)) for part in range(1, parts)]
+    workers, answered = [], False
+    try:
+        for part in range(1, parts):
+            workers.append(_start_part((part, parts, bound)))
         raw = _search_block((0, parts, bound))
-        for job in rest:
-            raw += job.result()
+        for part, (worker, recv) in enumerate(workers, 1):
+            try:
+                triads = recv.recv()
+            except EOFError:
+                worker.join()
+                raise RuntimeError("search part %d exited with code %s and sent no triads" % (part, worker.exitcode)) from None
+            if isinstance(triads, Exception):
+                raise triads
+            raw += triads
+        answered = True
+    finally:
+        for worker, _ in workers:
+            if not answered:
+                worker.kill()
+            worker.join()
     raw.sort()
     results = []
     for a, b, c in raw:
@@ -230,11 +263,8 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
 
 def naive_search(bound: int) -> list[Triad]:
     """Unpruned triple-loop oracle; exact, independent of the kernel logic."""
-    squares_small = set()
-    i = 0
-    while i * i <= 3 * bound:
-        squares_small.add(i * i)
-        i += 1
+    bound = _integer(bound, "search bound must be an integer >= 1, not %r", 1)
+    squares_small = {i * i for i in range(math.isqrt(3 * bound) + 1)}
     out = []
     for a in range(1, bound + 1):
         for b in range(a, bound + 1):

@@ -112,7 +112,13 @@ class PQParameterization:
             raise DegenerateParameterError("degenerate parameters: m^2 p - 2 m q - p = 0")
 
 
+def _require_triad(t) -> None:
+    if not isinstance(t, Triad):
+        raise DomainError("expected a Triad, not %r" % (t,))
+
+
 def elementary_symmetric(t: Triad) -> tuple[int, int, int]:
+    _require_triad(t)
     a, b, c = t.a, t.b, t.c
     return (a + b + c, a * b + b * c + c * a, a * b * c)
 
@@ -134,6 +140,7 @@ def verify_triad(t: Triad) -> SquareCertificate | None:
 
 def canonicalize(t: Triad) -> Triad:
     """Remove the largest perfect square dividing gcd(a, b, c); sort ascending."""
+    _require_triad(t)
     g = math.gcd(math.gcd(t.a, t.b), t.c)
     _, root = squarefree_decompose(g)
     r2 = root * root

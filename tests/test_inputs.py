@@ -18,7 +18,13 @@ import pytest
 from squaretriads import ecurve as ec
 from squaretriads import exactnum as en
 from squaretriads.errors import DomainError
-from squaretriads.families import gensol1_pipeline
+from squaretriads.families import (
+    evaluate_family,
+    family_to_json,
+    gensol1_pipeline,
+    square_classification,
+    verify_family_symbolic,
+)
 from squaretriads.multipoly import (
     Poly,
     RatFunc,
@@ -38,9 +44,11 @@ from squaretriads.pipeline import (
     polynomialize_roots,
     solution_family_polys,
     square_witnesses,
+    strip_common_squares,
 )
 from squaretriads.quartic import QuarticModel, QuarticPoint, euler_quartic, psi, second_root_vieta
-from squaretriads.triads import CubicSpec, PQParameterization, rational_to_integer_triad
+from squaretriads.search import naive_search
+from squaretriads.triads import CubicSpec, PQParameterization, canonicalize, rational_to_integer_triad, verify_triad
 
 s = var("s")
 m = var("m")
@@ -52,6 +60,7 @@ BOUNDARIES = [
     ("gensol1_pipeline r", lambda x: gensol1_pipeline(x, 1), True),
     ("gensol1_pipeline s", lambda x: gensol1_pipeline(1, x), True),
     ("generate_family", lambda x: ec.generate_family(x), True),
+    ("naive_search", naive_search, True),
     ("promote_int", en.promote_int, False),
     ("sqrt_fraction", en.sqrt_fraction, False),
     ("TwoSquares", lambda x: en.TwoSquares(x, 0, 4), False),
@@ -207,6 +216,31 @@ def test_polynomial_entries_refuse_other_types(x):
         except Exception as exc:
             problems.append("%s(%r) gave %r" % (name, x, exc))
     assert problems == []
+
+
+# entry points given something other than a Triad, a ParametricFamily, a
+# parameter sequence or a triple of three members; these raised
+# AttributeError or TypeError, or returned a tuple of the wrong length
+SHAPE_ENTRIES = [
+    ("verify_triad", lambda: verify_triad((80, 225, 320))),
+    ("canonicalize", lambda: canonicalize((80, 225, 320))),
+    ("family_to_json", lambda: family_to_json(3)),
+    ("verify_family_symbolic", lambda: verify_family_symbolic("parmsol1")),
+    ("evaluate_family", lambda: evaluate_family("parmsol1", 5)),
+    ("canonical_triple ()", lambda: canonical_triple(())),
+    ("canonical_triple (s,)", lambda: canonical_triple((s,))),
+    ("strip_common_squares (s,)", lambda: strip_common_squares((s,))),
+    ("polynomialize_roots ()", lambda: polynomialize_roots(())),
+    ("polynomialize_roots 2", lambda: polynomialize_roots(2)),
+    ("polynomialize_roots (s,)", lambda: polynomialize_roots((RatFunc(s),))),
+    ("square_classification ()", lambda: square_classification(())),
+]
+
+
+@pytest.mark.parametrize("name, call", SHAPE_ENTRIES, ids=[name for name, _ in SHAPE_ENTRIES])
+def test_entries_refuse_a_wrong_shape(name, call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_solution_family_polys_takes_a_poly_u():

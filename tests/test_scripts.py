@@ -54,6 +54,16 @@ def test_search_wall_fails_when_the_pooled_triads_differ(capsys, monkeypatch):
     assert "other triads" in capsys.readouterr().err
 
 
+def test_search_wall_fails_when_a_worker_outlives_the_search(capsys, monkeypatch):
+    script = _load("search_wall")
+    # a daemonic process started after the pooled search stands in for a
+    # worker it left running; the child's exit ends it
+    leftover = "import multiprocessing; multiprocessing.Process(target=time.sleep, args=(30,), daemon=True).start()\n"
+    monkeypatch.setattr(script, "CHILD", script.CHILD.replace("if pooled != triads:", leftover + "if pooled != triads:"))
+    assert script.main(["300"]) == 1
+    assert "outlived the pooled search" in capsys.readouterr().err
+
+
 def test_search_wall_rejects_a_bad_bound(capsys):
     script = _load("search_wall")
     assert script.main([]) == 2

@@ -18,40 +18,37 @@ from squaretriads.triads import Triad, verify_triad
 EXPECTED_TRIADS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_triads.json"
 
 
-class _Done:
-    """A finished future: result() returns the value it holds."""
+class _Answered:
+    """Stands in for a finished worker process and the read end of its pipe."""
 
-    def __init__(self, value):
-        self.value = value
+    exitcode = 0
 
-    def result(self):
-        return self.value
+    def __init__(self, triads):
+        self.triads = triads
+
+    def recv(self):
+        return self.triads
+
+    def kill(self):
+        pass
+
+    def join(self):
+        pass
 
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Stands in for the process pool: records each pool and the parts it is
-    given, and runs each part here when it is submitted."""
-    pools = []
+    """Stands in for the worker processes: records the parts handed to
+    workers, in order, and runs each part here when its worker is started."""
+    started = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.chunks = []
-            pools.append(self)
+    def start_part(args):
+        started.append(args)
+        worker = _Answered(sr._search_block(args))
+        return worker, worker
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, args):
-            self.chunks.append(args)
-            return _Done(fn(args))
-
-    monkeypatch.setattr(sr, "ProcessPoolExecutor", InlinePool)
-    return pools
+    monkeypatch.setattr(sr, "_start_part", start_part)
+    return started
 
 
 @pytest.fixture
@@ -75,6 +72,20 @@ def _fail_part_0(args):
     """_search_block, except that part 0 raises; module level, so a worker process can unpickle it."""
     if args[0] == 0:
         raise RuntimeError("part 0 failed")
+    return _SEARCH_BLOCK(args)
+
+
+def _fail_part_1(args):
+    """_search_block, except that part 1 raises ValueError."""
+    if args[0] == 1:
+        raise ValueError("part 1 failed")
+    return _SEARCH_BLOCK(args)
+
+
+def _exit_part_1(args):
+    """_search_block, except that part 1 ends its process with code 3 before it answers."""
+    if args[0] == 1:
+        os._exit(3)
     return _SEARCH_BLOCK(args)
 
 
@@ -198,24 +209,21 @@ class TestSearch:
             sr.SearchConfig(edge + 1)
 
     def test_search_starts_clamped_pool(self, inline_pool, monkeypatch):
-        # 3 parts: a pool of 2 workers; clamped to one part: no pool
+        # 3 parts: 2 workers; clamped to one part: no worker
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial = sr.search_triads(sr.SearchConfig(600))
         assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
-        assert [pool.max_workers for pool in inline_pool] == [2]
-        assert inline_pool[0].chunks == [(1, 3, 600), (2, 3, 600)]
+        assert inline_pool == [(1, 3, 600), (2, 3, 600)]
         for cpus in (1, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             assert sr.search_triads(sr.SearchConfig(600, workers=64)) == serial
-            assert [pool.max_workers for pool in inline_pool] == [2]
+            assert inline_pool == [(1, 3, 600), (2, 3, 600)]
 
     def test_caller_runs_part_0_and_the_pool_the_rest(self, inline_pool, block_calls, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         sr.search_triads(sr.SearchConfig(600, workers=3))
-        [pool] = inline_pool
-        assert pool.max_workers == 2
-        assert pool.chunks == [(1, 3, 600), (2, 3, 600)]
-        assert [args for args in block_calls if args not in pool.chunks] == [(0, 3, 600)]
+        assert inline_pool == [(1, 3, 600), (2, 3, 600)]
+        assert [args for args in block_calls if args not in inline_pool] == [(0, 3, 600)]
 
     @pytest.mark.parametrize("cpus, workers", [(3, 1), (1, 3)])
     def test_one_part_starts_no_pool(self, cpus, workers, inline_pool, block_calls, monkeypatch):
@@ -225,8 +233,8 @@ class TestSearch:
         assert block_calls == [(0, 1, 600)]
 
     def test_failing_part_0_leaves_no_worker_running(self, monkeypatch):
-        # a real forked pool: the error in this process propagates, and the
-        # with block still joins the worker that ran part 1
+        # a real forked worker: the error in this process propagates, and the
+        # worker that ran part 1 is still joined
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(sr, "_search_block", _fail_part_0)
         assert multiprocessing.active_children() == []
@@ -234,14 +242,31 @@ class TestSearch:
             sr.search_triads(sr.SearchConfig(600, workers=2))
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "block, error, message",
+        [(_fail_part_1, ValueError, "part 1 failed"), (_exit_part_1, RuntimeError, "part 1 exited with code 3")],
+        ids=["raises", "exits"],
+    )
+    def test_failing_worker_reaches_the_caller(self, block, error, message, monkeypatch):
+        # real forked workers: an exception raised in part 1 keeps its type,
+        # and a worker that dies without answering raises RuntimeError; the
+        # fork start method carries the patched _search_block into the worker
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(sr, "multiprocessing", multiprocessing.get_context("fork"))
+        monkeypatch.setattr(sr, "_search_block", block)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(error, match=message):
+            sr.search_triads(sr.SearchConfig(600, workers=3))
+        assert multiprocessing.active_children() == []
+
     def test_pooled_equals_serial_at_every_small_bound(self, inline_pool, monkeypatch):
-        # with workers > 1 every bound starts a pool, so tiny bounds give empty parts
+        # with workers > 1 every bound starts workers, so tiny bounds give empty parts
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         for bound in range(1, 301):
             serial = sr.search_triads(sr.SearchConfig(bound))
             for workers in (2, 3):
                 assert sr.search_triads(sr.SearchConfig(bound, workers=workers)) == serial
-        assert [pool.max_workers for pool in inline_pool] == [1, 2] * 300
+        assert inline_pool == [args for bound in range(1, 301) for args in [(1, 2, bound), (1, 3, bound), (2, 3, bound)]]
 
     @pytest.mark.parametrize("bound, parts", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
     def test_parts_share_the_candidates_evenly(self, bound, parts):
@@ -261,8 +286,7 @@ class TestSearch:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         assert sr.search_triads(sr.SearchConfig(bound, workers=2)) == serial
         assert sr.search_triads(sr.SearchConfig(bound, workers=3)) == serial
-        assert [pool.max_workers for pool in inline_pool] == [1, 2]
-        assert [pool.chunks for pool in inline_pool] == [[(1, 2, bound)], [(1, 3, bound), (2, 3, bound)]]
+        assert inline_pool == [(1, 2, bound), (1, 3, bound), (2, 3, bound)]
 
 
 class TestKernel:
