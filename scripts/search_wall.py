@@ -5,8 +5,9 @@
 For each bound, a new interpreter imports squaretriads from this checkout's
 src/ and runs search_triads(SearchConfig(bound)) on one worker, then
 search_triads(SearchConfig(bound, workers=2)), which runs part 1 in a worker
-process where there are two CPUs.  It fails unless both find the same triads
-and no worker process is left running after the second search.  wall_s is
+process where there are two CPUs.  It fails unless both find the same triads,
+no worker process is left running after the second search, and a bound
+listed in KNOWN_TRIADS finds the count listed there.  wall_s is
 the child's whole life as the parent sees it, interpreter start-up and
 imports included; search_s and pooled_s are the two search_triads calls
 alone, timed in the child; peak_rss_mb is the child's own maximum resident
@@ -20,6 +21,9 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+# The number of triads a <= b <= c <= bound, for the bounds measured so far.
+KNOWN_TRIADS = {5000: 31, 10_000: 57, 30_000: 118, 100_000: 252, 300_000: 496}
 
 CHILD = """
 import json, multiprocessing, resource, sys, time
@@ -50,6 +54,8 @@ def _generate_wall():
 def measure(bound: int) -> dict:
     """{"bound", "wall_s", "search_s", "pooled_s", "peak_rss_mb", "triads"} of one fresh process that searches to bound."""
     wall, child = _generate_wall().fresh_process(CHILD, bound, "search to %d" % bound)
+    if child["triads"] != KNOWN_TRIADS.get(bound, child["triads"]):
+        raise RuntimeError("search to %d found %d triads, not the %d known" % (bound, child["triads"], KNOWN_TRIADS[bound]))
     return {
         "bound": bound,
         "wall_s": round(wall, 3),

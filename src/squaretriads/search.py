@@ -15,13 +15,15 @@ closed under quotients, so a is a sum of two rational squares, and its
 squarefree kernel has no prime p = 3 (mod 4).  The kernels g*u, g*v and u*v
 are squarefree, so g, u and v have no such prime either, and a squarefree
 number without one is a sum of two integer squares.  This holds for every
-triad, primitive or not.
+triad, primitive or not.  Kernel triples that fail a Legendre condition
+mod an odd prime of g, u or v hold no triad, and are skipped (see _candidates).
 
 Each batch is tested with an exact float64 square test
 (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.7.3, with
 the float test in place of residue tables).  Each survivor is checked once
-in exact integers by verify_triad.  With workers > 1 each part but the first
-runs in a process of its own that sends its triads back over a one-way pipe.
+in exact integers by verify_triad.  The (g, u, v, y) rows are dealt to the
+parts in turn; with workers > 1 each part but the first runs in a process of
+its own that sends its triads back over a one-way pipe.
 A naive unpruned triple loop is kept as the correctness oracle for small bounds.
 """
 
@@ -104,6 +106,44 @@ def _two_squares(n: int) -> np.ndarray:
     return table
 
 
+def _residue_tables(bound: int):
+    """(spf, start, residue): spf[m] is the smallest prime factor of m >= 2, and
+    residue[start[p] + s] is s**((p - 1) / 2) = 1 (mod p), for the primes p = 1
+    (mod 4) and 0 <= s <= bound // p only (about bound entries, built in slices;
+    p < 2**26 at any accepted bound, so the products stay in int64)."""
+    index = np.arange(bound + 1, dtype=np.int32)
+    spf = index.copy()
+    for p in range(2, math.isqrt(bound) + 1):
+        np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    primes = np.flatnonzero((spf == index) & (index % 4 == 1))[1:]
+    rows = bound // primes + 1
+    start = np.zeros(bound + 1, dtype=np.int32)
+    start[primes] = np.cumsum(rows) - rows
+    residue, done = np.empty(int(rows.sum()), dtype=bool), 0
+    for s, p in _spread(0, rows, primes):
+        r, e = np.ones_like(s), (p - 1) // 2
+        while e.any():
+            r = np.where(e & 1, r * s % p, r)
+            s, e = s * s % p, e >> 1
+        residue[done : done + r.size] = r == 1
+        done += r.size
+    return spf, start, residue
+
+
+def _meets_the_rule(g, u, v, tables) -> np.ndarray:
+    """Mask of the kernel triples with (gv|p) = 1 for every odd p | u, (gu|p) = 1 for p | v and (uv|p) = 1
+    for p | g; (gv|p) = (g|p)(v|p) is -1 where the two table entries differ."""
+    spf, start, residue = tables
+    ok = np.ones(g.shape, dtype=bool)
+    for n, s, t in ((u, g, v), (v, g, u), (g, u, v)):
+        n = n >> (~n & 1)  # n is squarefree: this drops the prime 2
+        while (live := np.flatnonzero(n > 1)).size:
+            p = spf[n[live]]
+            ok[live[residue[start[p] + s[live]] != residue[start[p] + t[live]]]] = False
+            n[live] //= p
+    return ok
+
+
 def _isqrt(x: np.ndarray) -> np.ndarray:
     """Elementwise floor square root of int64 values below 2**53."""
     r = np.sqrt(x).astype(np.int64)
@@ -144,24 +184,31 @@ def _spread(start, n: np.ndarray, *cols: np.ndarray):
 def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
     """Every a <= b <= c <= bound that could be a triad, in part `part` of `parts`.
 
-    That is every such a, b, c with abc a square and each member a sum of
-    two squares.  Such a triad has exactly one kernel triple (kernel(a),
-    kernel(b), kernel(c)) = (g*u, g*v, u*v) with g, u, v squarefree and
-    pairwise coprime, so it is (g*u*x**2, g*v*y**2, u*v*j**2) for exactly
-    one (u, v, g, x, y, j).  Why each member of a triad with certificate
-    (f, w, h) is a sum of two squares:
+    That is every such a, b, c with abc a square, each member a sum of two
+    squares and a kernel triple that meets the Legendre rule below.  Such a
+    triad has exactly one kernel triple (kernel(a), kernel(b), kernel(c)) =
+    (g*u, g*v, u*v) with g, u, v squarefree and pairwise coprime, so it is
+    (g*u*x**2, g*v*y**2, u*v*j**2) for exactly one (u, v, g, x, y, j).  Why
+    each member of a triad with certificate (f, w, h) is a sum of two squares:
         a*f^2 = a^2 + w^2 - bc and bc = h^2 / a give a*(a^2 + w^2) = (a*f)^2 + h^2;
         so a is a quotient of norms from Q(i), hence a norm: a = x^2 + y^2;
         so kernel(a) has no prime p = 3 (mod 4), and nor have g, u and v.
     So g, u and v are drawn only from the squarefree sums of two squares.
     Products of squarefree numbers are tested for coprimality on the sieve:
-    m*n is squarefree iff kernel(m*n) = m*n.  The i-th kernel triple to pass,
-    counted across slices, goes to part i % parts.  Yields (a, b, c) as int64
-    arrays, in batches; each level rebinds the names of the level above to
-    its own rows.
+    m*n is squarefree iff kernel(m*n) = m*n.  A kernel triple with an odd
+    prime p | u and (g*v | p) = -1 holds no triad, by infinite descent:
+        f^2 = a + b + c = g*v*y^2 (mod p) forces p | y and p | f, so p^2 | a + c = u*(g*x^2 + v*j^2);
+        p | u once, so g*x^2 = -v*j^2 (mod p), and -1 is a square mod p = 1 (mod 4);
+        as g*v is not a square mod p, p | x and p | j, and p^2 divides a, b and c;
+        so (a, b, c) / p^2 is a smaller triad with the same kernel triple, and so on forever.
+    p | v with (g*u | p) = -1 and p | g with (u*v | p) = -1 go the same way;
+    such triples are dropped.  The i-th (g, u, v, y) row, counted across
+    slices, goes to part i % parts.  Yields (a, b, c) as int64 arrays, in
+    batches; each level rebinds the names of the level above to its own rows.
     """
     bound = kernels.size - 1
     sf = np.flatnonzero((kernels == np.arange(bound + 1)) & _two_squares(bound))[1:]
+    tables = _residue_tables(bound)
     dealt = 0
     for vi, u in _spread(0, np.searchsorted(sf, bound // sf, side="right"), sf):
         v = sf[vi]
@@ -175,9 +222,11 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
             g = sf[gi]
             gu, gv = g * u, g * v
             keep = np.flatnonzero((kernels[gu] == gu) & (kernels[gv] == gv))
-            keep, dealt = keep[(part - dealt) % parts :: parts], dealt + keep.size
+            keep = keep[_meets_the_rule(g[keep], u[keep], v[keep], tables)]
             gu, gv, uv, jmax = gu[keep], gv[keep], uv[keep], jmax[keep]
             for y, gu, gv, uv, jmax in _spread(1, _isqrt(uv * jmax * jmax // gv), gu, gv, uv, jmax):
+                first, dealt = (part - dealt) % parts, dealt + y.size
+                y, gu, gv, uv, jmax = (col[first::parts] for col in (y, gu, gv, uv, jmax))
                 b = gv * y * y
                 for x, b, uv, jmax, gu in _spread(1, _isqrt(b // gu), b, uv, jmax, gu):
                     a = gu * x * x
@@ -208,20 +257,24 @@ def _start_part(args):
 
 
 def _send_part(send, args):
-    """In a worker: send back the triads of part args, or the exception that part raised."""
+    """In a worker: send back the triads of part args, or the exception that part raised and its
+    formatted traceback, which pickling would drop."""
     try:
         send.send(_search_block(args))
     except Exception as exc:
-        send.send(exc)
+        import traceback  # only a failed worker needs it, so importing search does not load it
+
+        send.send((exc, traceback.format_exc()))
 
 
 def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     """All triads a <= b <= c <= bound whose symmetric functions are squares.
 
-    The kernel triples are dealt to parts = min(workers, CPUs) parts.  This
+    The (g, u, v, y) rows are dealt to parts = min(workers, CPUs) parts.  This
     process runs part 0, and a worker process runs each other part and pipes
-    back its triads or its exception (RuntimeError if it dies silently).  On any
-    error the workers are killed; all are joined before this returns.  Results
+    back its triads or its exception, raised here with the worker's traceback
+    as its cause (RuntimeError if it dies silently).  On any error the
+    workers are killed; all are joined before this returns.  Results
     are sorted and re-verified; with primitive_only, triads with a square common
     factor are dropped (their canonical form is enumerated on its own).
     """
@@ -238,8 +291,8 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
             except EOFError:
                 worker.join()
                 raise RuntimeError("search part %d exited with code %s and sent no triads" % (part, worker.exitcode)) from None
-            if isinstance(triads, Exception):
-                raise triads
+            if isinstance(triads, tuple):
+                raise triads[0] from RuntimeError("search part %d raised in its worker process:\n%s" % (part, triads[1]))
             raw += triads
         answered = True
     finally:

@@ -64,6 +64,17 @@ def test_search_wall_fails_when_a_worker_outlives_the_search(capsys, monkeypatch
     assert "outlived the pooled search" in capsys.readouterr().err
 
 
+def test_search_wall_fails_when_a_known_count_differs(capsys, monkeypatch):
+    script = _load("search_wall")
+    # bound 300 holds 2 triads: a listed count of 2 passes, a listed 3 fails
+    monkeypatch.setattr(script, "KNOWN_TRIADS", {300: 2})
+    assert script.main(["300"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(script, "KNOWN_TRIADS", {300: 3})
+    assert script.main(["300"]) == 1
+    assert "found 2 triads, not the 3 known" in capsys.readouterr().err
+
+
 def test_search_wall_rejects_a_bad_bound(capsys):
     script = _load("search_wall")
     assert script.main([]) == 2

@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import traceback
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,6 +106,20 @@ def _two_squares_product_triples(n):
         hit = (np.rint(np.sqrt(p)).astype(np.int64) ** 2 == p) & (a <= b) & (b <= c)
         out.update((a, y, z) for y, z in zip(b[hit].tolist(), c[hit].tolist()))
     return out
+
+
+def _legendre_rule_holds(triad):
+    """Independent oracle of the search's rule: the kernel triple (g, u, v) of a
+    triad with abc square has (g*v | p) = 1 for each odd p | u, (g*u | p) = 1 for
+    p | v and (u*v | p) = 1 for p | g, by Euler's criterion on factorize."""
+    ka, kb, kc = (squarefree_decompose(m)[0] for m in triad)
+    g = math.gcd(ka, kb)
+    u, v = ka // g, kb // g
+    assert u * v == kc, triad
+    for n, rest in ((u, g * v), (v, g * u), (g, u * v)):
+        if any(pow(rest, (p - 1) // 2, p) != 1 for p in factorize(n) if p > 2):
+            return False
+    return True
 
 
 def _known_triads():
@@ -259,6 +275,17 @@ class TestSearch:
             sr.search_triads(sr.SearchConfig(600, workers=3))
         assert multiprocessing.active_children() == []
 
+    def test_worker_traceback_reaches_the_caller(self, monkeypatch):
+        # a real forked worker raises in part 1; the error the caller sees
+        # carries that worker's traceback as its cause
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sr, "multiprocessing", multiprocessing.get_context("fork"))
+        monkeypatch.setattr(sr, "_search_block", _fail_part_1)
+        with pytest.raises(ValueError, match="part 1 failed") as info:
+            sr.search_triads(sr.SearchConfig(600, workers=2))
+        assert "in _fail_part_1" in "".join(traceback.format_exception(info.type, info.value, info.tb))
+        assert multiprocessing.active_children() == []
+
     def test_pooled_equals_serial_at_every_small_bound(self, inline_pool, monkeypatch):
         # with workers > 1 every bound starts workers, so tiny bounds give empty parts
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -301,13 +328,14 @@ class TestKernel:
         "n, batch", [(n, sr._CANDIDATE_BATCH) for n in range(1, 61)] + [(300, sr._CANDIDATE_BATCH), (300, 5)]
     )
     def test_candidates_are_the_square_product_triples(self, n, batch, monkeypatch):
-        # every a <= b <= c <= n with abc square and each member a sum of two
-        # squares, each once, before any square test; 5-element slices split
-        # long ranges on every level between batches; dealt to 2 or 3 parts,
-        # the parts together hold each once
+        # every a <= b <= c <= n with abc square, each member a sum of two
+        # squares and a kernel triple that meets the Legendre rule, each once,
+        # before any square test; 5-element slices split long ranges on every
+        # level between batches; dealt to 2 or 3 parts, the parts together
+        # hold each once
         monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
         kernels = sr._kernel_sieve(n)
-        expected = _two_squares_product_triples(n)
+        expected = {t for t in _two_squares_product_triples(n) if _legendre_rule_holds(t)}
         for parts in (1, 2, 3):
             batches = [rows for part in range(parts) for rows in sr._candidates(kernels, part, parts)]
             assert all(a.size <= batch for a, _, _ in batches)
@@ -316,7 +344,7 @@ class TestKernel:
             assert set(got) == expected
 
     def test_the_deal_does_not_depend_on_the_batch(self, monkeypatch):
-        # the i-th passing kernel triple goes to part i % parts, counted across slices
+        # the i-th (g, u, v, y) row goes to part i % parts, counted across slices
         kernels = sr._kernel_sieve(300)
 
         def dealt(parts):
@@ -328,6 +356,35 @@ class TestKernel:
         whole = {parts: dealt(parts) for parts in (2, 3)}
         monkeypatch.setattr(sr, "_CANDIDATE_BATCH", 5)
         assert {parts: dealt(parts) for parts in (2, 3)} == whole
+
+    def test_known_triads_meet_the_legendre_rule(self):
+        # the fact the rule rests on, checked apart from the search
+        triads = _known_triads()
+        assert (252782198228, 1633780814400, 3474741058973) in triads
+        for triad in triads:
+            assert _legendre_rule_holds(triad), triad
+
+    def test_residue_table_is_euler_criterion(self):
+        n = 2000
+        spf, start, residue = sr._residue_tables(n)
+        assert spf[2:].tolist() == [min(factorize(m)) for m in range(2, n + 1)]
+        primes = [p for p in range(5, n + 1, 4) if factorize(p) == {p: 1}]
+        assert residue.size == sum(n // p + 1 for p in primes)
+        for p in primes:
+            got = residue[start[p] : start[p] + n // p + 1].tolist()
+            assert got == [pow(s, (p - 1) // 2, p) == 1 for s in range(n // p + 1)], p
+
+    def test_residue_tables_fit_in_the_kernel_sieve(self):
+        sieve = sr._kernel_sieve(10**5)
+        assert all(table.nbytes <= sieve.nbytes for table in sr._residue_tables(10**5))
+
+    def test_no_runtime_warning_at_small_bounds(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for bound in range(1, 301):
+                for part in range(2):
+                    for _ in sr._candidates(sr._kernel_sieve(bound), part, 2):
+                        pass
 
     def test_two_squares_table(self):
         n = 2000
