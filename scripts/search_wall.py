@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 # The number of triads a <= b <= c <= bound, for the bounds measured so far.
-KNOWN_TRIADS = {5000: 31, 10_000: 57, 30_000: 118, 100_000: 252, 300_000: 496}
+KNOWN_TRIADS = {5000: 31, 10_000: 57, 30_000: 118, 100_000: 252, 300_000: 496, 1_000_000: 1007}
 
 CHILD = """
 import json, multiprocessing, resource, sys, time

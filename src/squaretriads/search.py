@@ -18,6 +18,16 @@ number without one is a sum of two integer squares.  This holds for every
 triad, primitive or not.  Kernel triples that fail a Legendre condition
 mod an odd prime of g, u or v hold no triad, and are skipped (see _candidates).
 
+Every triad is 4**e times a 2-primitive one, whose x, y and j are not all
+even, and a 2-primitive triad has only a few parity patterns of (x, y, j),
+fixed mod 4 by which of g, u and v is even (see _PARITY and _candidates).  So
+the enumeration yields only the candidates with those patterns (169 046 of
+the 453 617 at bound 5000 that the kernel and Legendre rules leave), and
+search_triads adds the multiples 4**e * (a, b, c) with 4**e * c <= bound of
+each triad found.  For a (g, u, v, y) row, the smallest j with c >= b does not
+depend on x, so the row's candidates are one or two step-2 sublattices of a
+rectangle in (x, j), spread in one pass with no level per x.
+
 Each batch is tested with an exact float64 square test
 (Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.7.3, with
 the float test in place of residue tables).  Each survivor is checked once
@@ -107,18 +117,18 @@ def _two_squares(n: int) -> np.ndarray:
 
 
 def _residue_tables(bound: int):
-    """(spf, start, residue): spf[m] is the smallest prime factor of m >= 2, and
-    residue[start[p] + s] is s**((p - 1) / 2) = 1 (mod p), for the primes p = 1
-    (mod 4) and 0 <= s <= bound // p only (about bound entries, built in slices;
-    p < 2**26 at any accepted bound, so the products stay in int64)."""
+    """(spf, primes, start, residue): spf[m] is the smallest prime factor of m >= 2,
+    primes holds the primes p = 1 (mod 4) up to bound in order, and
+    residue[start[i] + s] is s**((p - 1) / 2) = 1 (mod p) for p = primes[i] and
+    0 <= s <= bound // p only (about bound entries, built in slices; p < 2**26
+    at any accepted bound, so the products stay in int64)."""
     index = np.arange(bound + 1, dtype=np.int32)
     spf = index.copy()
     for p in range(2, math.isqrt(bound) + 1):
         np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
     primes = np.flatnonzero((spf == index) & (index % 4 == 1))[1:]
     rows = bound // primes + 1
-    start = np.zeros(bound + 1, dtype=np.int32)
-    start[primes] = np.cumsum(rows) - rows
+    start = np.cumsum(rows) - rows
     residue, done = np.empty(int(rows.sum()), dtype=bool), 0
     for s, p in _spread(0, rows, primes):
         r, e = np.ones_like(s), (p - 1) // 2
@@ -127,19 +137,20 @@ def _residue_tables(bound: int):
             s, e = s * s % p, e >> 1
         residue[done : done + r.size] = r == 1
         done += r.size
-    return spf, start, residue
+    return spf, primes, start, residue
 
 
 def _meets_the_rule(g, u, v, tables) -> np.ndarray:
     """Mask of the kernel triples with (gv|p) = 1 for every odd p | u, (gu|p) = 1 for p | v and (uv|p) = 1
     for p | g; (gv|p) = (g|p)(v|p) is -1 where the two table entries differ."""
-    spf, start, residue = tables
+    spf, primes, start, residue = tables
     ok = np.ones(g.shape, dtype=bool)
     for n, s, t in ((u, g, v), (v, g, u), (g, u, v)):
         n = n >> (~n & 1)  # n is squarefree: this drops the prime 2
         while (live := np.flatnonzero(n > 1)).size:
             p = spf[n[live]]
-            ok[live[residue[start[p] + s[live]] != residue[start[p] + t[live]]]] = False
+            at = start[np.searchsorted(primes, p)]  # every odd p here is 1 (mod 4), so it is in primes
+            ok[live[residue[at + s[live]] != residue[at + t[live]]]] = False
             n[live] //= p
     return ok
 
@@ -181,11 +192,52 @@ def _spread(start, n: np.ndarray, *cols: np.ndarray):
         yield (t, *(np.repeat(col[rows], m) for col in cols))
 
 
+# The parity patterns (x, j) (mod 2) that a 2-primitive triad (g*u*x^2, g*v*y^2,
+# u*v*j^2) can have: _PARITY[2 * class + y % 2] holds up to two patterns
+# 2 * (x % 2) + j % 2, and -1 for none.  Class 0 has g, u and v odd; class 1,
+# 2 or 3 has 2 | g, u or v.  A free parity is listed as both of its patterns.
+_PARITY = np.array(
+    [
+        [2, 1],  # g, u, v odd, y even: x odd or j odd, not both
+        [0, -1],  # g, u, v odd, y odd: x and j even
+        [1, -1],  # 2 | g, y even: x even, j odd
+        [3, 2],  # 2 | g, y odd: x odd, j free
+        [3, -1],  # 2 | u, y even: x and j odd
+        [3, 0],  # 2 | u, y odd: x = j (mod 2)
+        [2, -1],  # 2 | v, y even: x odd, j even
+        [3, 1],  # 2 | v, y odd: j odd, x free
+    ]
+)
+
+
+def _sublattices(y, gu, gv, uv, jmax, kind):
+    """The nonempty (x, j) sublattices of (g, u, v, y) rows, each as (n, x1, j1, nj, gu, b, uv).
+
+    x = x1, x1 + 2, ... <= isqrt(b // gu), and j = j1, j1 + 2, ... <= jmax from
+    the first j with c >= b (at most jmax, as b <= u*v*jmax**2), with the
+    parities of a pattern in _PARITY; there are nj values of j and n values of
+    (x, j).  The temporaries here are freed before the sublattices are spread.
+    """
+    b = gv * y * y
+    pattern = _PARITY[kind + (y & 1)].ravel()
+    row = np.flatnonzero(pattern >= 0)
+    pattern = pattern[row]
+    row >>= 1
+    x1, j1 = 2 - (pattern >> 1), _isqrt((b - 1) // uv)[row] + 1
+    j1 += (j1 ^ pattern) & 1
+    nj = (jmax[row] - j1 + 2) >> 1
+    n = ((_isqrt(b // gu)[row] - x1 + 2) >> 1) * nj
+    live = np.flatnonzero(n)
+    row = row[live]
+    return n[live], x1[live], j1[live], nj[live], gu[row], b[row], uv[row]
+
+
 def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
-    """Every a <= b <= c <= bound that could be a triad, in part `part` of `parts`.
+    """Every a <= b <= c <= bound that could be a 2-primitive triad, in part `part` of `parts`.
 
     That is every such a, b, c with abc a square, each member a sum of two
-    squares and a kernel triple that meets the Legendre rule below.  Such a
+    squares, a kernel triple that meets the Legendre rule below and a parity
+    pattern that meets the 2-adic rule below.  Such a
     triad has exactly one kernel triple (kernel(a), kernel(b), kernel(c)) =
     (g*u, g*v, u*v) with g, u, v squarefree and pairwise coprime, so it is
     (g*u*x**2, g*v*y**2, u*v*j**2) for exactly one (u, v, g, x, y, j).  Why
@@ -202,9 +254,28 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
         as g*v is not a square mod p, p | x and p | j, and p^2 divides a, b and c;
         so (a, b, c) / p^2 is a smaller triad with the same kernel triple, and so on forever.
     p | v with (g*u | p) = -1 and p | g with (u*v | p) = -1 go the same way;
-    such triples are dropped.  The i-th (g, u, v, y) row, counted across
-    slices, goes to part i % parts.  Yields (a, b, c) as int64 arrays, in
-    batches; each level rebinds the names of the level above to its own rows.
+    such triples are dropped.
+
+    Only 2-primitive triads, with x, y and j not all even, are yielded, and
+    only with a parity pattern in _PARITY; search_triads adds the rest.  Since
+    g*u, g*v and u*v are squarefree, 4 | a, b and c iff x, y and j are even,
+    and then (a, b, c) / 4 is a triad with the same kernel triple; so every
+    triad is 4**e times a 2-primitive one.  Odd g, u and v have only primes
+    p = 1 (mod 4), so they are 1 (mod 4), and an odd square is too.  So in a
+    2-primitive triad, mod 4:
+        g, u, v odd: f^2 = x^2 + y^2 + j^2 counts the odd ones of x, y, j; it is 0 or 1, and not 0;
+            so exactly one of x, y and j is odd;
+        2 | g: a = 2*x^2 and b = 2*y^2, so x odd and y even give f^2 = 2 + c = 2 or 3, no square;
+            so x = y (mod 2), and j is odd when both are even;
+        2 | u: a = 2*x^2 and c = 2*j^2, so x = j (mod 2) the same way, and both are odd when y is even;
+        2 | v: b = 2*y^2 and c = 2*j^2, so y = j (mod 2), and x is odd when y is even.
+    A kernel triple's y rows start at the first y with b >= g*u, where x = 1
+    fits; the i-th (g, u, v, y) row, counted across slices, goes to part i % parts.
+    j0 = isqrt((b - 1) // (u*v)) + 1 does not depend on x, so a y row's
+    candidates are the (x, j) in [1, xmax] x [j0, jmax], and the rule keeps one
+    or two step-2 sublattices of that rectangle (_sublattices); a batch's
+    sublattices are spread at once, with no level per x.  Yields (a, b, c) as int64 arrays, in batches;
+    each level rebinds the names of the level above to its own rows.
     """
     bound = kernels.size - 1
     sf = np.flatnonzero((kernels == np.arange(bound + 1)) & _two_squares(bound))[1:]
@@ -223,16 +294,27 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
             gu, gv = g * u, g * v
             keep = np.flatnonzero((kernels[gu] == gu) & (kernels[gv] == gv))
             keep = keep[_meets_the_rule(g[keep], u[keep], v[keep], tables)]
+            # 2 * (the class of _PARITY): at most one of g, u and v is even
+            kind = 2 * ((~g & 1) + 2 * (~u & 1) + 3 * (~v & 1))[keep]
             gu, gv, uv, jmax = gu[keep], gv[keep], uv[keep], jmax[keep]
-            for y, gu, gv, uv, jmax in _spread(1, _isqrt(uv * jmax * jmax // gv), gu, gv, uv, jmax):
+            # from y1 on b >= g*u, so x = 1 fits under a <= b; b <= c <= u*v*jmax**2 bounds y above
+            y1 = _isqrt((gu - 1) // gv) + 1
+            ny = np.maximum(_isqrt(uv * jmax * jmax // gv) - y1 + 1, 0)
+            for y, gu, gv, uv, jmax, kind in _spread(y1, ny, gu, gv, uv, jmax, kind):
                 first, dealt = (part - dealt) % parts, dealt + y.size
-                y, gu, gv, uv, jmax = (col[first::parts] for col in (y, gu, gv, uv, jmax))
-                b = gv * y * y
-                for x, b, uv, jmax, gu in _spread(1, _isqrt(b // gu), b, uv, jmax, gu):
-                    a = gu * x * x
-                    j0 = _isqrt((b - 1) // uv) + 1
-                    for j, a, b, uv in _spread(j0, jmax - j0 + 1, a, b, uv):
-                        yield a, b, uv * j * j
+                y, gu, gv, uv, jmax, kind = (col[first::parts] for col in (y, gu, gv, uv, jmax, kind))
+                for t, x1, j1, nj, gu, b, uv in _spread(0, *_sublattices(y, gu, gv, uv, jmax, kind)):
+                    # in place: a batch's temporaries set the search's peak memory
+                    a, c = np.divmod(t, nj)
+                    a <<= 1
+                    a += x1
+                    a *= a
+                    a *= gu
+                    c <<= 1
+                    c += j1
+                    c *= c
+                    c *= uv
+                    yield a, b, c
 
 
 def _search_block(args) -> list[tuple[int, int, int]]:
@@ -274,7 +356,9 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     process runs part 0, and a worker process runs each other part and pipes
     back its triads or its exception, raised here with the worker's traceback
     as its cause (RuntimeError if it dies silently).  On any error the
-    workers are killed; all are joined before this returns.  Results
+    workers are killed; all are joined before this returns.  The parts find
+    the 2-primitive triads (see _candidates), and each one's multiples
+    4**e * (a, b, c) with 4**e * c <= bound are added here.  Results
     are sorted and re-verified; with primitive_only, triads with a square common
     factor are dropped (their canonical form is enumerated on its own).
     """
@@ -300,6 +384,9 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
             if not answered:
                 worker.kill()
             worker.join()
+    # the parts find the 2-primitive triads; 4**e * (a, b, c) is a triad, and 4**e <= bound // c
+    # iff 2 * e < (bound // c).bit_length()
+    raw += [(a << s, b << s, c << s) for a, b, c in raw for s in range(2, (bound // c).bit_length(), 2)]
     raw.sort()
     results = []
     for a, b, c in raw:

@@ -108,18 +108,51 @@ def _two_squares_product_triples(n):
     return out
 
 
+def _kernel_triple(triad):
+    """(g, u, v, x, y, j) with triad = (g*u*x**2, g*v*y**2, u*v*j**2), for abc square, from squarefree_decompose."""
+    (ka, x), (kb, y), (kc, j) = (squarefree_decompose(m) for m in triad)
+    g = math.gcd(ka, kb)
+    u, v = ka // g, kb // g
+    assert u * v == kc, triad
+    return g, u, v, x, y, j
+
+
 def _legendre_rule_holds(triad):
     """Independent oracle of the search's rule: the kernel triple (g, u, v) of a
     triad with abc square has (g*v | p) = 1 for each odd p | u, (g*u | p) = 1 for
     p | v and (u*v | p) = 1 for p | g, by Euler's criterion on factorize."""
-    ka, kb, kc = (squarefree_decompose(m)[0] for m in triad)
-    g = math.gcd(ka, kb)
-    u, v = ka // g, kb // g
-    assert u * v == kc, triad
+    g, u, v, _, _, _ = _kernel_triple(triad)
     for n, rest in ((u, g * v), (v, g * u), (g, u * v)):
         if any(pow(rest, (p - 1) // 2, p) != 1 for p in factorize(n) if p > 2):
             return False
     return True
+
+
+def _parity_rule_holds(triad):
+    """Independent oracle of the search's 2-adic rule, for a triad with abc square: the
+    parities of (x, y, j) are a pattern that a 2-primitive triad of its kernel class can have."""
+    g, u, v, x, y, j = _kernel_triple(triad)
+    even = next((name for name, k in (("g", g), ("u", u), ("v", v)) if k % 2 == 0), None)
+    return _parity_allows(even, x % 2, y % 2, j % 2)
+
+
+def _parity_allows(even, x, y, j):
+    """The 2-adic rule for parities x, y, j in {0, 1} in the kernel class where `even` is even."""
+    if even is None:
+        return x + y + j == 1
+    if even == "g":
+        return x == y and bool(x or j)
+    if even == "u":
+        return x == j and bool(x or y)
+    return y == j and bool(x or y)
+
+
+def _two_primitive_part(triad):
+    """The triad divided by 4 for as long as 4 divides all three members."""
+    a, b, c = triad
+    while a % 4 == b % 4 == c % 4 == 0:
+        a, b, c = a // 4, b // 4, c // 4
+    return a, b, c
 
 
 def _known_triads():
@@ -205,6 +238,28 @@ class TestSearch:
         monkeypatch.setattr(sr, "_is_square", lambda x: np.ones(x.shape, dtype=bool))
         with pytest.raises(VerificationError, match="prefilter"):
             sr.search_triads(sr.SearchConfig(300))
+
+    def test_multiples_of_4_are_added_once_and_verified(self, monkeypatch):
+        # the parts find only 2-primitive triads; search_triads adds 4**e times
+        # each, once, and every returned triad, multiple or not, went through
+        # verify_triad
+        checked = []
+
+        def recorded(triad):
+            checked.append(triad.members())
+            return verify_triad(triad)
+
+        monkeypatch.setattr(sr, "verify_triad", recorded)
+        found = [t.members() for t, _ in sr.search_triads(sr.SearchConfig(3000))]
+        assert len(found) == len(set(found))
+        assert found == sorted(checked)
+        primitive = sr._search_block((0, 1, 3000))
+        assert len(primitive) < len(found)
+        assert sorted(_two_primitive_part(t) for t in found) == sorted(
+            p for p in primitive for e in range(8) if p[2] << 2 * e <= 3000
+        )
+        assert (180, 256, 720) in found and (180, 256, 720) not in primitive
+        assert (720, 1024, 2880) in found
 
     def test_tiny_bounds(self):
         assert sr.search_triads(sr.SearchConfig(1)) == []
@@ -297,8 +352,8 @@ class TestSearch:
 
     @pytest.mark.parametrize("bound, parts", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
     def test_parts_share_the_candidates_evenly(self, bound, parts):
-        # dealt after the squarefree test, the largest part holds 59.7 %,
-        # 50.4 %, 37.4 % and 17.2 % of the candidates
+        # dealt after the squarefree test, the largest part holds 53.6 %,
+        # 52.7 %, 33.4 % and 12.6 % of the candidates
         share = {(256, 2): 0.6, (5000, 2): 0.55, (5000, 3): 0.4, (10**5, 8): 0.18}[bound, parts]
         kernels = sr._kernel_sieve(bound)
         total = sum(a.size for a, _, _ in sr._candidates(kernels))
@@ -329,13 +384,13 @@ class TestKernel:
     )
     def test_candidates_are_the_square_product_triples(self, n, batch, monkeypatch):
         # every a <= b <= c <= n with abc square, each member a sum of two
-        # squares and a kernel triple that meets the Legendre rule, each once,
-        # before any square test; 5-element slices split long ranges on every
-        # level between batches; dealt to 2 or 3 parts, the parts together
-        # hold each once
+        # squares, a kernel triple that meets the Legendre rule and a parity
+        # pattern that meets the 2-adic rule, each once, before any square
+        # test; 5-element slices split long ranges on every level between
+        # batches; dealt to 2 or 3 parts, the parts together hold each once
         monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
         kernels = sr._kernel_sieve(n)
-        expected = {t for t in _two_squares_product_triples(n) if _legendre_rule_holds(t)}
+        expected = {t for t in _two_squares_product_triples(n) if _legendre_rule_holds(t) and _parity_rule_holds(t)}
         for parts in (1, 2, 3):
             batches = [rows for part in range(parts) for rows in sr._candidates(kernels, part, parts)]
             assert all(a.size <= batch for a, _, _ in batches)
@@ -364,14 +419,32 @@ class TestKernel:
         for triad in triads:
             assert _legendre_rule_holds(triad), triad
 
+    def test_known_triads_meet_the_parity_rule(self):
+        # the fact the 2-adic rule rests on, checked apart from the search: with
+        # 4**e stripped, each triad is a triad with an allowed parity pattern
+        triads = _known_triads()
+        assert (252782198228, 1633780814400, 3474741058973) in triads
+        for triad in triads:
+            primitive = _two_primitive_part(triad)
+            assert verify_triad(Triad(*primitive)) is not None, triad
+            assert _parity_rule_holds(primitive), triad
+
+    def test_parity_table_is_the_rule(self):
+        # each (class, y parity) row of _PARITY lists exactly the (x, j) parities the oracle allows
+        for cls, even in enumerate((None, "g", "u", "v")):
+            for y in (0, 1):
+                listed = {int(p) for p in sr._PARITY[2 * cls + y] if p >= 0}
+                allowed = {2 * x + j for x in (0, 1) for j in (0, 1) if _parity_allows(even, x, y, j)}
+                assert listed == allowed, (even, y)
+
     def test_residue_table_is_euler_criterion(self):
         n = 2000
-        spf, start, residue = sr._residue_tables(n)
+        spf, primes, start, residue = sr._residue_tables(n)
         assert spf[2:].tolist() == [min(factorize(m)) for m in range(2, n + 1)]
-        primes = [p for p in range(5, n + 1, 4) if factorize(p) == {p: 1}]
-        assert residue.size == sum(n // p + 1 for p in primes)
-        for p in primes:
-            got = residue[start[p] : start[p] + n // p + 1].tolist()
+        assert primes.tolist() == [p for p in range(5, n + 1, 4) if factorize(p) == {p: 1}]
+        assert residue.size == sum(n // p + 1 for p in primes.tolist())
+        for rank, p in enumerate(primes.tolist()):
+            got = residue[start[rank] : start[rank] + n // p + 1].tolist()
             assert got == [pow(s, (p - 1) // 2, p) == 1 for s in range(n // p + 1)], p
 
     def test_residue_tables_fit_in_the_kernel_sieve(self):
