@@ -7,9 +7,10 @@ src/ and builds generate_family(k).  wall_s is the child's whole life as
 the parent sees it, interpreter start-up and imports included; peak_rss_mb
 is the child's own maximum resident set size, read before the digest;
 sha256 is the digest of the family's family_to_json, with sorted keys, so
-two checkouts can be compared on what they built as well as how fast.  One
-JSON line goes to standard output.  A child that fails makes the exit
-code 1.
+two checkouts can be compared on what they built as well as how fast.  A
+k listed in KNOWN_SHA256 must build the digest listed there.  One JSON
+line goes to standard output.  A child that fails, or a digest that
+differs from the known one, makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from pathlib import Path
 import numpy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The family_to_json digest of generate_family(k), for the k measured so far.
+KNOWN_SHA256 = {
+    16: "2d4c01b912c91651f1256f9e7a5b9225f2501332a1720e14d5b4bb7f488741bc",
+    24: "487b751282fb7752b5c1b3eae37666074f6e5cb18de76abbb5747982afe5ac06",
+}
 
 CHILD = """
 import hashlib, json, resource, sys
@@ -65,6 +72,8 @@ def fresh_process(child: str, arg: int, what: str) -> tuple[float, dict]:
 def measure(k: int) -> dict:
     """{"k", "wall_s", "peak_rss_mb", "sha256"} of one fresh process that builds generate_family(k)."""
     wall, child = fresh_process(CHILD, k, "generate_family(%d)" % k)
+    if child["sha256"] != KNOWN_SHA256.get(k, child["sha256"]):
+        raise RuntimeError("generate_family(%d) built digest %s, not the %s known" % (k, child["sha256"], KNOWN_SHA256[k]))
     return {"k": k, "wall_s": round(wall, 3), "peak_rss_mb": round(child["peak_rss_mb"], 1), "sha256": child["sha256"]}
 
 

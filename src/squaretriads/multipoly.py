@@ -78,13 +78,16 @@ def _var_key(name: str):
 class Poly:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_image")
 
-    def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], Coeff]):
+    def __init__(self, vars: tuple[str, ...], terms: dict[tuple[int, ...], Coeff], image=None):
         # Internal constructor: callers must pass vars sorted by _var_key and
         # terms free of zero coefficients.  Use var()/const() and arithmetic.
+        # image is None or the one-variable image (low, L) of the polynomial
+        # in its own vars; _to_list fills it when it is first asked for.
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_image", image)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Poly is immutable")
@@ -108,6 +111,9 @@ class Poly:
 
     @staticmethod
     def variable(name: str) -> "Poly":
+        # render writes the name as it is, so it must read back as one
+        if not isinstance(name, str) or not name.isidentifier():
+            raise DomainError("a variable name is a non-empty identifier string, not %r" % (name,))
         return Poly((name,), {(1,): 1})
 
     @staticmethod
@@ -150,6 +156,9 @@ class Poly:
         return max((e[i] for e in self.terms), default=-1)
 
     def is_homogeneous(self) -> bool:
+        # a kept image in two variables is that of a form
+        if self._image is not None and len(self.vars) == 2:
+            return True
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
@@ -239,6 +248,11 @@ class Poly:
             return other * self.terms[()]
         if other.is_const:
             return self * other.terms[()]
+        ia, ib = self._image, other._image
+        if ia is not None and ib is not None and self.vars == other.vars:
+            # one variable, or forms in the same two variables
+            d = _form_degree(self) + _form_degree(other) if len(self.vars) == 2 else None
+            return _from_list(self.vars, None, d, ia[0] + ib[0], _list_mul(ia[1], ib[1]))
         vars, radix, hom = _list_map((self, other), (self, other))
         la, A = _to_list(self, vars, radix, hom)
         lb, B = (la, A) if other is self else _to_list(other, vars, radix, hom)
@@ -412,6 +426,14 @@ def const(c: Scalar) -> Poly:
 # polynomials are, so above _MAX_IMAGE_SLOTS it is refused before anything
 # is allocated.
 #
+# A one-variable image that is the polynomial itself is kept in the Poly
+# (its _image slot): _to_list builds it once, _from_list keeps the list a
+# kernel returned, and __mul__ multiplies two kept images in the same
+# variables directly.  terms stays the canonical data.  A kept list is
+# shared by every later caller, so the list kernels (_list_mul,
+# _dense_divexact, _dense_sqrt, _gcd_list, _halve, _clear_denominators)
+# only read their input lists and build their results afresh.
+#
 # Most of the generator's polynomials are even in m, so their lists have
 # zeros in every odd slot.  The list kernels then run on the halved list
 # L[::2] and spread the result back: z -> z^2 commutes with products, exact
@@ -462,7 +484,14 @@ def _list_degrees(p: Poly, low: int, L: list[Coeff], hom: bool) -> tuple[int, ..
 
 
 def _to_list(p: Poly, vars: tuple[str, ...], radix: list[int] | None, hom: bool) -> tuple[int, list[Coeff]]:
-    """(low, L) with image(p) = z^low * sum L[i] z^i, for nonzero p (see above)."""
+    """(low, L) with image(p) = z^low * sum L[i] z^i, for nonzero p (see above).
+
+    A one-variable image in p's own variables is p itself: it is kept in p
+    the first time and returned from there afterwards.
+    """
+    own = radix is None and vars == p.vars
+    if own and p._image is not None:
+        return p._image
     terms = _embed(p, vars)
     if hom or len(vars) == 1:
         keys = [e[-1] for e in terms]
@@ -473,6 +502,8 @@ def _to_list(p: Poly, vars: tuple[str, ...], radix: list[int] | None, hom: bool)
     L: list[Coeff] = [0] * (max(keys) - low + 1)
     for k, c in zip(keys, terms.values()):
         L[k - low] = c
+    if own:
+        object.__setattr__(p, "_image", (low, L))
     return low, L
 
 
@@ -481,15 +512,23 @@ def _from_list(vars: tuple[str, ...], radix: list[int] | None, d: int | None, lo
 
     d is its total degree when it is a form whose first variable left the
     image, else None; otherwise the exponents are the mixed-radix digits of
-    the image's exponents.
+    the image's exponents.  L's entries are canonical (ints where they are
+    integers).  A one-variable image whose end entries are nonzero and
+    whose exponents show every variable used is kept in the result, and L
+    with it, so L must not change afterwards.
     """
     if d is not None:
         terms = {(d - k, k): c for k, c in enumerate(L, low) if c}
+        used = d > low and low + len(L) > 1
     elif len(vars) == 1:
         terms = {(k,): c for k, c in enumerate(L, low) if c}
+        used = low + len(L) > 1
     else:
         weights = list(accumulate(radix[:-1], mul, initial=1))
         terms = {tuple(k // w % r for w, r in zip(weights, radix)): c for k, c in enumerate(L, low) if c}
+        used = False
+    if used and L[0] and L[-1]:
+        return Poly(vars, terms, (low, L))
     return Poly._make(vars, terms)
 
 

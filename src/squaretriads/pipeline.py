@@ -24,7 +24,9 @@ from .multipoly import (
     Poly,
     RatFunc,
     _divexact,
+    _from_list,
     _require_poly,
+    _to_list,
     canonical_sort_key,
     largest_square_root_divisor,
     poly_gcd,
@@ -121,12 +123,15 @@ def _line_quadratic(N: Poly, D: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def _homogenize_m(p: Poly, d: int) -> Poly:
-    """s^d p(t/s) for p in m alone and d >= deg p, computed term by term."""
-    if p.is_const:
-        terms = {(d, 0): p.terms[()]} if not p.is_zero else {}
-        return Poly._make(("s", "t"), terms)
-    i = p.vars.index("m")
-    return Poly._make(("s", "t"), {(d - e[i], e[i]): c for e, c in p.terms.items()})
+    """s^d p(t/s) for p in m alone and d >= deg p.
+
+    The form's image keeps t, whose exponents are those of m in p, so p's
+    coefficient list in m is the form's list as well.
+    """
+    if p.is_zero:
+        return p
+    low, L = _to_list(p, ("m",), None, False)
+    return _from_list(("s", "t"), None, d, low, L)
 
 
 def polynomialize_roots(roots: tuple[RatFunc, ...]) -> tuple[Poly, ...]:

@@ -361,6 +361,10 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     4**e * (a, b, c) with 4**e * c <= bound are added here.  Results
     are sorted and re-verified; with primitive_only, triads with a square common
     factor are dropped (their canonical form is enumerated on its own).
+
+    A worker process costs a few ms to start, so workers pays only on larger
+    bounds: on a 2-CPU VM, 2 workers took 41-44 ms at bound 10**4 against
+    23 ms serially, and 81-121 ms at 3 * 10**4 against 111-170 ms.
     """
     bound = cfg.bound
     parts = min(cfg.workers, os.cpu_count() or 1)

@@ -247,3 +247,16 @@ def test_solution_family_polys_takes_a_poly_u():
     # s has weight 1, so it gets past the weight check to the model check
     with pytest.raises(DomainError, match="discriminant"):
         solution_family_polys(s)
+
+
+@pytest.mark.parametrize("name", [1, "", "2m", "m t", "m^2", None, b"m", ("m",)], ids=repr)
+def test_variable_names_are_identifiers(name):
+    # var(1) built a Poly whose repr raised TypeError, and var("") printed as 1
+    for make in (var, Poly.variable):
+        with pytest.raises(DomainError, match="identifier"):
+            make(name)
+
+
+def test_identifier_variable_names_render_as_given():
+    for name in ("m", "x1", "U_2", "alpha"):
+        assert repr(var(name) ** 2) == "Poly(%s^2)" % name

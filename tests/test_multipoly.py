@@ -1098,6 +1098,140 @@ class TestListImage:
         assert checked > 90
 
 
+class TestCachedImage:
+    """A Poly keeps its one-variable image once it is built; products of two
+    such images, the quotients, roots and gcds built on them, and the list
+    kernels below them only read the lists they are given."""
+
+    @staticmethod
+    def operands(seed, count):
+        """Polynomials in m and forms in (s, t): even or not, with monomial
+        factors and Fractions, and ones that cancel down to a
+        single variable; half of them with their image already kept.  A few
+        polynomials in (s, t) that are not forms go with them."""
+        rng = random.Random(seed)
+        out = []
+        for i in range(count):
+            step = 2 if i % 5 < 2 else 1  # even ones take the halved kernels
+            deg = rng.randint(0, 5)
+            coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
+            if i % 3 == 0:
+                coeffs = [Fraction(c, rng.randint(1, 4)) for c in coeffs]
+            if i % 4 < 2:
+                p = sum((c * m ** (step * k) for k, c in enumerate(coeffs)), Poly.zero())
+                p = p * m ** rng.randint(0, 2)
+            elif i % 4 == 2:
+                p = sum((c * s ** (step * (deg - k)) * t ** (step * k) for k, c in enumerate(coeffs)), Poly.zero())
+                p = p * s ** rng.randint(0, 2) * t ** rng.randint(0, 2)
+                if i % 8 == 6:
+                    # not a form: its image in (s, t) is not kept
+                    p = p + rng.choice((s, t**7, s * t**3))
+            else:
+                # s t - s t: forms of which one variable cancels away
+                p = rng.randint(1, 5) * rng.choice((s, t)) ** rng.randint(1, 4) + s * t - s * t
+                assert len(p.vars) == 1
+            if p.is_const:
+                continue
+            if i % 2 and (len(p.vars) == 1 or p.is_homogeneous()):
+                _to_list(p, p.vars, None, len(p.vars) == 2)
+                assert p._image is not None
+            out.append(p)
+        return out
+
+    @staticmethod
+    def snapshot(p):
+        return dict(p.terms), None if p._image is None else (p._image[0], list(p._image[1]))
+
+    @staticmethod
+    def reference_product(a, b):
+        """a * b by multiplying out the terms, normalized by Poly._make."""
+        names = tuple(sorted(set(a.vars) | set(b.vars), key="mst".index))
+        out = {}
+        for ea, ca in a.terms.items():
+            for eb, cb in b.terms.items():
+                exps = dict(zip(a.vars, ea))
+                for v, k in zip(b.vars, eb):
+                    exps[v] = exps.get(v, 0) + k
+                e = tuple(exps.get(v, 0) for v in names)
+                out[e] = out.get(e, 0) + ca * cb
+        return Poly._make(names, out)
+
+    @staticmethod
+    def check_result(r):
+        # the Poly._make normal form: no zero term, no unused variable, and
+        # ints for the integer coefficients
+        assert r == Poly._make(r.vars, dict(r.terms))
+        assert all(type(c) is int or c.denominator > 1 for c in r.terms.values())
+        if r._image is not None:
+            # a kept image is the one a fresh conversion of the terms gives
+            assert len(r.vars) == 1 or (len(r.vars) == 2 and len({sum(e) for e in r.terms}) == 1)
+            fresh = Poly(r.vars, dict(r.terms))
+            assert r._image == _to_list(fresh, r.vars, None, len(r.vars) == 2)
+
+    def pairs(self, seed):
+        ops = self.operands(seed, 60)
+        rng = random.Random(seed + 1)
+        same = [(a, b) for a, b in itertools.product(ops, ops) if a.vars == b.vars or set(a.vars) | set(b.vars) <= {"s", "t"}]
+        return rng.sample(same, 150)
+
+    def run_checked(self, fn, *operands):
+        """fn(*operands), checking that no operand or kept image changed."""
+        before = [self.snapshot(p) for p in operands]
+        out = fn(*operands)
+        for p, (terms, image) in zip(operands, before):
+            # an image may be kept now; one kept before is left as it was
+            assert p.terms == terms and (image is None or self.snapshot(p)[1] == image)
+            self.check_result(p)
+        if isinstance(out, Poly):
+            self.check_result(out)
+        return out
+
+    def test_products(self):
+        shapes = set()
+        for a, b in self.pairs(91):
+            for x, y in ((a, b), (a, a)):  # a * a passes one list twice
+                kept = x._image is not None and y._image is not None
+                got = self.run_checked(operator.mul, x, y)
+                assert got == self.reference_product(x, y)
+                shapes.add((len(got.vars), kept, x is y))
+        # both image paths, squares among them, in one and two variables,
+        # and Kronecker images of polynomials that are not forms
+        assert any(len(p.vars) == 2 and not p.is_homogeneous() for p, _ in self.pairs(91))
+        assert {(n, kept) for n, kept, _ in shapes} == {(1, False), (1, True), (2, False), (2, True)}
+        assert any(sq for _, _, sq in shapes)
+
+    def test_exact_quotients(self):
+        losses = 0
+        for a, b in self.pairs(92):
+            for ab in (a * b, self.reference_product(a, b)):
+                assert self.run_checked(poly_divide_exact, ab, b) == a
+                assert self.run_checked(poly_divide_exact, ab, a) == b
+            self.run_checked(poly_divide_exact, a, b)  # None, or a quotient
+            losses += len(a.vars) < len(b.vars)
+        assert losses  # quotients with fewer variables than the dividend
+
+    def test_square_roots(self):
+        for a, _ in self.pairs(93):
+            for sq in (a * a, self.reference_product(a, a)):
+                r = self.run_checked(poly_sqrt, sq)
+                assert r in (a, -a)
+            self.run_checked(poly_sqrt, a)  # None, or a root
+
+    def test_gcds(self):
+        rng = random.Random(94)
+        ops = self.operands(95, 40)
+        for a, b in self.pairs(94):
+            # a common factor in m, or in s and t
+            c = rng.choice([c for c in ops if (c.vars == ("m",)) == (a.vars == ("m",))])
+            ac, bc = a * c, self.reference_product(b, c)
+            g = self.run_checked(poly_gcd, ac, bc)
+            assert poly_divide_exact(ac, g) is not None and poly_divide_exact(bc, g) is not None
+            assert poly_divide_exact(g, c) is not None
+        # a gcd of forms that is a power of one variable
+        g = self.run_checked(poly_gcd, s * t * (s + t), t**2 * (s - t))
+        assert g == t and g.vars == ("t",)
+
+
 class TestModularImages:
     """The mod-p layer under Brown's gcd against sympy's galoistools.
 

@@ -27,6 +27,18 @@ def test_generate_wall_reports_one_fresh_process_per_k(capsys):
     assert {"python", "numpy", "cpus", "machine"} <= set(line)
 
 
+def test_generate_wall_fails_when_a_known_digest_differs(capsys, monkeypatch):
+    script = _load("generate_wall")
+    digest = "b0787a908120d302d118587fa371fae01399fdbbce99963cb620168e5f8bade8"
+    # k = 2 builds the digest above: listed, it passes; another listed digest fails
+    monkeypatch.setattr(script, "KNOWN_SHA256", {2: digest})
+    assert script.main(["2"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(script, "KNOWN_SHA256", {2: "0" * 64})
+    assert script.main(["2"]) == 1
+    assert "built digest %s, not the %s known" % (digest, "0" * 64) in capsys.readouterr().err
+
+
 def test_generate_wall_rejects_a_bad_k(capsys):
     script = _load("generate_wall")
     assert script.main([]) == 2
