@@ -10,9 +10,11 @@ no worker process is left running after the second search, and a bound
 listed in KNOWN_TRIADS finds the count listed there.  wall_s is
 the child's whole life as the parent sees it, interpreter start-up and
 imports included; search_s and pooled_s are the two search_triads calls
-alone, timed in the child; peak_rss_mb is the child's own maximum resident
-set size, read after the serial search.  One JSON line goes to standard
-output.  A child that fails makes the exit code 1.
+alone, timed in the child.  The child imports numpy before the first
+clock starts: search_triads would import it on its first call otherwise,
+and search_s would count that.  peak_rss_mb is the child's own maximum
+resident set size, read after the serial search.  One JSON line goes to
+standard output.  A child that fails makes the exit code 1.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ KNOWN_TRIADS = {5000: 31, 10_000: 57, 30_000: 118, 100_000: 252, 300_000: 496, 1
 
 CHILD = """
 import json, multiprocessing, resource, sys, time
+import numpy
 from squaretriads.search import SearchConfig, search_triads
 t0 = time.perf_counter()
 triads = search_triads(SearchConfig(int(sys.argv[1])))

@@ -92,6 +92,11 @@ class Poly:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild from the canonical data, not through the
+        # __setattr__ above; the kept image is rebuilt on first use
+        return Poly, (self.vars, self.terms)
+
     # -- construction -------------------------------------------------------
 
     @staticmethod
@@ -1277,6 +1282,10 @@ class RatFunc:
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("RatFunc is immutable")
+
+    def __reduce__(self):
+        # num and den are canonical already, so they are not re-normalized
+        return RatFunc._raw, (self.num, self.den)
 
     @staticmethod
     def _raw(num: Poly, den: Poly) -> "RatFunc":

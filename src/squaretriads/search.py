@@ -35,6 +35,11 @@ in exact integers by verify_triad.  The (g, u, v, y) rows are dealt to the
 parts in turn; with workers > 1 each part but the first runs in a process of
 its own that sends its triads back over a one-way pipe.
 A naive unpruned triple loop is kept as the correctness oracle for small bounds.
+
+numpy is imported inside the kernel functions, not by this module, so the
+table, the corpus, naive_search and every caller that does not search never
+load it (it is most of the package's import time).  search_triads imports it
+before it starts any worker, so each forked worker has it already.
 """
 
 from __future__ import annotations
@@ -44,8 +49,6 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, VerificationError
 from .exactnum import _integer, is_perfect_square
@@ -94,6 +97,8 @@ def _kernel_sieve(n: int) -> np.ndarray:
 
     int32 holds every bound SearchConfig accepts.
     """
+    import numpy as np
+
     kernels = np.arange(n + 1, dtype=np.int32)
     root = math.isqrt(n)
     composite = np.zeros(root + 1, dtype=bool)
@@ -109,6 +114,8 @@ def _kernel_sieve(n: int) -> np.ndarray:
 
 def _two_squares(n: int) -> np.ndarray:
     """Boolean table over 0..n: True where the index is x**2 + y**2."""
+    import numpy as np
+
     table = np.zeros(n + 1, dtype=bool)
     for x in range(math.isqrt(n) + 1):
         y = np.arange(x, math.isqrt(n - x * x) + 1)
@@ -122,6 +129,8 @@ def _residue_tables(bound: int):
     residue[start[i] + s] is s**((p - 1) / 2) = 1 (mod p) for p = primes[i] and
     0 <= s <= bound // p only (about bound entries, built in slices; p < 2**26
     at any accepted bound, so the products stay in int64)."""
+    import numpy as np
+
     index = np.arange(bound + 1, dtype=np.int32)
     spf = index.copy()
     for p in range(2, math.isqrt(bound) + 1):
@@ -143,6 +152,8 @@ def _residue_tables(bound: int):
 def _meets_the_rule(g, u, v, tables) -> np.ndarray:
     """Mask of the kernel triples with (gv|p) = 1 for every odd p | u, (gu|p) = 1 for p | v and (uv|p) = 1
     for p | g; (gv|p) = (g|p)(v|p) is -1 where the two table entries differ."""
+    import numpy as np
+
     spf, primes, start, residue = tables
     ok = np.ones(g.shape, dtype=bool)
     for n, s, t in ((u, g, v), (v, g, u), (g, u, v)):
@@ -157,6 +168,8 @@ def _meets_the_rule(g, u, v, tables) -> np.ndarray:
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
     """Elementwise floor square root of int64 values below 2**53."""
+    import numpy as np
+
     r = np.sqrt(x).astype(np.int64)
     r -= r * r > x
     r += (r + 1) * (r + 1) <= x
@@ -165,6 +178,8 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
 
 def _is_square(x: np.ndarray) -> np.ndarray:
     """Exact elementwise square test for int64 values below 2**53."""
+    import numpy as np
+
     r = np.sqrt(x)
     np.rint(r, out=r)
     r = r.astype(np.int64)
@@ -179,6 +194,8 @@ def _spread(start, n: np.ndarray, *cols: np.ndarray):
     range, in slices of at most _CANDIDATE_BATCH elements; a row longer
     than that is split between slices.
     """
+    import numpy as np
+
     start = np.broadcast_to(start, n.shape)
     ends = np.cumsum(n)
     total = int(ends[-1]) if n.size else 0
@@ -196,30 +213,32 @@ def _spread(start, n: np.ndarray, *cols: np.ndarray):
 # u*v*j^2) can have: _PARITY[2 * class + y % 2] holds up to two patterns
 # 2 * (x % 2) + j % 2, and -1 for none.  Class 0 has g, u and v odd; class 1,
 # 2 or 3 has 2 | g, u or v.  A free parity is listed as both of its patterns.
-_PARITY = np.array(
-    [
-        [2, 1],  # g, u, v odd, y even: x odd or j odd, not both
-        [0, -1],  # g, u, v odd, y odd: x and j even
-        [1, -1],  # 2 | g, y even: x even, j odd
-        [3, 2],  # 2 | g, y odd: x odd, j free
-        [3, -1],  # 2 | u, y even: x and j odd
-        [3, 0],  # 2 | u, y odd: x = j (mod 2)
-        [2, -1],  # 2 | v, y even: x odd, j even
-        [3, 1],  # 2 | v, y odd: j odd, x free
-    ]
+# _candidates turns it into an array once per search.
+_PARITY = (
+    (2, 1),  # g, u, v odd, y even: x odd or j odd, not both
+    (0, -1),  # g, u, v odd, y odd: x and j even
+    (1, -1),  # 2 | g, y even: x even, j odd
+    (3, 2),  # 2 | g, y odd: x odd, j free
+    (3, -1),  # 2 | u, y even: x and j odd
+    (3, 0),  # 2 | u, y odd: x = j (mod 2)
+    (2, -1),  # 2 | v, y even: x odd, j even
+    (3, 1),  # 2 | v, y odd: j odd, x free
 )
 
 
-def _sublattices(y, gu, gv, uv, jmax, kind):
+def _sublattices(y, gu, gv, uv, jmax, kind, parity):
     """The nonempty (x, j) sublattices of (g, u, v, y) rows, each as (n, x1, j1, nj, gu, b, uv).
 
     x = x1, x1 + 2, ... <= isqrt(b // gu), and j = j1, j1 + 2, ... <= jmax from
     the first j with c >= b (at most jmax, as b <= u*v*jmax**2), with the
-    parities of a pattern in _PARITY; there are nj values of j and n values of
-    (x, j).  The temporaries here are freed before the sublattices are spread.
+    parities of a pattern in parity, the array of _PARITY; there are nj values
+    of j and n values of (x, j).  The temporaries here are freed before the
+    sublattices are spread.
     """
+    import numpy as np
+
     b = gv * y * y
-    pattern = _PARITY[kind + (y & 1)].ravel()
+    pattern = parity[kind + (y & 1)].ravel()
     row = np.flatnonzero(pattern >= 0)
     pattern = pattern[row]
     row >>= 1
@@ -277,7 +296,10 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
     sublattices are spread at once, with no level per x.  Yields (a, b, c) as int64 arrays, in batches;
     each level rebinds the names of the level above to its own rows.
     """
+    import numpy as np
+
     bound = kernels.size - 1
+    parity = np.array(_PARITY)
     sf = np.flatnonzero((kernels == np.arange(bound + 1)) & _two_squares(bound))[1:]
     tables = _residue_tables(bound)
     dealt = 0
@@ -303,7 +325,7 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
             for y, gu, gv, uv, jmax, kind in _spread(y1, ny, gu, gv, uv, jmax, kind):
                 first, dealt = (part - dealt) % parts, dealt + y.size
                 y, gu, gv, uv, jmax, kind = (col[first::parts] for col in (y, gu, gv, uv, jmax, kind))
-                for t, x1, j1, nj, gu, b, uv in _spread(0, *_sublattices(y, gu, gv, uv, jmax, kind)):
+                for t, x1, j1, nj, gu, b, uv in _spread(0, *_sublattices(y, gu, gv, uv, jmax, kind, parity)):
                     # in place: a batch's temporaries set the search's peak memory
                     a, c = np.divmod(t, nj)
                     a <<= 1
@@ -319,6 +341,8 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
 
 def _search_block(args) -> list[tuple[int, int, int]]:
     """Triads from part `part` of `parts` of the kernel triples."""
+    import numpy as np
+
     part, parts, bound = args
     out: list[tuple[int, int, int]] = []
     for a, b, c in _candidates(_kernel_sieve(bound), part, parts):
@@ -362,10 +386,16 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     are sorted and re-verified; with primitive_only, triads with a square common
     factor are dropped (their canonical form is enumerated on its own).
 
-    A worker process costs a few ms to start, so workers pays only on larger
-    bounds: on a 2-CPU VM, 2 workers took 41-44 ms at bound 10**4 against
-    23 ms serially, and 81-121 ms at 3 * 10**4 against 111-170 ms.
+    workers pays only on larger bounds.  At bound 5000 on a 2-CPU VM (30
+    alternating searches in one process, getrusage, medians), with 2 workers
+    the caller took 1085 minor page faults per search against 206 serially
+    (copy-on-write after the fork), and its own CPU time did not fall: 14.1
+    ms against 13.7 ms.  The two parts ran at the same time, but each took
+    about 17 ms there against 9 ms alone.  At bound 10**4, 2 workers took
+    41-44 ms against 23 ms serially; at 3 * 10**4, 81-121 ms against 111-170 ms.
     """
+    import numpy  # noqa: F401  (loaded before any worker starts, so a forked worker has it)
+
     bound = cfg.bound
     parts = min(cfg.workers, os.cpu_count() or 1)
     workers, answered = [], False
