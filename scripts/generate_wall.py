@@ -26,6 +26,8 @@ from pathlib import Path
 import numpy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# Linux's size of the first CPU's level-2 cache
+L2_CACHE = Path("/sys/devices/system/cpu/cpu0/cache/index2/size")
 
 # The family_to_json digest of generate_family(k), for the k measured so far.
 KNOWN_SHA256 = {
@@ -45,12 +47,15 @@ print(json.dumps({"peak_rss_mb": peak, "sha256": digest}))
 
 
 def machine_info() -> dict:
-    """The Python and numpy versions, CPU count and machine a measurement ran on."""
+    """The Python and numpy versions, CPU count, machine and L2 cache size (as the
+    kernel gives it, such as "2048K"; None where it does not) a measurement ran on.
+    The search's candidate batch was sized to the L2 cache."""
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "cpus": os.cpu_count(),
         "machine": platform.machine(),
+        "l2_cache": L2_CACHE.read_text().strip() if L2_CACHE.exists() else None,
     }
 
 

@@ -21,19 +21,31 @@ mod an odd prime of g, u or v hold no triad, and are skipped (see _candidates).
 Every triad is 4**e times a 2-primitive one, whose x, y and j are not all
 even, and a 2-primitive triad has only a few parity patterns of (x, y, j),
 fixed mod 4 by which of g, u and v is even (see _PARITY and _candidates).  So
-the enumeration yields only the candidates with those patterns (169 046 of
-the 453 617 at bound 5000 that the kernel and Legendre rules leave), and
+the enumeration keeps only the (x, y, j) with those patterns, and
 search_triads adds the multiples 4**e * (a, b, c) with 4**e * c <= bound of
 each triad found.  For a (g, u, v, y) row, the smallest j with c >= b does not
 depend on x, so the row's candidates are one or two step-2 sublattices of a
 rectangle in (x, j), spread in one pass with no level per x.
 
-Each batch is tested with an exact float64 square test
-(Cohen, A Course in Computational Algebraic Number Theory, Alg. 1.7.3, with
-the float test in place of residue tables).  Each survivor is checked once
-in exact integers by verify_triad.  The (g, u, v, y) rows are dealt to the
-parts in turn; with workers > 1 each part but the first runs in a process of
-its own that sends its triads back over a one-way pipe.
+Where u*v = 1, c = j**2 and a + b + c = f**2 is (f - j)(f + j) = n with
+n = a + b, so these rows are walked by d = f - j >= 1 (f > j, as n > 0) per x
+instead of by j (_d_walk).  d and n/d = f + j have the same parity, so d is odd
+for odd n and even for 4 | n, and n = 2 (mod 4) has no d (the parity rule
+leaves no such row).  d falls as j grows, so the row's j range is exactly a
+d range whose ends isqrt gives exactly; the range is not widened, as it does
+the work of a j range test, and a d in it is a hit iff d | n and n/d - d = 2*j
+has the row's j parity.  These rows then yield only candidates with a + b + c
+a square.  At bound 5000 the kernel and Legendre rules leave 453 617 (x, y, j),
+the parity rule 169 046, and with the d walk the enumeration yields 108 656
+candidates (13 014 941 at 10**5, against 19 357 097 with a j scan).
+
+In each batch, e1 = a + b + c <= 3 * bound is looked up in a table of the
+squares up to 3 * bound, and e2 = ab + bc + ca <= 3 * bound**2 gets an exact
+float64 square test (Cohen, A Course in Computational Algebraic Number
+Theory, Alg. 1.7.3, with the float test in place of residue tables).  Each
+survivor is checked once in exact integers by verify_triad.  The (g, u, v, y)
+rows are dealt to the parts in turn; with workers > 1 each part but the first
+runs in a process of its own that sends its triads back over a one-way pipe.
 A naive unpruned triple loop is kept as the correctness oracle for small bounds.
 
 numpy is imported inside the kernel functions, not by this module, so the
@@ -72,8 +84,12 @@ __all__ = [
 # sqrt decides squareness exactly.
 _EXACT_FLOAT = 1 << 53
 # Most elements expanded at once on each level of the enumeration; bounds
-# the kernel's temporary arrays.
-_CANDIDATE_BATCH = 1 << 12
+# the kernel's temporary arrays.  In-process CPU time on a 2-CPU x86-64 VM with
+# 2 MB of L2 per core, the range of three fresh processes' medians of 25
+# searches to 5000: 2**10 to 2**16 took 17-29, 11.6-12.0, 9.2-9.5, 8.0-8.1,
+# 8.4-8.7, 8.9-9.2 and 9.9-10.3 ms.  To 10**5 (two processes, medians of 3),
+# 2**12 to 2**15 took 583-694, 460-517, 431-452 and 478-490 ms.
+_CANDIDATE_BATCH = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -187,6 +203,15 @@ def _is_square(x: np.ndarray) -> np.ndarray:
     return r == x
 
 
+def _squares(n: int) -> np.ndarray:
+    """Boolean table over 0..n: True where the index is a square."""
+    import numpy as np
+
+    table = np.zeros(n + 1, dtype=bool)
+    table[np.arange(math.isqrt(n) + 1) ** 2] = True
+    return table
+
+
 def _spread(start, n: np.ndarray, *cols: np.ndarray):
     """Expand the ranges start_i <= t < start_i + n_i (all n_i >= 0), in slices.
 
@@ -251,12 +276,47 @@ def _sublattices(y, gu, gv, uv, jmax, kind, parity):
     return n[live], x1[live], j1[live], nj[live], gu[row], b[row], uv[row]
 
 
+def _d_walk(nx, x1, j1, nj, gu, b):
+    """The (a, b, c) of u*v = 1 sublattices with a + b + c a square, walked by d = f - j.
+
+    A sublattice has nx values x = x1, x1 + 2, ... and nj values j = j1, j1 + 2,
+    ..., jn, with a = g*u*x**2 and c = j**2; d = n / (f + j) with n = a + b
+    falls as j grows, so j1 <= j <= jn exactly when
+        ceil(sqrt(n + jn**2) - jn) <= d <= isqrt(n + j1**2) - j1,
+    and a d of that range and of n's parity is a hit iff d | n and
+    n/d - d = 2*j = 2*j1 (mod 4) (see the module docstring).
+    """
+    import numpy as np
+
+    for t, x1, j1, nj, gu, b in _spread(0, nx, x1, j1, nj, gu, b):
+        x = 2 * t + x1
+        a = gu * x * x
+        n = a + b
+        odd = n & 1
+        jn = j1 + 2 * nj - 2
+        top = n + jn * jn
+        root = _isqrt(top)
+        # d = 2*h + odd, from the first h with d >= the lower end (>= 1, as n > 0) to the last under the upper end
+        lo = (root - jn + (root * root < top) - odd + 1) >> 1
+        hi = (_isqrt(n + j1 * j1) - j1 - odd) >> 1
+        for h, a, n, j2 in _spread(lo, np.maximum(hi - lo + 1, 0), a, n, 2 * (j1 & 1)):
+            d = h
+            d <<= 1
+            d += n & 1
+            q, r = np.divmod(n, d)
+            q -= d  # 2 * j
+            hit = np.flatnonzero((r == 0) & ((q & 3) == j2))
+            a, n, j = a[hit], n[hit], q[hit] >> 1
+            yield a, n - a, j * j
+
+
 def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
     """Every a <= b <= c <= bound that could be a 2-primitive triad, in part `part` of `parts`.
 
     That is every such a, b, c with abc a square, each member a sum of two
-    squares, a kernel triple that meets the Legendre rule below and a parity
-    pattern that meets the 2-adic rule below.  Such a
+    squares, a kernel triple that meets the Legendre rule below, a parity
+    pattern that meets the 2-adic rule below and, where c is a square (u*v = 1),
+    a + b + c a square.  Such a
     triad has exactly one kernel triple (kernel(a), kernel(b), kernel(c)) =
     (g*u, g*v, u*v) with g, u, v squarefree and pairwise coprime, so it is
     (g*u*x**2, g*v*y**2, u*v*j**2) for exactly one (u, v, g, x, y, j).  Why
@@ -293,8 +353,9 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
     j0 = isqrt((b - 1) // (u*v)) + 1 does not depend on x, so a y row's
     candidates are the (x, j) in [1, xmax] x [j0, jmax], and the rule keeps one
     or two step-2 sublattices of that rectangle (_sublattices); a batch's
-    sublattices are spread at once, with no level per x.  Yields (a, b, c) as int64 arrays, in batches;
-    each level rebinds the names of the level above to its own rows.
+    sublattices with u*v = 1 are walked by d = f - j (_d_walk), and the rest
+    are spread at once, with no level per x.  Yields (a, b, c) as int64 arrays,
+    in batches; each level rebinds the names of the level above to its own rows.
     """
     import numpy as np
 
@@ -325,7 +386,11 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
             for y, gu, gv, uv, jmax, kind in _spread(y1, ny, gu, gv, uv, jmax, kind):
                 first, dealt = (part - dealt) % parts, dealt + y.size
                 y, gu, gv, uv, jmax, kind = (col[first::parts] for col in (y, gu, gv, uv, jmax, kind))
-                for t, x1, j1, nj, gu, b, uv in _spread(0, *_sublattices(y, gu, gv, uv, jmax, kind, parity)):
+                n, x1, j1, nj, gu, b, uv = _sublattices(y, gu, gv, uv, jmax, kind, parity)
+                # the u = v = 1 rows come first (sf[0] = 1), so in any batch their sublattices are a prefix
+                k = int(np.count_nonzero(uv == 1))
+                yield from _d_walk(n[:k] // nj[:k], x1[:k], j1[:k], nj[:k], gu[:k], b[:k])
+                for t, x1, j1, nj, gu, b, uv in _spread(0, n[k:], x1[k:], j1[k:], nj[k:], gu[k:], b[k:], uv[k:]):
                     # in place: a batch's temporaries set the search's peak memory
                     a, c = np.divmod(t, nj)
                     a <<= 1
@@ -344,9 +409,10 @@ def _search_block(args) -> list[tuple[int, int, int]]:
     import numpy as np
 
     part, parts, bound = args
+    square = _squares(3 * bound)
     out: list[tuple[int, int, int]] = []
     for a, b, c in _candidates(_kernel_sieve(bound), part, parts):
-        hit = np.flatnonzero(_is_square(a + b + c))
+        hit = np.flatnonzero(square[a + b + c])
         ha, hb, hc = a[hit], b[hit], c[hit]
         keep = _is_square(ha * hb + hc * (ha + hb))
         out.extend(zip(ha[keep].tolist(), hb[keep].tolist(), hc[keep].tolist()))
@@ -388,11 +454,13 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
 
     workers pays only on larger bounds.  At bound 5000 on a 2-CPU VM (30
     alternating searches in one process, getrusage, medians), with 2 workers
-    the caller took 1085 minor page faults per search against 206 serially
-    (copy-on-write after the fork), and its own CPU time did not fall: 14.1
-    ms against 13.7 ms.  The two parts ran at the same time, but each took
-    about 17 ms there against 9 ms alone.  At bound 10**4, 2 workers took
-    41-44 ms against 23 ms serially; at 3 * 10**4, 81-121 ms against 111-170 ms.
+    the caller took about 1230 minor page faults per search against 225
+    serially (copy-on-write after the fork), and its own CPU time rose:
+    10.9-12.6 ms against 8.3-10.5 ms (two processes).  Wall times on that VM,
+    the range of three processes' medians of 30, 20, 10 and 5 searches, serial
+    and with 2 workers: 5000 7.6-11.3 and 11.7-29.1 ms; 10**4 19.3-28.1 and
+    20.8-36.5 ms; 3 * 10**4 88.5-91.2 and 73.7-89.5 ms; 10**5 441-452 and
+    390-432 ms.  The VM's load moves these by up to twice.
     """
     import numpy  # noqa: F401  (loaded before any worker starts, so a forked worker has it)
 
@@ -425,10 +493,10 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     results = []
     for a, b, c in raw:
         triad = Triad(a, b, c)
-        # the one exact check of each float survivor, primitive or not
+        # the one exact check of each prefilter survivor, primitive or not
         cert = verify_triad(triad)
         if cert is None:
-            raise VerificationError("float square prefilter passed a non-triad %s" % (triad,))
+            raise VerificationError("square prefilter passed a non-triad %s" % (triad,))
         if cfg.primitive_only and canonicalize(triad) != triad:
             continue
         results.append((triad, cert))

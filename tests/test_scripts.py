@@ -24,7 +24,17 @@ def test_generate_wall_reports_one_fresh_process_per_k(capsys):
     assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
     # the pinned family_to_json digest of generate_family(2)
     assert run["sha256"] == "b0787a908120d302d118587fa371fae01399fdbbce99963cb620168e5f8bade8"
-    assert {"python", "numpy", "cpus", "machine"} <= set(line)
+    assert {"python", "numpy", "cpus", "machine", "l2_cache"} <= set(line)
+
+
+def test_machine_info_reads_the_l2_cache_size(tmp_path, monkeypatch):
+    script = _load("generate_wall")
+    size = tmp_path / "size"
+    size.write_text("2048K\n")
+    monkeypatch.setattr(script, "L2_CACHE", size)
+    assert script.machine_info()["l2_cache"] == "2048K"
+    monkeypatch.setattr(script, "L2_CACHE", tmp_path / "missing")
+    assert script.machine_info()["l2_cache"] is None
 
 
 def test_generate_wall_fails_when_a_known_digest_differs(capsys, monkeypatch):
@@ -55,7 +65,7 @@ def test_search_wall_reports_one_fresh_process_per_bound(capsys):
     for run in line["search"]:
         assert 0 < run["search_s"] + run["pooled_s"] < run["wall_s"] and run["peak_rss_mb"] > 0
         assert run["pooled_s"] > 0
-    assert {"python", "numpy", "cpus", "machine"} <= set(line)
+    assert {"python", "numpy", "cpus", "machine", "l2_cache"} <= set(line)
 
 
 def test_search_wall_fails_when_the_pooled_triads_differ(capsys, monkeypatch):

@@ -108,6 +108,26 @@ def _two_squares_product_triples(n):
     return out
 
 
+def _is_square(n):
+    return math.isqrt(n) ** 2 == n
+
+
+def _triples(rows):
+    """The (a, b, c) of a batch of candidate arrays, as tuples of ints."""
+    return zip(*(x.tolist() for x in rows))
+
+
+def _j_scan(nx, x1, j1, nj, gu, b):
+    """Pure-integer oracle of _d_walk on one sublattice: every (a, b, j**2) of x = x1, x1 + 2, ... (nx values)
+    and j = j1, j1 + 2, ... (nj values), with a = gu * x**2, that has a + b + j**2 a square, in order."""
+    return [
+        (gu * x * x, b, j * j)
+        for x in range(x1, x1 + 2 * nx, 2)
+        for j in range(j1, j1 + 2 * nj, 2)
+        if _is_square(gu * x * x + b + j * j)
+    ]
+
+
 def _kernel_triple(triad):
     """(g, u, v, x, y, j) with triad = (g*u*x**2, g*v*y**2, u*v*j**2), for abc square, from squarefree_decompose."""
     (ka, x), (kb, y), (kc, j) = (squarefree_decompose(m) for m in triad)
@@ -352,8 +372,8 @@ class TestSearch:
 
     @pytest.mark.parametrize("bound, parts", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
     def test_parts_share_the_candidates_evenly(self, bound, parts):
-        # dealt after the squarefree test, the largest part holds 53.6 %,
-        # 52.7 %, 33.4 % and 12.6 % of the candidates
+        # dealt after the squarefree test, the largest part holds 55.5 %,
+        # 53.4 %, 33.6 % and 12.6 % of the candidates
         share = {(256, 2): 0.6, (5000, 2): 0.55, (5000, 3): 0.4, (10**5, 8): 0.18}[bound, parts]
         kernels = sr._kernel_sieve(bound)
         total = sum(a.size for a, _, _ in sr._candidates(kernels))
@@ -384,19 +404,55 @@ class TestKernel:
     )
     def test_candidates_are_the_square_product_triples(self, n, batch, monkeypatch):
         # every a <= b <= c <= n with abc square, each member a sum of two
-        # squares, a kernel triple that meets the Legendre rule and a parity
-        # pattern that meets the 2-adic rule, each once, before any square
-        # test; 5-element slices split long ranges on every level between
-        # batches; dealt to 2 or 3 parts, the parts together hold each once
+        # squares, a kernel triple that meets the Legendre rule, a parity
+        # pattern that meets the 2-adic rule and, where c is a square (u*v = 1,
+        # walked by d = f - j), a + b + c a square, each once; 5-element slices
+        # split long ranges on every level between batches; dealt to 2 or 3
+        # parts, the parts together hold each once
         monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
         kernels = sr._kernel_sieve(n)
-        expected = {t for t in _two_squares_product_triples(n) if _legendre_rule_holds(t) and _parity_rule_holds(t)}
+        expected = {
+            t
+            for t in _two_squares_product_triples(n)
+            if _legendre_rule_holds(t) and _parity_rule_holds(t) and (not _is_square(t[2]) or _is_square(sum(t)))
+        }
         for parts in (1, 2, 3):
             batches = [rows for part in range(parts) for rows in sr._candidates(kernels, part, parts)]
             assert all(a.size <= batch for a, _, _ in batches)
             got = [t for rows in batches for t in zip(*(x.tolist() for x in rows))]
             assert len(got) == len(set(got))
             assert set(got) == expected
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_d_walk_is_the_j_scan_with_square_sums(self, batch, monkeypatch):
+        # each u*v = 1 sublattice that _candidates walks by d = f - j yields
+        # exactly the (a, b, c) of a pure-integer j scan with a + b + c square,
+        # row by row and as a whole; 5-element slices split rows between batches
+        if batch is not None:
+            monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
+        walk, calls = sr._d_walk, []
+
+        def recorded(*cols):
+            calls.append(cols)
+            return walk(*cols)
+
+        monkeypatch.setattr(sr, "_d_walk", recorded)
+        for bound in [*range(1, 61), 2000]:
+            calls.clear()
+            kernels = sr._kernel_sieve(bound)
+            square_c = sorted(t for rows in sr._candidates(kernels) for t in _triples(rows) if _is_square(t[2]))
+            rows = [row for cols in calls for row in zip(*(col.tolist() for col in cols))]
+            assert square_c == sorted(t for row in rows for t in _j_scan(*row)), bound
+            for row in rows:
+                assert sorted(t for out in walk(*(np.array([v]) for v in row)) for t in _triples(out)) == _j_scan(*row)
+        assert len(rows) > 500
+
+    def test_d_walk_yields_nothing_where_n_is_2_mod_4(self):
+        # n = a + b = x**2 + 9 = 2 (mod 4) for odd x: no d has d = n/d (mod 2)
+        for j1 in (1, 2):
+            row = (20, 1, j1, 200, 1, 9)
+            assert _j_scan(*row) == []
+            assert [a.size for a, _, _ in sr._d_walk(*(np.array([v]) for v in row))] == [0]
 
     def test_the_deal_does_not_depend_on_the_batch(self, monkeypatch):
         # the i-th (g, u, v, y) row goes to part i % parts, counted across slices
@@ -446,6 +502,14 @@ class TestKernel:
         for rank, p in enumerate(primes.tolist()):
             got = residue[start[rank] : start[rank] + n // p + 1].tolist()
             assert got == [pow(s, (p - 1) // 2, p) == 1 for s in range(n // p + 1)], p
+
+    def test_square_table(self):
+        n = 3 * 2000
+        assert sr._squares(n).tolist() == [_is_square(m) for m in range(n + 1)]
+
+    def test_square_table_fits_in_the_kernel_sieve(self):
+        # _search_block looks up e1 = a + b + c <= 3 * bound
+        assert sr._squares(3 * 10**5).nbytes <= sr._kernel_sieve(10**5).nbytes
 
     def test_residue_tables_fit_in_the_kernel_sieve(self):
         sieve = sr._kernel_sieve(10**5)
