@@ -4,7 +4,11 @@
 
 For each k, a new interpreter imports squaretriads from this checkout's
 src/ and builds generate_family(k).  wall_s is the child's whole life as
-the parent sees it, interpreter start-up and imports included; peak_rss_mb
+the parent sees it, interpreter start-up and imports included;
+generate_s is the generate_family(k) call alone, timed in the child after
+its imports, so that a change to the generator is not lost in start-up,
+imports and digest (at k = 16 on a shared 2-CPU x86-64 VM, about 0.1 s of
+a 0.5 s wall_s); peak_rss_mb
 is the child's own maximum resident set size, read before the digest;
 sha256 is the digest of the family's family_to_json, with sorted keys, so
 two checkouts can be compared on what they built as well as how fast.  A
@@ -36,13 +40,15 @@ KNOWN_SHA256 = {
 }
 
 CHILD = """
-import hashlib, json, resource, sys
+import hashlib, json, resource, sys, time
 from squaretriads.ecurve import generate_family
 from squaretriads.families import family_to_json
+t0 = time.perf_counter()
 family = generate_family(int(sys.argv[1]))
+generate_s = time.perf_counter() - t0
 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 digest = hashlib.sha256(json.dumps(family_to_json(family), sort_keys=True).encode()).hexdigest()
-print(json.dumps({"peak_rss_mb": peak, "sha256": digest}))
+print(json.dumps({"generate_s": generate_s, "peak_rss_mb": peak, "sha256": digest}))
 """
 
 
@@ -75,11 +81,17 @@ def fresh_process(child: str, arg: int, what: str) -> tuple[float, dict]:
 
 
 def measure(k: int) -> dict:
-    """{"k", "wall_s", "peak_rss_mb", "sha256"} of one fresh process that builds generate_family(k)."""
+    """{"k", "wall_s", "generate_s", "peak_rss_mb", "sha256"} of one fresh process that builds generate_family(k)."""
     wall, child = fresh_process(CHILD, k, "generate_family(%d)" % k)
     if child["sha256"] != KNOWN_SHA256.get(k, child["sha256"]):
         raise RuntimeError("generate_family(%d) built digest %s, not the %s known" % (k, child["sha256"], KNOWN_SHA256[k]))
-    return {"k": k, "wall_s": round(wall, 3), "peak_rss_mb": round(child["peak_rss_mb"], 1), "sha256": child["sha256"]}
+    return {
+        "k": k,
+        "wall_s": round(wall, 3),
+        "generate_s": round(child["generate_s"], 3),
+        "peak_rss_mb": round(child["peak_rss_mb"], 1),
+        "sha256": child["sha256"],
+    }
 
 
 def main(argv: list[str]) -> int:

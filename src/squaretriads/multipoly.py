@@ -11,10 +11,11 @@ one variable plus a monomial offset, made by Kronecker substitution, where
 a form in two variables first drops its first variable (its degree fixes
 that exponent).  Square roots and exact quotients are solved top-down on
 these lists.  Every product, including the ones that check a root or a
-quotient, goes through one kernel that packs each integer list into a
-single int and lets CPython multiply the ints.  gcd runs Brown's modular
-algorithm instead, on the image only when it has one variable, since a gcd
-does not commute with the substitution.
+quotient, goes through one kernel: it adds shifted copies of one list when
+the other has at most four terms, and otherwise packs each integer list
+into a single int and lets CPython multiply the ints.  gcd runs Brown's
+modular algorithm instead, on the image only when it has one variable,
+since a gcd does not commute with the substitution.
 
 RatFunc is always kept in canonical form: numerator and denominator are
 integer-coefficient polynomials with no common polynomial factor, coprime
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from operator import getitem, mul
 from typing import Iterable, Mapping, Union
 
@@ -246,7 +247,18 @@ class Poly:
                 return _ZERO
             if other == 1:
                 return self
-            return Poly(self.vars, {e: _canon_coeff(c * other) for e, c in self.terms.items()})
+            if type(other) is int:
+                return Poly(self.vars, {e: _canon_coeff(c * other) for e, c in self.terms.items()})
+            # c * n / d on an int c in ints, with a Fraction only where d does not divide c * n
+            n, d = other.numerator, other.denominator
+            terms = {}
+            for e, c in self.terms.items():
+                if type(c) is int:
+                    q, r = divmod(c * n, d)
+                    terms[e] = Fraction(c * n, d) if r else q
+                else:
+                    terms[e] = _canon_coeff(c * other)
+            return Poly(self.vars, terms)
         if self.is_zero or other.is_zero:
             return _ZERO
         if self.is_const:
@@ -424,20 +436,23 @@ def const(c: Scalar) -> Poly:
 # exponent of v1; one variable, or such a form, gives a one-variable image
 # that is the polynomial itself.  Other images can divide, or be squares,
 # when the polynomials are not, so a quotient or a root found on them must
-# multiply back.  _list_mul multiplies two lists as two packed ints
-# (Fateman 2005; Harvey, J. Symb. Comput. 44, 2009).  gcd does not commute
-# with the substitution, so only one-variable images reach the list gcd.
-# An image in several variables has prod D_i slots however sparse the
-# polynomials are, so above _MAX_IMAGE_SLOTS it is refused before anything
-# is allocated.
+# multiply back.  When the shorter of two lists has at most _SHORT_TERMS
+# (4) nonzero entries, as a monomial or m^2 + 1 has, _list_mul adds that
+# many shifted, scaled copies of the longer list (_shifted_sum); it
+# multiplies any other two lists as two packed ints (Fateman 2005; Harvey,
+# J. Symb. Comput. 44, 2009).  gcd does not commute with the substitution,
+# so only one-variable images reach the list gcd.  An image in several
+# variables has prod D_i slots however sparse the polynomials are, so above
+# _MAX_IMAGE_SLOTS it is refused before anything is allocated.
 #
 # A one-variable image that is the polynomial itself is kept in the Poly
 # (its _image slot): _to_list builds it once, _from_list keeps the list a
 # kernel returned, and __mul__ multiplies two kept images in the same
 # variables directly.  terms stays the canonical data.  A kept list is
 # shared by every later caller, so the list kernels (_list_mul,
-# _dense_divexact, _dense_sqrt, _gcd_list, _halve, _clear_denominators)
-# only read their input lists and build their results afresh.
+# _shifted_sum, _dense_divexact, _dense_sqrt, _gcd_list, _halve,
+# _clear_denominators) only read their input lists and build their results
+# afresh.
 #
 # Most of the generator's polynomials are even in m, so their lists have
 # zeros in every odd slot.  The list kernels then run on the halved list
@@ -454,6 +469,13 @@ def const(c: Scalar) -> Poly:
 # takes about 0.15 s and 15 MB, where squaring s^60 t^60 m^60 + s + 1
 # (121^3 = 1.8 M slots) took 1.5 s and 186 MB.
 _MAX_IMAGE_SLOTS = 1 << 18
+
+# A product by a list with at most this many nonzero entries is a shifted
+# sum, not a packed product.  In-process CPU time on a 2-CPU x86-64 VM,
+# medians of 25 shuffled rounds: one perfbench generate op took 68.6 ms with
+# every product packed, and 65.0, 62.7, 61.5 and 62.7 ms with 1, 2, 4 and 8;
+# generate_family(16) took 392, 389, 393, 389 and 393 ms.
+_SHORT_TERMS = 4
 
 
 def _list_map(ps: tuple[Poly, ...], sized: tuple[Poly, ...]):
@@ -576,14 +598,47 @@ def _unhalve(H: list[Coeff]) -> list[Coeff]:
     return L
 
 
-def _list_mul(A: list[Coeff], B: list[Coeff]) -> list[Coeff]:
-    """Product of two coefficient lists over Q, as one product of packed ints.
+def _short_support(S: list[Coeff]) -> list[int] | None:
+    """The i with S[i] != 0 when there are at most _SHORT_TERMS of them, else None."""
+    out = []
+    for i, c in enumerate(S):
+        if c:
+            if len(out) == _SHORT_TERMS:
+                return None
+            out.append(i)
+    return out
 
-    Denominators are cleared first.  A coefficient of the product is a sum
-    of at most min(len A, len B) products, so a slot of bits(A) + bits(B) +
-    bitlen(min) + 2 bits holds it with its sign.  A list passed twice is
-    squared.  Two even lists multiply halved (see above).
+
+def _shifted_sum(support: list[int], S: list[Coeff], L: list[Coeff]) -> list[Coeff]:
+    """S * L as the sum of S[i] * z^i * L over the i in support, S's nonzero slots."""
+    cs, ds = _clear_denominators([S[i] for i in support])
+    L, dl = _clear_denominators(L)
+    d, m = ds * dl, len(L)
+    C: list[Coeff] = [0] * (len(S) + m - 1)
+    terms = zip(support, cs)
+    for i, c in islice(terms, 1):
+        # the first term lands on zeros
+        C[i : i + m] = L if c == 1 else [c * x for x in L]
+    for i, c in terms:
+        C[i : i + m] = [y + c * x for y, x in zip(C[i : i + m], L)]
+    return C if d == 1 else [_canon_coeff(Fraction(c, d)) for c in C]
+
+
+def _list_mul(A: list[Coeff], B: list[Coeff]) -> list[Coeff]:
+    """Product of two coefficient lists over Q.
+
+    When the shorter list has at most _SHORT_TERMS nonzero entries, the
+    product is the sum of that many shifted and scaled copies of the longer
+    list.  Otherwise it is one product of packed ints: denominators are
+    cleared first, and a coefficient of the product is a sum of at most
+    min(len A, len B) products, so a slot of bits(A) + bits(B) + bitlen(min)
+    + 2 bits holds it with its sign.  A list passed twice is squared.  Two
+    even lists multiply halved (see above).
     """
+    S, L = (A, B) if len(A) <= len(B) else (B, A)
+    support = _short_support(S)
+    if support is not None:
+        return _shifted_sum(support, S, L)
     square = A is B
     hA = _halve(A)
     hB = hA if square or hA is None else _halve(B)

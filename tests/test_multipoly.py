@@ -6,6 +6,8 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaretriads.errors import DomainError, ImageTooLargeError, PoleError
 from squaretriads.multipoly import (
@@ -22,6 +24,7 @@ from squaretriads.multipoly import (
     substitute,
     var,
 )
+from squaretriads.multipoly import _SHORT_TERMS, _canon_coeff, _short_support
 from squaretriads.multipoly import _dense_divexact, _dense_sqrt, _from_list, _halve, _list_mul, _pack, _to_list
 from squaretriads.multipoly import _unhalve, _unpack
 from squaretriads.multipoly import _gcd_primes, _gf_divmod, _gf_gcd, _gf_mul, _gf_primitive, _gf_trim
@@ -87,6 +90,23 @@ class TestArithmetic:
             assert a * b == b * a
             assert (a + b) + c == a + (b + c)
             assert (a + b) * c == a * c + b * c
+
+    def test_scalar_products_by_fractions(self):
+        # each coefficient is _canon_coeff(c * scalar): an int where the
+        # product is integral, else a Fraction, for int and Fraction c
+        p = 6 * s**3 - 4 * s * t + 9 * t - 1
+        q = Fraction(3, 4) * s**2 + Fraction(-5, 6) * t + 2
+        mixed = p + q * m + 1
+        for poly in (p, q, mixed, 12 * m**40 + 1):
+            for c in (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(-4, 3), Fraction(7), 3, -1):
+                got = poly * c
+                assert got == c * poly
+                want = Poly._make(poly.vars, {e: _canon_coeff(x * c) for e, x in poly.terms.items()})
+                assert got == want
+                assert [type(x) for x in got.terms.values()] == [type(x) for x in want.terms.values()]
+                assert all(type(x) is int for x in got.terms.values() if Fraction(x).denominator == 1)
+        assert p * Fraction(1, 2) == 3 * s**3 - 2 * s * t + Fraction(9, 2) * t - Fraction(1, 2)
+        assert q * Fraction(-12) == -9 * s**2 + 10 * t - 24
 
     def test_canonical_variable_pruning(self):
         p = (s + t) - t  # t disappears; representation must collapse to s alone
@@ -685,6 +705,16 @@ def schoolbook(a, b):
     return out
 
 
+def assert_product(a, b):
+    """_list_mul(a, b) equals the schoolbook product, has ints where it is integral, and leaves a and b as they were."""
+    before = (list(a), list(b))
+    got = _list_mul(a, b)
+    assert [Fraction(c) for c in got] == [Fraction(c) for c in schoolbook(a, b)], (a, b)
+    assert all(type(c) is int for c in got if Fraction(c).denominator == 1), (a, b)
+    assert (a, b) == before
+    assert all(type(x) is type(y) for x, y in zip(a + b, before[0] + before[1]))
+
+
 class TestPackedKernel:
     """Products, squares and quotients through the packed-integer kernel,
     against a schoolbook oracle and against sympy."""
@@ -729,11 +759,59 @@ class TestPackedKernel:
                 return out
 
             a, b = rand_list(), rand_list()
-            want = [Fraction(c) for c in schoolbook(a, b)]
-            got = _list_mul(a, b)
-            assert [Fraction(c) for c in got] == want
-            assert all(type(c) is int for c in got if Fraction(c).denominator == 1)
-            assert [Fraction(c) for c in _list_mul(a, a)] == [Fraction(c) for c in schoolbook(a, a)]
+            assert_product(a, b)
+            assert_product(a, a)
+        # a shorter list with at most _SHORT_TERMS nonzero entries is a
+        # shifted sum, one with more is packed: both sides of the threshold,
+        # monomials, sparse long lists, a list passed twice, and Fractions
+        # whose products are integral
+        most = _SHORT_TERMS
+        sparse = [1] + [0] * 99 + [1]  # m^100 + 1
+        shorts = [
+            [1],
+            [-1],
+            [7],
+            [Fraction(3, 2)],
+            [0, 0, 1],
+            [0, 0, 0, -5],
+            [1, 0, 1],
+            [2, 0, 0, Fraction(-1, 3), 5],
+            [1] * most,
+            [1] * (most + 1),
+            [Fraction(i + 1, 2) for i in range(most)] + [0, 0],
+            [i - 3 for i in range(2 * most + 1)],
+            [Fraction(2, 3), 0] * most + [Fraction(4, 3)],
+            [1 << 200, 0] * (most - 1) + [-(1 << 300)],
+            sparse,
+        ]
+        longs = [
+            sparse,
+            [Fraction(1, 2)] * 31,
+            [(-1) ** i * (i + 1) for i in range(61)],
+            [3, 0, 0, 0, 0, Fraction(3, 4), 0, 0, 0, 0, 6],
+            [1 << 1000, 0, -(1 << 999), 0, 7],
+        ]
+        for a in shorts:
+            for b in longs + shorts:
+                assert_product(a, b)
+                assert_product(b, a)
+            assert_product(a, a)
+        assert _short_support([1] * most) == list(range(most)) and _short_support([1] * (most + 1)) is None
+        # integral products of Fractions come back as ints
+        assert _list_mul([Fraction(1, 2)], [2, 4, Fraction(2, 3)]) == [1, 2, Fraction(1, 3)]
+        got = _list_mul([Fraction(3, 2), 0, Fraction(1, 2)], [2, 0, 6])
+        assert got == [3, 0, 10, 0, 3] and all(type(c) is int for c in got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12), st.just(0)), min_size=1, max_size=12),
+        st.lists(st.one_of(st.integers(-(1 << 80), 1 << 80), st.fractions(max_denominator=12), st.just(0)), max_size=40),
+    )
+    def test_products_against_schoolbook_property(self, a, b):
+        b = b + [1]
+        assert_product(a, b)
+        assert_product(b, a)
+        assert_product(a, a)
 
     @staticmethod
     def kernel_cases(seed, count):

@@ -21,7 +21,7 @@ def test_generate_wall_reports_one_fresh_process_per_k(capsys):
     line = json.loads(capsys.readouterr().out)
     (run,) = line["generate_family"]
     assert run["k"] == 2
-    assert run["wall_s"] > 0 and run["peak_rss_mb"] > 0
+    assert 0 < run["generate_s"] < run["wall_s"] and run["peak_rss_mb"] > 0
     # the pinned family_to_json digest of generate_family(2)
     assert run["sha256"] == "b0787a908120d302d118587fa371fae01399fdbbce99963cb620168e5f8bade8"
     assert {"python", "numpy", "cpus", "machine", "l2_cache"} <= set(line)

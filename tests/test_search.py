@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -126,6 +127,24 @@ def _j_scan(nx, x1, j1, nj, gu, b):
         for j in range(j1, j1 + 2 * nj, 2)
         if _is_square(gu * x * x + b + j * j)
     ]
+
+
+def _square_c_candidates(n):
+    """Brute force: every (g*x**2, g*y**2, j**2), a <= b <= c <= n, with g squarefree and a sum of two
+    squares, a parity pattern that the 2-adic rule allows for u = v = 1 and a + b + c a square."""
+    two = _sums_of_two_squares(n)
+    out = set()
+    for g in range(1, n + 1):
+        if g not in two or any(g % (p * p) == 0 for p in range(2, math.isqrt(g) + 1)):
+            continue
+        even = "g" if g % 2 == 0 else None
+        for y in range(1, math.isqrt(n // g) + 1):
+            for x in range(1, y + 1):
+                for j in range(math.isqrt(g * y * y - 1) + 1, math.isqrt(n) + 1):
+                    a, b, c = g * x * x, g * y * y, j * j
+                    if _parity_allows(even, x % 2, y % 2, j % 2) and _is_square(a + b + c):
+                        out.add((a, b, c))
+    return out
 
 
 def _kernel_triple(triad):
@@ -445,7 +464,33 @@ class TestKernel:
             assert square_c == sorted(t for row in rows for t in _j_scan(*row)), bound
             for row in rows:
                 assert sorted(t for out in walk(*(np.array([v]) for v in row)) for t in _triples(out)) == _j_scan(*row)
-        assert len(rows) > 500
+        # the walk gets 498 sublattices at 2000
+        assert len(rows) > 450
+
+    def test_d_walk_skips_the_sublattices_where_j_cannot_be_odd(self, monkeypatch):
+        # where 2 | g, u = v = 1 and y is odd, x is odd too and n = a + b = 4
+        # (mod 8), so f**2 = n + j**2 leaves j even: no walked sublattice there
+        # has an odd j1, the j-even ones are still walked, and the square-c
+        # candidates are those of a brute force; at 2000 the whole candidate
+        # set is the one _candidates gave when these sublattices were walked
+        walk, calls = sr._d_walk, []
+
+        def recorded(*cols):
+            calls.append(cols)
+            return walk(*cols)
+
+        monkeypatch.setattr(sr, "_d_walk", recorded)
+        for bound in [*range(1, 61), 2000]:
+            calls.clear()
+            got = sorted(t for rows in sr._candidates(sr._kernel_sieve(bound)) for t in _triples(rows))
+            # (nx, x1, j1, nj, gu, b) with u = v = 1, so gu = g and b = g*y**2
+            rows = [row for cols in calls for row in zip(*(col.tolist() for col in cols))]
+            class_rows = [row for row in rows if row[4] % 2 == 0 and row[5] // row[4] % 2 == 1]
+            assert all(x1 % 2 == 1 and j1 % 2 == 0 for _, x1, j1, _, _, _ in class_rows), bound
+            assert [t for t in got if _is_square(t[2])] == sorted(_square_c_candidates(bound)), bound
+        assert len(class_rows) > 50
+        digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
+        assert (len(got), digest) == (24813, "bc9a8ff63930aed53dec8c161b80a0fb0b8698fac206e508e0e628f420f96314")
 
     def test_d_walk_yields_nothing_where_n_is_2_mod_4(self):
         # n = a + b = x**2 + 9 = 2 (mod 4) for odd x: no d has d = n/d (mod 2)
