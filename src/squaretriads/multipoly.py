@@ -961,15 +961,28 @@ def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
     monomial discards the others (they came from unlucky primes), and the
     accumulation restarts, in case it was poisoned, once it holds one prime
     more than the coefficient bound of the result needs.
+
+    Bounded: at most max_tries primes are tried, then VerificationError is
+    raised.  A prime is skipped or unlucky only where it divides lca * lcb
+    or a resultant of the cofactors, whose bits are at most
+    deg(B) * bits(A) + deg(A) * bits(B) (Hadamard's bound, with each cofactor
+    under the divisor bound of its input and deg the sum of the partial
+    degrees).  Each such prime above 2^62 takes 62 of those bits, and a
+    correct run needs at most max_primes other primes; 8 more are allowed.
+    Only a wrong kernel (a product, division or image that errs) gets past them.
     """
     lca, lcb = A[max(A)], B[max(B)]
     lc_gcd = math.gcd(lca, lcb)
-    bits = lc_gcd.bit_length() + min(_divisor_bound_bits(A), _divisor_bound_bits(B))
+    bits_a, bits_b = _divisor_bound_bits(A), _divisor_bound_bits(B)
+    bits = lc_gcd.bit_length() + min(bits_a, bits_b)
     # primes above 2^62 carry 62 bits each; the candidate is tried once its
     # coefficients are 2^16 times smaller than the modulus
     max_primes = (bits + 16) // 62 + 2
+    deg_a, deg_b = sum(map(max, zip(*A))), sum(map(max, zip(*B)))
+    unlucky_bits = deg_b * bits_a + deg_a * bits_b + lca.bit_length() + lcb.bit_length()
+    max_tries = max_primes + unlucky_bits // 62 + 8
     best, primes_in_acc = None, 0
-    for p in _gcd_primes():
+    for p in islice(_gcd_primes(), max_tries):
         if lca % p == 0 or lcb % p == 0:
             continue
         g = _gf_mgcd(
@@ -1007,6 +1020,7 @@ def _gcd_modular(vars: tuple[str, ...], A: dict, B: dict) -> dict:
         gp = Poly._make(vars, cand)
         if all(poly_divide_exact(Poly._make(vars, F), gp) is not None for F in (A, B)):
             return cand
+    raise VerificationError("modular gcd found no dividing candidate in %d primes; this is a bug" % max_tries)
 
 
 def _gcd_list(a: Poly, b: Poly, vars: tuple[str, ...], hom: bool) -> Poly:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import CompositionError, DegenerateParameterError, DomainError, NoAscentError, VerificationError
 from .exactnum import promote_int
-from .multipoly import _parts, _quotient, exact_sqrt
+from .multipoly import Poly, _parts, _quotient, exact_sqrt
 
 __all__ = [
     "QuarticModel",
@@ -162,20 +162,23 @@ def fermat_ascend(Q: QuarticModel, side: str = "constant") -> QuarticPoint:
 
     side is "constant" (anchor at sqrt(a4)) or "leading" (anchor at the
     monic u^4 term); the returned v is the square root of the quartic at u,
-    normalized nonnegative / positive-leading-coefficient.
+    normalized nonnegative / positive-leading-coefficient.  It is _ascent's
+    closed form, checked by one squaring; on the leading side u = p / q is
+    the inverse of the reversed quartic's u, which gives the same v = w / (M q^2).
     """
     if side not in ("constant", "leading"):
         raise DomainError("side must be 'constant' or 'leading'")
     M, A1, A2, A3, A4 = Q._ring
     if side == "constant":
-        p, q, _ = _ascent(M, A1, A2, A3, A4, M)
+        p, q, w = _ascent(M, A1, A2, A3, A4, M)
     else:
-        q, p, _ = _ascent(A4, A3, A2, A1, M, M)
-    # v^2 = Q._form(p, q) / (M q^4)
-    root = exact_sqrt(Q._form(p, q) * M)
-    if root is None:
-        raise VerificationError("ascent produced an off-curve u; this is a bug")
-    return QuarticPoint(_quotient(p, q), _quotient(root, M * q * q))
+        q, p, w = _ascent(A4, A3, A2, A1, M, M)
+    # v^2 = Q._form(p, q) / (M q^4) with v = w / (M q^2)
+    if w * w != Q._form(p, q) * M:
+        raise VerificationError("ascent produced an off-curve point; this is a bug")
+    if (w.leading_coeff() if isinstance(w, Poly) else w) < 0:
+        w = -w
+    return QuarticPoint(_quotient(p, q), _quotient(w, M * q * q))
 
 
 def choudhry_compose(Q: QuarticModel, P1: QuarticPoint, P2: QuarticPoint) -> QuarticPoint:

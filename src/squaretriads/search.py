@@ -19,35 +19,37 @@ triad, primitive or not.  Kernel triples that fail a Legendre condition
 mod an odd prime of g, u or v hold no triad, and are skipped (see _candidates).
 
 Every triad is 4**e times a 2-primitive one, whose x, y and j are not all
-even, and a 2-primitive triad has only a few parity patterns of (x, y, j),
-fixed mod 4 by which of g, u and v is even (see _PARITY and _candidates).  So
-the enumeration keeps only the (x, y, j) with those patterns, and
-search_triads adds the multiples 4**e * (a, b, c) with 4**e * c <= bound of
-each triad found.  For a (g, u, v, y) row, the smallest j with c >= b does not
-depend on x, so the row's candidates are one or two step-2 sublattices of a
-rectangle in (x, j), spread in one pass with no level per x.
+even, and search_triads adds the multiples 4**e * (a, b, c) with
+4**e * c <= bound of each 2-primitive triad found.  In a triad e1 = a + b + c
+and e2 = ab + bc + ca are squares, so they are squares mod 8, and a, b and c
+mod 8 depend only on (g, u, v) mod 8 and (x, y, j) mod 4.  So the 2-adic rule
+is a table computed at import from the squares mod 8 (_two_adic_patterns): for
+each class of (g, u, v) mod 8 and each y parity, the (x, j) parities that a
+2-primitive triad can have.  The enumeration keeps only those.  For a
+(g, u, v, y) row, the smallest j with c >= b does not depend on x, so the row's
+candidates are one or two step-2 sublattices of a rectangle in (x, j), spread
+in one pass with no level per x.
 
 Where u*v = 1, c = j**2 and a + b + c = f**2 is (f - j)(f + j) = n with
 n = a + b, so these rows are walked by d = f - j >= 1 (f > j, as n > 0) per x
 instead of by j (_d_walk).  d and n/d = f + j have the same parity, so d is odd
-for odd n and even for 4 | n, and n = 2 (mod 4) has no d (the parity rule
+for odd n and even for 4 | n, and n = 2 (mod 4) has no d (the 2-adic rule
 leaves no such row).  d falls as j grows, so the row's j range is exactly a
 d range whose ends isqrt gives exactly; the range is not widened, as it does
 the work of a j range test, and a d in it is a hit iff d | n and n/d - d = 2*j
 has the row's j parity.  These rows then yield only candidates with a + b + c
-a square; where 2 | g and x, y are odd, n = 4 (mod 8) leaves no odd j, so
-those sublattices are not walked.  At bound 5000 the kernel and Legendre
-rules leave 453 617 (x, y, j), the parity rule 169 046, and with the d walk
-the enumeration yields 108 656 candidates (13 014 941 at 10**5, against
-19 357 097 with a j scan).
+a square.  At bound 5000 the kernel and Legendre rules leave 453 617 (x, y, j),
+the 2-adic rule 132 914, and with the d walk the enumeration yields 81 660
+candidates (10 137 051 at 10**5, against 15 581 628 with a j scan).
 
 In each batch, e1 = a + b + c <= 3 * bound is looked up in a table of the
 squares up to 3 * bound, and e2 = ab + bc + ca <= 3 * bound**2 gets an exact
 float64 square test (Cohen, A Course in Computational Algebraic Number
 Theory, Alg. 1.7.3, with the float test in place of residue tables).  Each
 survivor is checked once in exact integers by verify_triad.  The (g, u, v, y)
-rows are dealt to the parts in turn; with workers > 1 each part but the first
-runs in a process of its own that sends its triads back over a one-way pipe.
+rows are dealt to the parts in turn, each round shifted by one part so that no
+part gets only one y parity; with workers > 1 each part but the first runs in
+a process of its own that sends its triads back over a one-way pipe.
 A naive unpruned triple loop is kept as the correctness oracle for small bounds.
 
 numpy is imported inside the kernel functions, not by this module, so the
@@ -58,6 +60,8 @@ before it starts any worker, so each forked worker has it already.
 
 from __future__ import annotations
 
+import array
+import itertools
 import math
 import multiprocessing
 import os
@@ -110,26 +114,6 @@ class SearchConfig:
             raise DomainError("search bound %d is too large: 3 * bound**2 must stay below 2**53" % self.bound)
 
 
-def _kernel_sieve(n: int) -> np.ndarray:
-    """Squarefree kernels of 0..n, as int32; entries 0 and 1 are 0 and 1.
-
-    int32 holds every bound SearchConfig accepts.
-    """
-    import numpy as np
-
-    kernels = np.arange(n + 1, dtype=np.int32)
-    root = math.isqrt(n)
-    composite = np.zeros(root + 1, dtype=bool)
-    for p in range(2, root + 1):
-        if not composite[p]:
-            composite[p * p :: p] = True
-            q = p * p
-            while q <= n:
-                kernels[::q] //= p * p
-                q *= p * p
-    return kernels
-
-
 def _two_squares(n: int) -> np.ndarray:
     """Boolean table over 0..n: True where the index is x**2 + y**2."""
     import numpy as np
@@ -142,17 +126,21 @@ def _two_squares(n: int) -> np.ndarray:
 
 
 def _residue_tables(bound: int):
-    """(spf, primes, start, residue): spf[m] is the smallest prime factor of m >= 2,
-    primes holds the primes p = 1 (mod 4) up to bound in order, and
-    residue[start[i] + s] is s**((p - 1) / 2) = 1 (mod p) for p = primes[i] and
-    0 <= s <= bound // p only (about bound entries, built in slices; p < 2**26
-    at any accepted bound, so the products stay in int64)."""
+    """(squarefree, spf, primes, start, residue): squarefree[m] tells whether m >= 1
+    is squarefree, spf[m] is the smallest prime factor of m >= 2 (int32 holds
+    every bound SearchConfig accepts), primes holds the primes p = 1 (mod 4) up
+    to bound in order, and residue[start[i] + s] is s**((p - 1) / 2) = 1 (mod p)
+    for p = primes[i] and 0 <= s <= bound // p only (about bound entries, built
+    in slices; p < 2**26 at any accepted bound, so the products stay in int64)."""
     import numpy as np
 
     index = np.arange(bound + 1, dtype=np.int32)
     spf = index.copy()
+    squarefree = np.ones(bound + 1, dtype=bool)
     for p in range(2, math.isqrt(bound) + 1):
-        np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+        if spf[p] == p:  # final here: a composite p <= isqrt(bound) has a prime factor q with q*q <= p
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+            squarefree[p * p :: p * p] = False
     primes = np.flatnonzero((spf == index) & (index % 4 == 1))[1:]
     rows = bound // primes + 1
     start = np.cumsum(rows) - rows
@@ -164,7 +152,7 @@ def _residue_tables(bound: int):
             s, e = s * s % p, e >> 1
         residue[done : done + r.size] = r == 1
         done += r.size
-    return spf, primes, start, residue
+    return squarefree, spf, primes, start, residue
 
 
 def _meets_the_rule(g, u, v, tables) -> np.ndarray:
@@ -236,36 +224,53 @@ def _spread(start, n: np.ndarray, *cols: np.ndarray):
         yield (t, *(np.repeat(col[rows], m) for col in cols))
 
 
-# The parity patterns (x, j) (mod 2) that a 2-primitive triad (g*u*x^2, g*v*y^2,
-# u*v*j^2) can have: _PARITY[2 * class + y % 2] holds up to two patterns
-# 2 * (x % 2) + j % 2, and -1 for none.  Class 0 has g, u and v odd; class 1,
-# 2 or 3 has 2 | g, u or v.  A free parity is listed as both of its patterns.
-# _candidates turns it into an array once per search.
-_PARITY = (
-    (2, 1),  # g, u, v odd, y even: x odd or j odd, not both
-    (0, -1),  # g, u, v odd, y odd: x and j even
-    (1, -1),  # 2 | g, y even: x even, j odd
-    (3, 2),  # 2 | g, y odd: x odd, j free
-    (3, -1),  # 2 | u, y even: x and j odd
-    (3, 0),  # 2 | u, y odd: x = j (mod 2)
-    (2, -1),  # 2 | v, y even: x odd, j even
-    (3, 1),  # 2 | v, y odd: j odd, x free
-)
+def _two_adic_patterns() -> memoryview:
+    """The 2-adic rule, as a read-only 1024-row table of int8: row
+    2 * (64 * (g % 8) + 8 * (u % 8) + v % 8) + y % 2 lists the patterns
+    2 * (x % 2) + j % 2 that a 2-primitive triad (g*u*x^2, g*v*y^2, u*v*j^2)
+    can have, padded with -1 to one width.
+
+    g, u and v are squarefree sums of two squares, so each is 1 or 5 (mod 8),
+    or 2 (mod 8) when even, and at most one is even as they are coprime: 20
+    classes mod 8 (the other rows are empty).  A square x**2 (mod 8) depends on
+    x mod 4 only.  A pattern is listed when x, y and j are not all even and
+    some lift of the parities to x, y, j (mod 4) makes e1 = a + b + c and
+    e2 = ab + bc + ca both squares mod 8, as they are in every triad.
+    """
+    squares = {k * k % 8 for k in range(8)}
+    rows: dict[int, list[int]] = {}
+    for g, u, v in itertools.product((1, 2, 5), repeat=3):
+        if (g, u, v).count(2) > 1:
+            continue
+        for x, y, j in itertools.product((0, 1), repeat=3):
+            lifts = itertools.product((x, x + 2), (y, y + 2), (j, j + 2))
+            abc = ((g * u * X * X, g * v * Y * Y, u * v * J * J) for X, Y, J in lifts)
+            if (x or y or j) and any({(a + b + c) % 8, (a * b + b * c + c * a) % 8} <= squares for a, b, c in abc):
+                rows.setdefault(2 * (64 * g + 8 * u + v) + y, []).append(2 * x + j)
+    width = max(map(len, rows.values()))
+    table = array.array("b", [-1]) * (1024 * width)
+    for i, row in rows.items():
+        table[i * width : i * width + len(row)] = array.array("b", row)
+    return memoryview(table).toreadonly().cast("b", (1024, width))
 
 
-def _sublattices(y, gu, gv, uv, jmax, kind, parity):
+# a buffer, so _candidates makes it a numpy array without a Python loop
+_PATTERNS = _two_adic_patterns()
+
+
+def _sublattices(y, gu, gv, uv, jmax, kind, patterns):
     """The nonempty (x, j) sublattices of (g, u, v, y) rows, each as (n, x1, j1, nj, gu, b, uv).
 
     x = x1, x1 + 2, ... <= isqrt(b // gu), and j = j1, j1 + 2, ... <= jmax from
     the first j with c >= b (at most jmax, as b <= u*v*jmax**2), with the
-    parities of a pattern in parity, the array of _PARITY; there are nj values
-    of j and n values of (x, j).  The temporaries here are freed before the
-    sublattices are spread.
+    parities of a pattern in row kind + y % 2 of patterns, the array of
+    _PATTERNS; there are nj values of j and n values of (x, j).  The
+    temporaries here are freed before the sublattices are spread.
     """
     import numpy as np
 
     b = gv * y * y
-    pattern = parity[kind + (y & 1)].ravel()
+    pattern = patterns[kind + (y & 1)].ravel()
     row = np.flatnonzero(pattern >= 0)
     pattern = pattern[row]
     row >>= 1
@@ -287,13 +292,6 @@ def _d_walk(nx, x1, j1, nj, gu, b):
         ceil(sqrt(n + jn**2) - jn) <= d <= isqrt(n + j1**2) - j1,
     and a d of that range and of n's parity is a hit iff d | n and
     n/d - d = 2*j = 2*j1 (mod 4) (see the module docstring).
-
-    _candidates does not pass the sublattices with x and j odd where 2 | g
-    (the parity rule leaves j free there when y is odd): g = 2 (mod 4) and
-    x**2 + y**2 = 2 (mod 8) give n = g*(x**2 + y**2) = 4 (mod 8), so
-    f**2 = n + j**2 = 5 (mod 8) for odd j, which no square is.  That drops 341
-    of 1500 sublattices at bound 5000 and leaves 10 441 d values of 12 329
-    (178 048 of 210 077 at 3 * 10**4).
     """
     import numpy as np
 
@@ -319,13 +317,13 @@ def _d_walk(nx, x1, j1, nj, gu, b):
             yield a, n - a, j * j
 
 
-def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
+def _candidates(bound: int, part: int = 0, parts: int = 1):
     """Every a <= b <= c <= bound that could be a 2-primitive triad, in part `part` of `parts`.
 
     That is every such a, b, c with abc a square, each member a sum of two
     squares, a kernel triple that meets the Legendre rule below, a parity
-    pattern that meets the 2-adic rule below and, where c is a square (u*v = 1),
-    a + b + c a square.  Such a
+    pattern that meets the 2-adic rule of _two_adic_patterns and, where c is
+    a square (u*v = 1), a + b + c a square.  Such a
     triad has exactly one kernel triple (kernel(a), kernel(b), kernel(c)) =
     (g*u, g*v, u*v) with g, u, v squarefree and pairwise coprime, so it is
     (g*u*x**2, g*v*y**2, u*v*j**2) for exactly one (u, v, g, x, y, j).  Why
@@ -335,7 +333,7 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
         so kernel(a) has no prime p = 3 (mod 4), and nor have g, u and v.
     So g, u and v are drawn only from the squarefree sums of two squares.
     Products of squarefree numbers are tested for coprimality on the sieve:
-    m*n is squarefree iff kernel(m*n) = m*n.  A kernel triple with an odd
+    m*n is squarefree iff m and n are coprime.  A kernel triple with an odd
     prime p | u and (g*v | p) = -1 holds no triad, by infinite descent:
         f^2 = a + b + c = g*v*y^2 (mod p) forces p | y and p | f, so p^2 | a + c = u*(g*x^2 + v*j^2);
         p | u once, so g*x^2 = -v*j^2 (mod p), and -1 is a square mod p = 1 (mod 4);
@@ -344,21 +342,16 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
     p | v with (g*u | p) = -1 and p | g with (u*v | p) = -1 go the same way;
     such triples are dropped.
 
-    Only 2-primitive triads, with x, y and j not all even, are yielded, and
-    only with a parity pattern in _PARITY; search_triads adds the rest.  Since
-    g*u, g*v and u*v are squarefree, 4 | a, b and c iff x, y and j are even,
-    and then (a, b, c) / 4 is a triad with the same kernel triple; so every
-    triad is 4**e times a 2-primitive one.  Odd g, u and v have only primes
-    p = 1 (mod 4), so they are 1 (mod 4), and an odd square is too.  So in a
-    2-primitive triad, mod 4:
-        g, u, v odd: f^2 = x^2 + y^2 + j^2 counts the odd ones of x, y, j; it is 0 or 1, and not 0;
-            so exactly one of x, y and j is odd;
-        2 | g: a = 2*x^2 and b = 2*y^2, so x odd and y even give f^2 = 2 + c = 2 or 3, no square;
-            so x = y (mod 2), and j is odd when both are even;
-        2 | u: a = 2*x^2 and c = 2*j^2, so x = j (mod 2) the same way, and both are odd when y is even;
-        2 | v: b = 2*y^2 and c = 2*j^2, so y = j (mod 2), and x is odd when y is even.
+    Only 2-primitive triads, with x, y and j not all even, are yielded;
+    search_triads adds the rest.  Since g*u, g*v and u*v are squarefree,
+    4 | a, b and c iff x, y and j are even, and then (a, b, c) / 4 is a triad
+    with the same kernel triple; so every triad is 4**e times a 2-primitive
+    one.  The row of _PATTERNS for (g, u, v) mod 8 and y % 2 lists the (x, j)
+    parities left.
     A kernel triple's y rows start at the first y with b >= g*u, where x = 1
-    fits; the i-th (g, u, v, y) row, counted across slices, goes to part i % parts.
+    fits.  The i-th (g, u, v, y) row, counted across slices, goes to part
+    (i + i // parts) % parts: consecutive rows alternate in y parity, and the
+    shift gives each part rows of both parities.
     j0 = isqrt((b - 1) // (u*v)) + 1 does not depend on x, so a y row's
     candidates are the (x, j) in [1, xmax] x [j0, jmax], and the rule keeps one
     or two step-2 sublattices of that rectangle (_sublattices); a batch's
@@ -368,15 +361,14 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
     """
     import numpy as np
 
-    bound = kernels.size - 1
-    parity = np.array(_PARITY)
-    sf = np.flatnonzero((kernels == np.arange(bound + 1)) & _two_squares(bound))[1:]
-    tables = _residue_tables(bound)
+    patterns = np.asarray(_PATTERNS, dtype=np.int64)
+    squarefree, *tables = _residue_tables(bound)
+    sf = np.flatnonzero(squarefree & _two_squares(bound))[1:]
     dealt = 0
     for vi, u in _spread(0, np.searchsorted(sf, bound // sf, side="right"), sf):
         v = sf[vi]
         uv = u * v
-        keep = kernels[uv] == uv
+        keep = squarefree[uv]
         u, v, uv = u[keep], v[keep], uv[keep]
         jmax = _isqrt(bound // uv)
         # g*v <= b <= u*v*jmax**2 and g*u <= a <= b give g <= min(u, v) * jmax**2
@@ -384,23 +376,23 @@ def _candidates(kernels: np.ndarray, part: int = 0, parts: int = 1):
         for gi, u, v, uv, jmax in _spread(0, ng, u, v, uv, jmax):
             g = sf[gi]
             gu, gv = g * u, g * v
-            keep = np.flatnonzero((kernels[gu] == gu) & (kernels[gv] == gv))
+            keep = np.flatnonzero(squarefree[gu] & squarefree[gv])
             keep = keep[_meets_the_rule(g[keep], u[keep], v[keep], tables)]
-            # 2 * (the class of _PARITY): at most one of g, u and v is even
-            kind = 2 * ((~g & 1) + 2 * (~u & 1) + 3 * (~v & 1))[keep]
+            # 2 * (64 * (g % 8) + 8 * (u % 8) + v % 8): the row pair of _PATTERNS
+            kind = ((g & 7) << 7 | (u & 7) << 4 | (v & 7) << 1)[keep]
             gu, gv, uv, jmax = gu[keep], gv[keep], uv[keep], jmax[keep]
             # from y1 on b >= g*u, so x = 1 fits under a <= b; b <= c <= u*v*jmax**2 bounds y above
             y1 = _isqrt((gu - 1) // gv) + 1
             ny = np.maximum(_isqrt(uv * jmax * jmax // gv) - y1 + 1, 0)
             for y, gu, gv, uv, jmax, kind in _spread(y1, ny, gu, gv, uv, jmax, kind):
-                first, dealt = (part - dealt) % parts, dealt + y.size
-                y, gu, gv, uv, jmax, kind = (col[first::parts] for col in (y, gu, gv, uv, jmax, kind))
-                n, x1, j1, nj, gu, b, uv = _sublattices(y, gu, gv, uv, jmax, kind, parity)
+                i = np.arange(dealt, dealt + y.size)
+                dealt += y.size
+                mine = np.flatnonzero((i + i // parts) % parts == part)
+                y, gu, gv, uv, jmax, kind = (col[mine] for col in (y, gu, gv, uv, jmax, kind))
+                n, x1, j1, nj, gu, b, uv = _sublattices(y, gu, gv, uv, jmax, kind, patterns)
                 # the u = v = 1 rows come first (sf[0] = 1), so in any batch their sublattices are a prefix
                 k = int(np.count_nonzero(uv == 1))
-                # of these, x and j are both odd only where 2 | g and y is odd, and no such j hits (see _d_walk)
-                walk = np.flatnonzero(~(x1[:k] & j1[:k] & ~gu[:k] & 1).astype(bool))
-                yield from _d_walk(n[walk] // nj[walk], x1[walk], j1[walk], nj[walk], gu[walk], b[walk])
+                yield from _d_walk(n[:k] // nj[:k], x1[:k], j1[:k], nj[:k], gu[:k], b[:k])
                 for t, x1, j1, nj, gu, b, uv in _spread(0, n[k:], x1[k:], j1[k:], nj[k:], gu[k:], b[k:], uv[k:]):
                     # in place: a batch's temporaries set the search's peak memory
                     a, c = np.divmod(t, nj)
@@ -422,7 +414,7 @@ def _search_block(args) -> list[tuple[int, int, int]]:
     part, parts, bound = args
     square = _squares(3 * bound)
     out: list[tuple[int, int, int]] = []
-    for a, b, c in _candidates(_kernel_sieve(bound), part, parts):
+    for a, b, c in _candidates(bound, part, parts):
         hit = np.flatnonzero(square[a + b + c])
         ha, hb, hc = a[hit], b[hit], c[hit]
         keep = _is_square(ha * hb + hc * (ha + hb))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squaretriads.errors import DomainError, ImageTooLargeError, PoleError
+from squaretriads import multipoly as mp
+from squaretriads.errors import DomainError, ImageTooLargeError, PoleError, VerificationError
 from squaretriads.multipoly import (
     Poly,
     RatFunc,
@@ -66,6 +67,10 @@ def run_within(seconds, fn, *args):
     signal.alarm(seconds)
     try:
         return fn(*args)
+    except TimeoutError as exc:
+        # raised afresh: on CPython 3.11 the handler's traceback can hold an
+        # entry with no line number, which pytest fails to format (INTERNALERROR)
+        raise TimeoutError(*exc.args) from None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -313,6 +318,27 @@ class TestGcd:
         big = 2**bits + 12345
         g = run_within(20, poly_gcd, (x + big) * (x + 1), (x + big) * (x + 2))
         assert g == x + big
+
+    @pytest.mark.parametrize(
+        "kernel, wrong, a, b",
+        [
+            (
+                "_list_mul",
+                lambda A, B: [c + 1 for c in _list_mul(A, B)],
+                (s**2 + s * t + 3) * (s - t + 1),
+                (s**2 + s * t + 3) * (s + 2 * t),
+            ),
+            ("_gf_gcd", lambda A, B, p: _gf_gcd(A, B, p) + [1], (m**2 - 1) * (m**3 + 5), (m**2 - 1) * (m + 7)),
+        ],
+        ids=["product", "image"],
+    )
+    def test_wrong_kernel_raises_within_a_second(self, kernel, wrong, a, b, monkeypatch):
+        # a wrong product (general route) or a wrong gcd image mod p (one-variable
+        # route) leaves no candidate that divides; the CRT loop stops at its
+        # bound of primes and reports a bug instead of trying primes for ever
+        monkeypatch.setattr(mp, kernel, wrong)
+        with pytest.raises(VerificationError, match="no dividing candidate"):
+            run_within(1, poly_gcd, a, b)
 
     def test_squarefree_decomposition(self):
         parts = dict((e, f) for f, e in squarefree_decomposition((s**2 + t**2) ** 3 * (s - t) ** 2 * (s + 2 * t)))

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from squaretriads.errors import CompositionError, DomainError, NoAscentError
+from squaretriads import quartic
+from squaretriads.errors import CompositionError, DomainError, NoAscentError, VerificationError
 from squaretriads.exactnum import promote_int
-from squaretriads.multipoly import Poly, RatFunc, evaluate, exact_sqrt, var
+from squaretriads.multipoly import Poly, RatFunc, _parts, _quotient, evaluate, exact_sqrt, var
 from squaretriads.quartic import (
     QuarticModel,
     QuarticPoint,
@@ -100,6 +101,35 @@ class TestFermatAscent:
         assert pt.u == U15
         assert pt.v == V15
         assert symbolic_model().contains(pt)
+
+    def test_v_is_the_normalized_square_root(self):
+        # v is the ascent's closed form; it is the root that exact_sqrt takes
+        # of the quartic at u, for the symbolic model and every s, t in 1..5
+        # where the ascent exists
+        produced = 0
+        for q in [symbolic_model()] + [euler_quartic(a, b) for a in range(1, 6) for b in range(1, 6)]:
+            M = q._ring[0]
+            for side in ("constant", "leading"):
+                try:
+                    pt = fermat_ascend(q, side)
+                except NoAscentError:
+                    continue
+                p, d = _parts(pt.u)
+                assert pt.v == _quotient(exact_sqrt(q._form(p, d) * M), M * d * d), (q, side)
+                produced += 1
+        assert produced == 42
+
+    @pytest.mark.parametrize("side", ["constant", "leading"])
+    def test_off_curve_ascent_is_a_bug(self, side, monkeypatch):
+        ascent = quartic._ascent
+
+        def wrong(*args):
+            x, y, w = ascent(*args)
+            return x, y, w + 1
+
+        monkeypatch.setattr(quartic, "_ascent", wrong)
+        with pytest.raises(VerificationError, match="off-curve"):
+            fermat_ascend(euler_quartic(1, 2), side)
 
     def test_symmetric_quartic_degenerates(self):
         q = QuarticModel(Fraction(0), Fraction(0), Fraction(0), Fraction(1))

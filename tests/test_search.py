@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -131,18 +132,17 @@ def _j_scan(nx, x1, j1, nj, gu, b):
 
 def _square_c_candidates(n):
     """Brute force: every (g*x**2, g*y**2, j**2), a <= b <= c <= n, with g squarefree and a sum of two
-    squares, a parity pattern that the 2-adic rule allows for u = v = 1 and a + b + c a square."""
+    squares, a parity pattern that the mod-8 oracle allows for u = v = 1 and a + b + c a square."""
     two = _sums_of_two_squares(n)
     out = set()
     for g in range(1, n + 1):
         if g not in two or any(g % (p * p) == 0 for p in range(2, math.isqrt(g) + 1)):
             continue
-        even = "g" if g % 2 == 0 else None
         for y in range(1, math.isqrt(n // g) + 1):
             for x in range(1, y + 1):
                 for j in range(math.isqrt(g * y * y - 1) + 1, math.isqrt(n) + 1):
                     a, b, c = g * x * x, g * y * y, j * j
-                    if _parity_allows(even, x % 2, y % 2, j % 2) and _is_square(a + b + c):
+                    if _mod8_allows(g, 1, 1, x % 2, y % 2, j % 2) and _is_square(a + b + c):
                         out.add((a, b, c))
     return out
 
@@ -167,23 +167,47 @@ def _legendre_rule_holds(triad):
     return True
 
 
-def _parity_rule_holds(triad):
+def _two_adic_rule_holds(triad):
     """Independent oracle of the search's 2-adic rule, for a triad with abc square: the
-    parities of (x, y, j) are a pattern that a 2-primitive triad of its kernel class can have."""
+    parities of (x, y, j) are a pattern that a 2-primitive triad of its kernel triple can have."""
     g, u, v, x, y, j = _kernel_triple(triad)
-    even = next((name for name, k in (("g", g), ("u", u), ("v", v)) if k % 2 == 0), None)
-    return _parity_allows(even, x % 2, y % 2, j % 2)
+    return _mod8_allows(g, u, v, x % 2, y % 2, j % 2)
 
 
-def _parity_allows(even, x, y, j):
-    """The 2-adic rule for parities x, y, j in {0, 1} in the kernel class where `even` is even."""
-    if even is None:
-        return x + y + j == 1
-    if even == "g":
-        return x == y and bool(x or j)
-    if even == "u":
-        return x == j and bool(x or y)
-    return y == j and bool(x or y)
+def _mod8_allows(g, u, v, x, y, j):
+    """For parities x, y, j in {0, 1}, not all 0: whether some x, y, j (mod 4) with those parities
+    make e1 = a + b + c and e2 = ab + bc + ca of (g*u*x**2, g*v*y**2, u*v*j**2) squares mod 8."""
+    squares = {k * k % 8 for k in range(8)}
+    for X, Y, J in itertools.product(range(x, 4, 2), range(y, 4, 2), range(j, 4, 2)):
+        a, b, c = g * u * X * X, g * v * Y * Y, u * v * J * J
+        if (a + b + c) % 8 in squares and (a * b + b * c + c * a) % 8 in squares:
+            return bool(x or y or j)
+    return False
+
+
+# The 2-adic rule as first written by hand, from squares mod 4 and from which
+# of g, u and v is even: row 2 * class + y % 2 holds the patterns
+# 2 * (x % 2) + j % 2, and -1 for none; class 0 has g, u and v odd, class 1, 2
+# or 3 has 2 | g, u or v.  The rule from squares mod 8 keeps a subset of it.
+_HAND_PARITY = (
+    (2, 1),  # g, u, v odd, y even: x odd or j odd, not both
+    (0, -1),  # g, u, v odd, y odd: x and j even
+    (1, -1),  # 2 | g, y even: x even, j odd
+    (3, 2),  # 2 | g, y odd: x odd, j free
+    (3, -1),  # 2 | u, y even: x and j odd
+    (3, 0),  # 2 | u, y odd: x = j (mod 2)
+    (2, -1),  # 2 | v, y even: x odd, j even
+    (3, 1),  # 2 | v, y odd: j odd, x free
+)
+
+# (g, u, v) mod 8 of squarefree, pairwise coprime sums of two squares: each is
+# 1 or 5 (mod 8), or 2 (mod 8) when even, and at most one is even
+_CLASSES_MOD_8 = [k for k in itertools.product((1, 2, 5), repeat=3) if k.count(2) <= 1]
+
+
+def _listed(g, u, v, y):
+    """The patterns in the row of sr._PATTERNS for (g, u, v) mod 8 and y % 2."""
+    return {p for p in sr._PATTERNS.tolist()[2 * (64 * (g % 8) + 8 * (u % 8) + v % 8) + y % 2] if p >= 0}
 
 
 def _two_primitive_part(triad):
@@ -391,12 +415,13 @@ class TestSearch:
 
     @pytest.mark.parametrize("bound, parts", [(256, 2), (5000, 2), (5000, 3), (10**5, 8)])
     def test_parts_share_the_candidates_evenly(self, bound, parts):
-        # dealt after the squarefree test, the largest part holds 55.5 %,
-        # 53.4 %, 33.6 % and 12.6 % of the candidates
+        # dealt after the squarefree test, row i to part (i + i // parts) % parts,
+        # the largest part holds 52.1 %, 50.4 %, 34.0 % and 12.6 % of the
+        # candidates; the shift gives each part rows of both y parities, for
+        # which the 2-adic rule keeps different numbers of patterns
         share = {(256, 2): 0.6, (5000, 2): 0.55, (5000, 3): 0.4, (10**5, 8): 0.18}[bound, parts]
-        kernels = sr._kernel_sieve(bound)
-        total = sum(a.size for a, _, _ in sr._candidates(kernels))
-        sizes = [sum(a.size for a, _, _ in sr._candidates(kernels, part, parts)) for part in range(parts)]
+        total = sum(a.size for a, _, _ in sr._candidates(bound))
+        sizes = [sum(a.size for a, _, _ in sr._candidates(bound, part, parts)) for part in range(parts)]
         assert sum(sizes) == total and max(sizes) <= share * total
 
     @pytest.mark.parametrize("bound", [5000, 10_000])
@@ -411,12 +436,11 @@ class TestSearch:
 
 
 class TestKernel:
-    def test_sieve_matches_squarefree_decompose(self):
-        kernels = sr._kernel_sieve(2000)
-        assert kernels[0] == 0
+    def test_squarefree_mask_matches_squarefree_decompose(self):
+        squarefree = sr._residue_tables(2000)[0]
         for n in range(1, 2001):
             kernel, _root = squarefree_decompose(n)
-            assert kernels[n] == kernel
+            assert squarefree[n] == (kernel == n), n
 
     @pytest.mark.parametrize(
         "n, batch", [(n, sr._CANDIDATE_BATCH) for n in range(1, 61)] + [(300, sr._CANDIDATE_BATCH), (300, 5)]
@@ -424,19 +448,18 @@ class TestKernel:
     def test_candidates_are_the_square_product_triples(self, n, batch, monkeypatch):
         # every a <= b <= c <= n with abc square, each member a sum of two
         # squares, a kernel triple that meets the Legendre rule, a parity
-        # pattern that meets the 2-adic rule and, where c is a square (u*v = 1,
+        # pattern that the mod-8 oracle allows and, where c is a square (u*v = 1,
         # walked by d = f - j), a + b + c a square, each once; 5-element slices
         # split long ranges on every level between batches; dealt to 2 or 3
         # parts, the parts together hold each once
         monkeypatch.setattr(sr, "_CANDIDATE_BATCH", batch)
-        kernels = sr._kernel_sieve(n)
         expected = {
             t
             for t in _two_squares_product_triples(n)
-            if _legendre_rule_holds(t) and _parity_rule_holds(t) and (not _is_square(t[2]) or _is_square(sum(t)))
+            if _legendre_rule_holds(t) and _two_adic_rule_holds(t) and (not _is_square(t[2]) or _is_square(sum(t)))
         }
         for parts in (1, 2, 3):
-            batches = [rows for part in range(parts) for rows in sr._candidates(kernels, part, parts)]
+            batches = [rows for part in range(parts) for rows in sr._candidates(n, part, parts)]
             assert all(a.size <= batch for a, _, _ in batches)
             got = [t for rows in batches for t in zip(*(x.tolist() for x in rows))]
             assert len(got) == len(set(got))
@@ -458,8 +481,7 @@ class TestKernel:
         monkeypatch.setattr(sr, "_d_walk", recorded)
         for bound in [*range(1, 61), 2000]:
             calls.clear()
-            kernels = sr._kernel_sieve(bound)
-            square_c = sorted(t for rows in sr._candidates(kernels) for t in _triples(rows) if _is_square(t[2]))
+            square_c = sorted(t for rows in sr._candidates(bound) for t in _triples(rows) if _is_square(t[2]))
             rows = [row for cols in calls for row in zip(*(col.tolist() for col in cols))]
             assert square_c == sorted(t for row in rows for t in _j_scan(*row)), bound
             for row in rows:
@@ -467,12 +489,11 @@ class TestKernel:
         # the walk gets 498 sublattices at 2000
         assert len(rows) > 450
 
-    def test_d_walk_skips_the_sublattices_where_j_cannot_be_odd(self, monkeypatch):
+    def test_no_walked_sublattice_has_2_dividing_g_and_y_and_j_odd(self, monkeypatch):
         # where 2 | g, u = v = 1 and y is odd, x is odd too and n = a + b = 4
-        # (mod 8), so f**2 = n + j**2 leaves j even: no walked sublattice there
-        # has an odd j1, the j-even ones are still walked, and the square-c
-        # candidates are those of a brute force; at 2000 the whole candidate
-        # set is the one _candidates gave when these sublattices were walked
+        # (mod 8), so f**2 = n + j**2 leaves j even: the 2-adic rule gives no
+        # walked sublattice there an odd j1, the j-even ones are still walked,
+        # and the square-c candidates are those of a brute force
         walk, calls = sr._d_walk, []
 
         def recorded(*cols):
@@ -482,15 +503,16 @@ class TestKernel:
         monkeypatch.setattr(sr, "_d_walk", recorded)
         for bound in [*range(1, 61), 2000]:
             calls.clear()
-            got = sorted(t for rows in sr._candidates(sr._kernel_sieve(bound)) for t in _triples(rows))
+            got = sorted(t for rows in sr._candidates(bound) for t in _triples(rows))
             # (nx, x1, j1, nj, gu, b) with u = v = 1, so gu = g and b = g*y**2
             rows = [row for cols in calls for row in zip(*(col.tolist() for col in cols))]
             class_rows = [row for row in rows if row[4] % 2 == 0 and row[5] // row[4] % 2 == 1]
-            assert all(x1 % 2 == 1 and j1 % 2 == 0 for _, x1, j1, _, _, _ in class_rows), bound
+            assert all(j1 % 2 == 0 for _, _, j1, _, _, _ in class_rows), bound
             assert [t for t in got if _is_square(t[2])] == sorted(_square_c_candidates(bound)), bound
         assert len(class_rows) > 50
+        # the candidate set at 2000
         digest = hashlib.sha256(json.dumps(got).encode()).hexdigest()
-        assert (len(got), digest) == (24813, "bc9a8ff63930aed53dec8c161b80a0fb0b8698fac206e508e0e628f420f96314")
+        assert (len(got), digest) == (18395, "45f5da5f5a119c224eb0a8090f5e8e0a9ac894a652be17a07fa6de3df1828824")
 
     def test_d_walk_yields_nothing_where_n_is_2_mod_4(self):
         # n = a + b = x**2 + 9 = 2 (mod 4) for odd x: no d has d = n/d (mod 2)
@@ -500,12 +522,11 @@ class TestKernel:
             assert [a.size for a, _, _ in sr._d_walk(*(np.array([v]) for v in row))] == [0]
 
     def test_the_deal_does_not_depend_on_the_batch(self, monkeypatch):
-        # the i-th (g, u, v, y) row goes to part i % parts, counted across slices
-        kernels = sr._kernel_sieve(300)
+        # the i-th (g, u, v, y) row goes to part (i + i // parts) % parts, counted across slices
 
         def dealt(parts):
             return [
-                sorted(t for rows in sr._candidates(kernels, part, parts) for t in zip(*(x.tolist() for x in rows)))
+                sorted(t for rows in sr._candidates(300, part, parts) for t in zip(*(x.tolist() for x in rows)))
                 for part in range(parts)
             ]
 
@@ -520,27 +541,42 @@ class TestKernel:
         for triad in triads:
             assert _legendre_rule_holds(triad), triad
 
-    def test_known_triads_meet_the_parity_rule(self):
+    def test_known_triads_meet_the_two_adic_rule(self):
         # the fact the 2-adic rule rests on, checked apart from the search: with
-        # 4**e stripped, each triad is a triad with an allowed parity pattern
+        # 4**e stripped, each triad is a triad with a parity pattern that the
+        # mod-8 oracle allows and the table lists
         triads = _known_triads()
         assert (252782198228, 1633780814400, 3474741058973) in triads
         for triad in triads:
             primitive = _two_primitive_part(triad)
             assert verify_triad(Triad(*primitive)) is not None, triad
-            assert _parity_rule_holds(primitive), triad
+            assert _two_adic_rule_holds(primitive), triad
+            g, u, v, x, y, j = _kernel_triple(primitive)
+            assert 2 * (x % 2) + j % 2 in _listed(g, u, v, y), triad
 
-    def test_parity_table_is_the_rule(self):
-        # each (class, y parity) row of _PARITY lists exactly the (x, j) parities the oracle allows
-        for cls, even in enumerate((None, "g", "u", "v")):
+    def test_two_adic_table_is_the_mod_8_rule(self):
+        # each (class, y parity) row of _PATTERNS lists exactly the (x, j)
+        # parities the mod-8 oracle allows, and the rows of no class are empty
+        assert len(_CLASSES_MOD_8) == 20
+        for g, u, v in itertools.product(range(8), repeat=3):
             for y in (0, 1):
-                listed = {int(p) for p in sr._PARITY[2 * cls + y] if p >= 0}
-                allowed = {2 * x + j for x in (0, 1) for j in (0, 1) if _parity_allows(even, x, y, j)}
-                assert listed == allowed, (even, y)
+                allowed = {2 * x + j for x in (0, 1) for j in (0, 1) if _mod8_allows(g, u, v, x, y, j)}
+                assert _listed(g, u, v, y) == (allowed if (g, u, v) in _CLASSES_MOD_8 else set()), (g, u, v, y)
+
+    def test_two_adic_table_refines_the_hand_table(self):
+        # the hand table is the same on the classes with g, u and v odd; each
+        # class with an even member drops one of its three patterns, and no
+        # class gains one
+        for g, u, v in _CLASSES_MOD_8:
+            cls = next((k for k, m in enumerate((g, u, v), 1) if m % 2 == 0), 0)
+            hand = [{p for p in _HAND_PARITY[2 * cls + y] if p >= 0} for y in (0, 1)]
+            listed = [_listed(g, u, v, y) for y in (0, 1)]
+            assert all(lo <= hi for lo, hi in zip(listed, hand)), (g, u, v)
+            assert sum(map(len, hand)) - sum(map(len, listed)) == (1 if cls else 0), (g, u, v)
 
     def test_residue_table_is_euler_criterion(self):
         n = 2000
-        spf, primes, start, residue = sr._residue_tables(n)
+        _, spf, primes, start, residue = sr._residue_tables(n)
         assert spf[2:].tolist() == [min(factorize(m)) for m in range(2, n + 1)]
         assert primes.tolist() == [p for p in range(5, n + 1, 4) if factorize(p) == {p: 1}]
         assert residue.size == sum(n // p + 1 for p in primes.tolist())
@@ -552,30 +588,30 @@ class TestKernel:
         n = 3 * 2000
         assert sr._squares(n).tolist() == [_is_square(m) for m in range(n + 1)]
 
-    def test_square_table_fits_in_the_kernel_sieve(self):
+    def test_square_table_fits_in_the_spf_sieve(self):
         # _search_block looks up e1 = a + b + c <= 3 * bound
-        assert sr._squares(3 * 10**5).nbytes <= sr._kernel_sieve(10**5).nbytes
+        assert sr._squares(3 * 10**5).nbytes <= sr._residue_tables(10**5)[1].nbytes
 
-    def test_residue_tables_fit_in_the_kernel_sieve(self):
-        sieve = sr._kernel_sieve(10**5)
-        assert all(table.nbytes <= sieve.nbytes for table in sr._residue_tables(10**5))
+    def test_residue_tables_fit_in_the_spf_sieve(self):
+        tables = sr._residue_tables(10**5)
+        assert all(table.nbytes <= tables[1].nbytes for table in tables)
 
     def test_no_runtime_warning_at_small_bounds(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for bound in range(1, 301):
                 for part in range(2):
-                    for _ in sr._candidates(sr._kernel_sieve(bound), part, 2):
+                    for _ in sr._candidates(bound, part, 2):
                         pass
 
     def test_two_squares_table(self):
         n = 2000
         table = sr._two_squares(n)
         assert set(np.flatnonzero(table).tolist()) == _sums_of_two_squares(n)
-        kernels = sr._kernel_sieve(n)
+        squarefree = sr._residue_tables(n)[0]
         for m in range(1, n + 1):
             # any divisor = 3 (mod 4) has a prime factor = 3 (mod 4)
-            if kernels[m] == m:
+            if squarefree[m]:
                 assert table[m] == all(m % p for p in range(3, m + 1, 4)), m
 
     def test_triad_members_are_sums_of_two_squares(self):
