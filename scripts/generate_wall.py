@@ -15,6 +15,7 @@ two checkouts can be compared on what they built as well as how fast.  A
 k listed in KNOWN_SHA256 must build the digest listed there.  One JSON
 line goes to standard output.  A child that fails, or a digest that
 differs from the known one, makes the exit code 1.
+scripts/bench.py runs this script as it is and keeps its line in BENCH_<n>.json.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ clock starts: search_triads would import it on its first call otherwise,
 and search_s would count that.  peak_rss_mb is the child's own maximum
 resident set size, read after the serial search.  One JSON line goes to
 standard output.  A child that fails makes the exit code 1.
+scripts/bench.py runs this script as it is and keeps its line in BENCH_<n>.json.
 """
 
 from __future__ import annotations

@@ -14,7 +14,9 @@ import sys
 import time
 from fractions import Fraction
 
-from . import ecurve, families, search
+# search is imported by the three commands that use it (search, table1 and
+# corpus), so the others never compile it
+from . import ecurve, families
 from .errors import CompositionError, DomainError, VerificationError
 from .exactnum import is_perfect_square
 from .multipoly import Poly, RatFunc, exact_sqrt, var
@@ -260,6 +262,8 @@ def _cmd_search(args) -> int:
     if args.bound is not None and args.bound_flag is not None and args.bound != args.bound_flag:
         print("search: conflicting bounds given", file=sys.stderr)
         return 2
+    from . import search
+
     cfg = search.SearchConfig(bound, primitive_only=args.primitive, workers=args.workers)
     t0 = time.perf_counter()
     results = search.search_triads(cfg)
@@ -282,6 +286,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_table1(args) -> int:
+    from . import search
+
     report = search.reproduce_table1()
     payload = {
         "ok": report.ok,
@@ -312,6 +318,8 @@ def _cmd_table1(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
+    from . import search
+
     report = search.verify_corpus()
     payload = {
         "ok": report.ok,

@@ -276,6 +276,14 @@ def _brent_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n (Brent's cycle variant).
 
     Seeded from n itself so repeated runs are reproducible.
+
+    Not bounded: each try ends once its sequence cycles mod n, after about
+    sqrt(p) steps for the least prime p | n, and a try that finds only n
+    itself is retried with a new seed, with no cap on steps or tries.  So
+    it ends for a composite n, but a large n with no small prime factor
+    can take very long, and a prime n (factorize passes none, as is_prime
+    decides first) would retry for ever.  Its bound is to be a work budget
+    shared with the other long-running calls, which does not exist yet.
     """
     rng = random.Random(0x5EED ^ n)
     while True:

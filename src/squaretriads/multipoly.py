@@ -30,9 +30,10 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import total_ordering
 from itertools import accumulate, islice, repeat
 from operator import getitem, mul
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, ImageTooLargeError, PoleError, VerificationError
 from .exactnum import _exact_scalar, _integer, is_perfect_square, is_prime, sqrt_fraction
@@ -332,9 +333,14 @@ class Poly:
 
     def render(self) -> str:
         """Canonical text form, terms in descending graded-lex order."""
+        return "".join(self._render_terms())
+
+    def _render_terms(self) -> Iterator[str]:
+        """render()'s text as one nonempty piece per term, made as it is read."""
         if not self.terms:
-            return "0"
-        parts = []
+            yield "0"
+            return
+        sign = ("", "-")
         for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             c = self.terms[e]
             mono = "*".join(
@@ -346,9 +352,8 @@ class Poly:
                 body = mono
             else:
                 body = "%s*%s" % (abs(c), mono)
-            parts.append(("- " if c < 0 else "+ ") + body)
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+            yield sign[c < 0] + body
+            sign = (" + ", " - ")
 
     def __str__(self) -> str:
         return self.render()
@@ -661,6 +666,11 @@ def _dense_divexact(a: list[Coeff], b: list[Coeff]) -> list[Coeff] | None:
     The division runs on integers with b made primitive, so the quotient
     has integer coefficients (Gauss) and an inexact step settles that b
     does not divide a.
+
+    Bounded: one step per quotient coefficient, len(a) - len(b) + 1 in
+    all, and the halved recursion runs on lists half as long, whether or
+    not the arithmetic is right.  A wrong step gives None or a wrong q,
+    which the callers that need it checked multiply back.
     """
     ha = _halve(a)
     hb = None if ha is None else _halve(b)
@@ -698,6 +708,10 @@ def _dense_sqrt(a: list[Coeff]) -> list[Coeff] | None:
     The solve visits only the nonzero coefficients found so far, so a
     sparse Kronecker image costs no more than its length times the number
     of terms of its root.  The caller accepts r only after squaring it.
+
+    Bounded: one step per root coefficient below the top, len(a) // 2 in
+    all, and the halved recursion runs on lists half as long, whether or
+    not the arithmetic is right; a wrong root fails the caller's squaring.
     """
     if not len(a) & 1:
         return None
@@ -880,8 +894,22 @@ def _gf_primitive(R: dict, p: int) -> tuple[list[int], dict]:
     return cont, {m: _gf_divmod(lst, cont, p)[0] for m, lst in R.items()}
 
 
+# Draws of _gf_mgcd beyond the good points a correct run needs.
+_GF_SPARE_DRAWS = 32
+
+
 def _gf_mgcd(A: dict, B: dict, p: int, rng: random.Random) -> dict:
-    """Lex-monic gcd of nonzero {exponents: c} dicts mod p (Brown's algorithm)."""
+    """Lex-monic gcd of nonzero {exponents: c} dicts mod p (Brown's algorithm).
+
+    Bounded: it draws at most 2 * (bound + 1) + _GF_SPARE_DRAWS evaluation
+    points, then raises VerificationError.  A correct run needs bound + 1
+    good points in a row of images, twice if an unlucky first image is
+    replaced at the end.  A point is bad (already used, a root of a leading
+    coefficient, or unlucky) only at the roots of a polynomial of degree far
+    below p > 2^62, so a correct run meets a bad draw with probability below
+    2^-40 each.  A wrong kernel, such as an evaluation that errs, can instead
+    find every point bad, or every image unlucky.
+    """
     if len(next(iter(A))) == 1:
         g = _gf_gcd(_gf_split(A)[()], _gf_split(B)[()], p)
         inv = pow(g[-1], -1, p)
@@ -896,7 +924,7 @@ def _gf_mgcd(A: dict, B: dict, p: int, rng: random.Random) -> dict:
     # degree bound, in the last variable, of gamma * gcd / lc(gcd)
     bound = len(gamma) - 1 + min(deg_a, deg_b)
     lm = None
-    while True:
+    for _ in range(2 * (bound + 1) + _GF_SPARE_DRAWS):
         x = rng.randrange(p)
         if lm is not None and _gf_eval(q, x, p) == 0:
             continue  # point already used
@@ -928,6 +956,8 @@ def _gf_mgcd(A: dict, B: dict, p: int, rng: random.Random) -> dict:
         q = _gf_mul(q, [-x % p, 1], p)
         if len(q) > bound + 1:
             break
+    else:
+        raise VerificationError("modular gcd found no run of good evaluation points mod %d; this is a bug" % p)
     H = {m: t for m, lst in H.items() if (t := _gf_trim(lst))}
     _, H = _gf_primitive(H, p)
     inv = pow(H[max(H)][-1] * cont[-1], -1, p)
@@ -1484,9 +1514,18 @@ class RatFunc:
         return max(self.num.total_degree(), self.den.total_degree())
 
     def render(self) -> str:
+        return "".join(self._render_terms())
+
+    def _render_terms(self) -> Iterator[str]:
+        """render()'s text as nonempty pieces, made as they are read (see Poly._render_terms)."""
         if self.den == _ONE:
-            return self.num.render()
-        return "(%s)/(%s)" % (self.num.render(), self.den.render())
+            yield from self.num._render_terms()
+            return
+        yield "("
+        yield from self.num._render_terms()
+        yield ")/("
+        yield from self.den._render_terms()
+        yield ")"
 
     def __str__(self):
         return self.render()
@@ -1528,10 +1567,63 @@ def _ratfunc_canonical(num: Poly, den: Poly) -> RatFunc:
 _RF_ZERO = RatFunc._raw(_ZERO, _ONE)
 
 
+@total_ordering
+class _LazyText:
+    """The text of a Poly or RatFunc's render(), compared as that str would be.
+
+    A comparison renders terms only up to the first character at which the
+    two texts differ, so values of equal degrees are usually told apart by
+    their leading terms, and a term once rendered is kept for the next
+    comparison.
+    """
+
+    __slots__ = ("_done", "_rest")
+
+    def __init__(self, value) -> None:
+        self._done: list[str] = []
+        self._rest = value._render_terms()
+
+    def _pieces(self) -> Iterator[str]:
+        yield from self._done
+        for piece in self._rest:
+            self._done.append(piece)
+            yield piece
+
+    def _cmp(self, other) -> int:
+        """-1, 0 or 1 as render() of self is below, equal to or above other (a _LazyText or str)."""
+        if other is self:
+            return 0
+        mine = self._pieces()
+        theirs = other._pieces() if isinstance(other, _LazyText) else iter((other,) if other else ())
+        a = b = ""
+        while True:
+            a = a or next(mine, None)
+            b = b or next(theirs, None)
+            if a is None or b is None:
+                # a text that ran out first is a prefix of the other
+                return (b is None) - (a is None)
+            n = min(len(a), len(b))
+            if a[:n] != b[:n]:
+                return -1 if a[:n] < b[:n] else 1
+            a, b = a[n:], b[n:]
+
+    def __eq__(self, other):
+        return self._cmp(other) == 0 if isinstance(other, (_LazyText, str)) else NotImplemented
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0 if isinstance(other, (_LazyText, str)) else NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+
 def canonical_sort_key(x) -> tuple:
-    """Deterministic ordering key for Poly/RatFunc values; scalars by value."""
+    """Deterministic ordering key for Poly/RatFunc values; scalars by value.
+
+    Poly and RatFunc values sort by their degrees, then by render()'s text,
+    which is rendered lazily (_LazyText).
+    """
     if isinstance(x, Poly):
-        return (x.total_degree(), 0, x.render())
+        return (x.total_degree(), 0, _LazyText(x))
     if isinstance(x, RatFunc):
-        return (x.num.total_degree(), x.den.total_degree(), x.render())
+        return (x.num.total_degree(), x.den.total_degree(), _LazyText(x))
     return (-1, x, "")

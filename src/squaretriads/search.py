@@ -56,6 +56,9 @@ numpy is imported inside the kernel functions, not by this module, so the
 table, the corpus, naive_search and every caller that does not search never
 load it (it is most of the package's import time).  search_triads imports it
 before it starts any worker, so each forked worker has it already.
+multiprocessing, which only a pooled search uses, is likewise loaded on first
+use: the module attribute search.multiprocessing is imported by __getattr__
+when the first worker starts, in this process and before any fork.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from __future__ import annotations
 import array
 import itertools
 import math
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -422,10 +424,22 @@ def _search_block(args) -> list[tuple[int, int, int]]:
     return out
 
 
+def __getattr__(name: str):
+    """Import multiprocessing on first use, as the module attribute multiprocessing."""
+    if name != "multiprocessing":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    import multiprocessing
+
+    globals()[name] = multiprocessing
+    return multiprocessing
+
+
 def _start_part(args):
     """Start a worker process on _search_block(args); return it and the read end of its one-way pipe."""
-    recv, send = multiprocessing.Pipe(duplex=False)
-    worker = multiprocessing.Process(target=_send_part, args=(send, args))
+    # the module attribute, read at each call: loaded by __getattr__ the first time
+    mp = globals().get("multiprocessing") or __getattr__("multiprocessing")
+    recv, send = mp.Pipe(duplex=False)
+    worker = mp.Process(target=_send_part, args=(send, args))
     worker.start()
     send.close()
     return worker, recv
@@ -464,6 +478,10 @@ def search_triads(cfg: SearchConfig) -> list[tuple[Triad, SquareCertificate]]:
     and with 2 workers: 5000 7.6-11.3 and 11.7-29.1 ms; 10**4 19.3-28.1 and
     20.8-36.5 ms; 3 * 10**4 88.5-91.2 and 73.7-89.5 ms; 10**5 441-452 and
     390-432 ms.  The VM's load moves these by up to twice.
+
+    Like numpy, multiprocessing is loaded on first use: numpy by the first
+    search of a process, multiprocessing when its first worker starts, so the
+    first pooled search also pays that import.
     """
     import numpy  # noqa: F401  (loaded before any worker starts, so a forked worker has it)
 

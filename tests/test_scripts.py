@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -147,3 +149,42 @@ def test_certify_kinds_rejects_bad_arguments(capsys):
     assert script.main(["1"]) == 2
     assert script.main(["1", "0"]) == 2
     assert script.main(["one", "30"]) == 2
+
+
+def test_bench_pairs_count_wins_against_the_parent_and_itself(tmp_path, monkeypatch):
+    script = _load("bench")
+    parent = tmp_path / "parent"
+    # in run order: this checkout reads setup_s 0.070, the parent 0.080 and
+    # 0.084, its second run 0.082; every other metric reads the same throughout
+    setups = iter([0.080, 0.070, 0.082, 0.070, 0.084, 0.082])
+
+    def fake(checkout, workload, seconds, trace=0):
+        assert (workload, seconds, trace) == ("generate", 1.5, 0)
+        values = {"op_p50_ms": 66.0, "op_tail_ms": 70.0, "ops_per_s": 15.0, "peak_rss_mb": 22.5, "setup_s": next(setups)}
+        return {"correct": True, "metrics": {name: {"value": v} for name, v in values.items()}}
+
+    monkeypatch.setattr(script, "perfbench", fake)
+    result = script.pairs(parent, "generate", 2, 1.5)
+    # the pairs alternate which side runs first, and the parent runs again after each
+    assert [run["order"] for run in result["runs"]] == [
+        ["parent", "change", "parent_again"],
+        ["change", "parent", "parent_again"],
+    ]
+    setup = result["summary"]["setup_s"]
+    assert setup["change_wins"] == 2 and setup["change"]["median"] == 0.070
+    assert setup["parent"]["median"] == pytest.approx(0.082) and setup["parent_again_wins"] == 1
+    # ties count for neither side
+    assert result["summary"]["op_p50_ms"]["change_wins"] == 0
+
+
+def test_bench_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, capsys):
+    script = _load("bench")
+
+    def failing(cmd, cwd):
+        raise RuntimeError("perfbench/run.py failed")
+
+    monkeypatch.setattr(script, "last_json", failing)
+    out = tmp_path / "BENCH_0.json"
+    assert script.main([str(out)]) == 1
+    assert not out.exists()
+    assert "failed" in capsys.readouterr().err
