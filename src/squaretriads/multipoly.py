@@ -1613,8 +1613,6 @@ class _LazyText:
     def __lt__(self, other):
         return self._cmp(other) < 0 if isinstance(other, (_LazyText, str)) else NotImplemented
 
-    __hash__ = None  # type: ignore[assignment]
-
 
 def canonical_sort_key(x) -> tuple:
     """Deterministic ordering key for Poly/RatFunc values; scalars by value.
