@@ -25,6 +25,11 @@ better.  A gain may be claimed only where this checkout wins at least nine
 pairs in ten and the medians differ by more than the parent's quartile
 spread.
 
+perfbench's setup_s times a fresh interpreter's import of the package, so
+it depends on whether a bytecode cache sits beside the sources.  Every child
+runs with PYTHONDONTWRITEBYTECODE=1, and a checkout whose src/ already holds
+a __pycache__ is refused, so both sides of a pair compile from source.
+
 A run that fails makes the exit code 1, and nothing is written.
 """
 
@@ -33,6 +38,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -47,7 +53,8 @@ END_TO_END = {"op_p50_ms": True, "op_tail_ms": True, "ops_per_s": False, "peak_r
 
 def last_json(cmd: list[str], cwd: Path) -> dict:
     """The JSON object on the last output line of cmd, run in cwd; RuntimeError if it fails."""
-    done = subprocess.run([sys.executable, *cmd], cwd=cwd, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, *cmd], cwd=cwd, env=env, capture_output=True, text=True)
     if done.returncode != 0 or not done.stdout.strip():
         raise RuntimeError("%s in %s exited with %d:\n%s" % (" ".join(cmd), cwd, done.returncode, done.stderr[-2000:]))
     return json.loads(done.stdout.strip().splitlines()[-1])
@@ -55,6 +62,9 @@ def last_json(cmd: list[str], cwd: Path) -> dict:
 
 def perfbench(checkout: Path, workload: str, seconds: float, trace: int = 0) -> dict:
     """The result line of perfbench/run.py in checkout; RuntimeError unless it is correct."""
+    cached = sorted(str(p) for p in (checkout / "src").rglob("__pycache__"))
+    if cached:
+        raise RuntimeError("remove the bytecode caches first, or setup_s reads them: %s" % ", ".join(cached))
     cmd = ["perfbench/run.py", "--workload", workload, "--seconds", str(seconds), "--trace", str(trace)]
     result = last_json(cmd, checkout)
     if not result["correct"]:

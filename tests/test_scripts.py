@@ -188,3 +188,13 @@ def test_bench_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, capsys):
     assert script.main([str(out)]) == 1
     assert not out.exists()
     assert "failed" in capsys.readouterr().err
+
+
+def test_bench_children_write_no_bytecode_and_cached_checkouts_are_refused(tmp_path):
+    script = _load("bench")
+    code = "import json, os; print(json.dumps(os.environ.get('PYTHONDONTWRITEBYTECODE')))"
+    assert script.last_json(["-c", code], tmp_path) == "1"
+    # a cache beside the sources would make setup_s time a cached import
+    (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    with pytest.raises(RuntimeError, match="bytecode caches"):
+        script.perfbench(tmp_path, "generate", 1.0)
