@@ -1,7 +1,7 @@
 """Write a BENCH_<n>.json: the benchmark, the large generator and search runs, and the machine.
 
     python3 scripts/bench.py BENCH_1.json
-    python3 scripts/bench.py BENCH_1.json --parent ../parent --pairs 10 --pair-workload generate
+    python3 scripts/bench.py BENCH_1.json --parent ../parent
 
 It records, for this checkout:
 - "perfbench": the last JSON line of perfbench/run.py --workload all, untraced
@@ -14,16 +14,19 @@ It records, for this checkout:
 - "machine": the Python and numpy versions, CPUs, machine and L2 cache
   (generate_wall.machine_info), and "commit", this checkout's HEAD.
 
-With --parent DIR, a checkout of the parent commit, it also runs --pairs
-alternating pairs of perfbench/run.py --workload W (W from --pair-workload)
-on the parent and on this checkout, each pair followed by a second parent
-run, so that the parent against itself (an A/A run) shows how far runs of
-one commit spread on this machine.  "pairs" holds every run's end-to-end
-metrics and, per metric, each side's median and quartiles and the number of
-pairs in which this checkout (and, for A/A, the second parent run) read
-better.  A gain may be claimed only where this checkout wins at least nine
-pairs in ten and the medians differ by more than the parent's quartile
-spread.
+Every perfbench run keeps run.py's own run length and seed.
+
+With --parent DIR, a checkout of the parent commit, it also runs PAIRS
+alternating pairs on the parent and on this checkout, each followed by a
+second parent run, so that the parent against itself (an A/A run) shows how
+far runs of one commit spread on this machine.  Each run of a pair is one
+perfbench/run.py --workload W for every workload W that BENCHMARK.json
+declares.  "pairs" holds every run's end-to-end metrics (those BENCHMARK.json
+declares) and, per workload and metric, each side's median and quartiles and
+the number of pairs in which this checkout (and, for A/A, the second parent
+run) read better.  A gain may be claimed only where this checkout wins at
+least nine pairs in ten and the medians differ by more than the parent's
+quartile spread.
 
 perfbench's setup_s times a fresh interpreter's import of the package, so
 it depends on whether a bytecode cache sits beside the sources.  Every child
@@ -47,8 +50,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 GENERATE_KS = ("16", "24", "32")
 SEARCH_BOUNDS = ("100000", "300000", "1000000")
-# perfbench's end-to-end metrics, and whether a lower value is better
-END_TO_END = {"op_p50_ms": True, "op_tail_ms": True, "ops_per_s": False, "peak_rss_mb": True, "setup_s": True}
+# the fewest pairs on which a gain may be claimed
+PAIRS = 10
+
+
+def declared() -> tuple[list[str], dict[str, bool]]:
+    """BENCHMARK.json's workloads, and its end-to-end metrics with whether a lower value is better."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]], {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
 
 
 def last_json(cmd: list[str], cwd: Path) -> dict:
@@ -60,13 +69,12 @@ def last_json(cmd: list[str], cwd: Path) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def perfbench(checkout: Path, workload: str, seconds: float, trace: int = 0) -> dict:
+def perfbench(checkout: Path, workload: str, trace: int = 0) -> dict:
     """The result line of perfbench/run.py in checkout; RuntimeError unless it is correct."""
     cached = sorted(str(p) for p in (checkout / "src").rglob("__pycache__"))
     if cached:
         raise RuntimeError("remove the bytecode caches first, or setup_s reads them: %s" % ", ".join(cached))
-    cmd = ["perfbench/run.py", "--workload", workload, "--seconds", str(seconds), "--trace", str(trace)]
-    result = last_json(cmd, checkout)
+    result = last_json(["perfbench/run.py", "--workload", workload, "--trace", str(trace)], checkout)
     if not result["correct"]:
         raise RuntimeError("perfbench %s in %s was not correct: %s" % (workload, checkout, result))
     return result
@@ -77,25 +85,30 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def pairs(parent: Path, workload: str, count: int, seconds: float) -> dict:
-    """count alternating pairs of parent and this checkout, each with an A/A parent run after it."""
+def pairs(parent: Path) -> dict:
+    """PAIRS alternating pairs of parent and this checkout, each with an A/A parent run after it."""
+    workloads, end_to_end = declared()
     runs = []
-    for i in range(count):
+    for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         run = {"order": list(order) + ["parent_again"]}
         for side in run["order"]:
-            metrics = perfbench(ROOT if side == "change" else parent, workload, seconds)["metrics"]
-            run[side] = {name: metrics[name]["value"] for name in END_TO_END}
+            run[side] = {}
+            for workload in workloads:
+                metrics = perfbench(ROOT if side == "change" else parent, workload)["metrics"]
+                run[side][workload] = {name: metrics[name]["value"] for name in end_to_end}
         runs.append(run)
     summary = {}
-    for name, lower in END_TO_END.items():
-        better = (lambda a, b: a < b) if lower else (lambda a, b: a > b)
-        summary[name] = {
-            side: quartiles([run[side][name] for run in runs]) for side in ("parent", "change", "parent_again")
-        }
-        summary[name]["change_wins"] = sum(better(run["change"][name], run["parent"][name]) for run in runs)
-        summary[name]["parent_again_wins"] = sum(better(run["parent_again"][name], run["parent"][name]) for run in runs)
-    return {"workload": workload, "seconds": seconds, "parent_commit": git_head(parent), "runs": runs, "summary": summary}
+    for workload in workloads:
+        summary[workload] = {}
+        for name, lower in end_to_end.items():
+            better = (lambda a, b: a < b) if lower else (lambda a, b: a > b)
+            values = {side: [run[side][workload][name] for run in runs] for side in ("parent", "change", "parent_again")}
+            entry = {side: quartiles(v) for side, v in values.items()}
+            entry["change_wins"] = sum(map(better, values["change"], values["parent"]))
+            entry["parent_again_wins"] = sum(map(better, values["parent_again"], values["parent"]))
+            summary[workload][name] = entry
+    return {"parent_commit": git_head(parent), "runs": runs, "summary": summary}
 
 
 def git_head(checkout: Path) -> str:
@@ -114,27 +127,18 @@ def machine_info() -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", type=Path, help="the BENCH_<n>.json to write")
-    parser.add_argument("--seconds", type=float, default=20.0, help="run length of each perfbench run (default 20)")
     parser.add_argument("--parent", type=Path, help="a checkout of the parent commit, to run pairs against")
-    parser.add_argument("--pairs", type=int, default=10, help="alternating pairs against --parent (default 10)")
-    parser.add_argument("--pair-workload", default="generate", help="the perfbench workload of the pairs")
     args = parser.parse_args(argv)
-    if args.seconds <= 0 or args.pairs < 2:
-        parser.error("--seconds must be positive and --pairs at least 2")
     try:
         bench = {
             "commit": git_head(ROOT),
             "machine": machine_info(),
-            "perfbench": {
-                "seconds": args.seconds,
-                "untraced": perfbench(ROOT, "all", args.seconds),
-                "traced": perfbench(ROOT, "all", args.seconds, trace=1),
-            },
+            "perfbench": {"untraced": perfbench(ROOT, "all"), "traced": perfbench(ROOT, "all", trace=1)},
             "generate_wall": last_json(["scripts/generate_wall.py", *GENERATE_KS], ROOT),
             "search_wall": last_json(["scripts/search_wall.py", *SEARCH_BOUNDS], ROOT),
         }
         if args.parent is not None:
-            bench["pairs"] = pairs(args.parent.resolve(), args.pair_workload, args.pairs, args.seconds)
+            bench["pairs"] = pairs(args.parent.resolve())
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1

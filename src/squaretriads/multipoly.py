@@ -30,10 +30,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from functools import total_ordering
 from itertools import accumulate, islice, repeat
 from operator import getitem, mul
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, ImageTooLargeError, PoleError, VerificationError
 from .exactnum import _exact_scalar, _integer, is_perfect_square, is_prime, sqrt_fraction
@@ -333,14 +332,9 @@ class Poly:
 
     def render(self) -> str:
         """Canonical text form, terms in descending graded-lex order."""
-        return "".join(self._render_terms())
-
-    def _render_terms(self) -> Iterator[str]:
-        """render()'s text as one nonempty piece per term, made as it is read."""
         if not self.terms:
-            yield "0"
-            return
-        sign = ("", "-")
+            return "0"
+        parts = []
         for e in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
             c = self.terms[e]
             mono = "*".join(
@@ -352,8 +346,9 @@ class Poly:
                 body = mono
             else:
                 body = "%s*%s" % (abs(c), mono)
-            yield sign[c < 0] + body
-            sign = (" + ", " - ")
+            parts.append(("- " if c < 0 else "+ ") + body)
+        text = " ".join(parts)
+        return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
     def __str__(self) -> str:
         return self.render()
@@ -1514,18 +1509,9 @@ class RatFunc:
         return max(self.num.total_degree(), self.den.total_degree())
 
     def render(self) -> str:
-        return "".join(self._render_terms())
-
-    def _render_terms(self) -> Iterator[str]:
-        """render()'s text as nonempty pieces, made as they are read (see Poly._render_terms)."""
         if self.den == _ONE:
-            yield from self.num._render_terms()
-            return
-        yield "("
-        yield from self.num._render_terms()
-        yield ")/("
-        yield from self.den._render_terms()
-        yield ")"
+            return self.num.render()
+        return "(%s)/(%s)" % (self.num.render(), self.den.render())
 
     def __str__(self):
         return self.render()
@@ -1567,61 +1553,10 @@ def _ratfunc_canonical(num: Poly, den: Poly) -> RatFunc:
 _RF_ZERO = RatFunc._raw(_ZERO, _ONE)
 
 
-@total_ordering
-class _LazyText:
-    """The text of a Poly or RatFunc's render(), compared as that str would be.
-
-    A comparison renders terms only up to the first character at which the
-    two texts differ, so values of equal degrees are usually told apart by
-    their leading terms, and a term once rendered is kept for the next
-    comparison.
-    """
-
-    __slots__ = ("_done", "_rest")
-
-    def __init__(self, value) -> None:
-        self._done: list[str] = []
-        self._rest = value._render_terms()
-
-    def _pieces(self) -> Iterator[str]:
-        yield from self._done
-        for piece in self._rest:
-            self._done.append(piece)
-            yield piece
-
-    def _cmp(self, other) -> int:
-        """-1, 0 or 1 as render() of self is below, equal to or above other (a _LazyText or str)."""
-        if other is self:
-            return 0
-        mine = self._pieces()
-        theirs = other._pieces() if isinstance(other, _LazyText) else iter((other,) if other else ())
-        a = b = ""
-        while True:
-            a = a or next(mine, None)
-            b = b or next(theirs, None)
-            if a is None or b is None:
-                # a text that ran out first is a prefix of the other
-                return (b is None) - (a is None)
-            n = min(len(a), len(b))
-            if a[:n] != b[:n]:
-                return -1 if a[:n] < b[:n] else 1
-            a, b = a[n:], b[n:]
-
-    def __eq__(self, other):
-        return self._cmp(other) == 0 if isinstance(other, (_LazyText, str)) else NotImplemented
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0 if isinstance(other, (_LazyText, str)) else NotImplemented
-
-
 def canonical_sort_key(x) -> tuple:
-    """Deterministic ordering key for Poly/RatFunc values; scalars by value.
-
-    Poly and RatFunc values sort by their degrees, then by render()'s text,
-    which is rendered lazily (_LazyText).
-    """
+    """Deterministic ordering key for Poly/RatFunc values; scalars by value."""
     if isinstance(x, Poly):
-        return (x.total_degree(), 0, _LazyText(x))
+        return (x.total_degree(), 0, x.render())
     if isinstance(x, RatFunc):
-        return (x.num.total_degree(), x.den.total_degree(), _LazyText(x))
+        return (x.num.total_degree(), x.den.total_degree(), x.render())
     return (-1, x, "")

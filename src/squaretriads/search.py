@@ -57,8 +57,8 @@ table, the corpus, naive_search and every caller that does not search never
 load it (it is most of the package's import time).  search_triads imports it
 before it starts any worker, so each forked worker has it already.
 multiprocessing, which only a pooled search uses, is likewise loaded on first
-use: the module attribute search.multiprocessing is imported by __getattr__
-when the first worker starts, in this process and before any fork.
+use: the module attribute search.multiprocessing is None until the first
+worker starts, which imports it in this process, before any fork.
 """
 
 from __future__ import annotations
@@ -86,6 +86,9 @@ __all__ = [
     "Table1Report",
     "CorpusReport",
 ]
+
+# The multiprocessing module, imported by _start_part when the first worker starts
+multiprocessing = None
 
 # Every tested value, up to e2 = ab + c(a + b) <= 3 * bound**2, must stay
 # below 2**53: there float64 holds integers exactly and a correctly rounded
@@ -424,22 +427,13 @@ def _search_block(args) -> list[tuple[int, int, int]]:
     return out
 
 
-def __getattr__(name: str):
-    """Import multiprocessing on first use, as the module attribute multiprocessing."""
-    if name != "multiprocessing":
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    import multiprocessing
-
-    globals()[name] = multiprocessing
-    return multiprocessing
-
-
 def _start_part(args):
     """Start a worker process on _search_block(args); return it and the read end of its one-way pipe."""
-    # the module attribute, read at each call: loaded by __getattr__ the first time
-    mp = globals().get("multiprocessing") or __getattr__("multiprocessing")
-    recv, send = mp.Pipe(duplex=False)
-    worker = mp.Process(target=_send_part, args=(send, args))
+    global multiprocessing
+    if multiprocessing is None:
+        import multiprocessing
+    recv, send = multiprocessing.Pipe(duplex=False)
+    worker = multiprocessing.Process(target=_send_part, args=(send, args))
     worker.start()
     send.close()
     return worker, recv

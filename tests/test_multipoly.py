@@ -1425,56 +1425,3 @@ class TestSubstituteScalars:
         for bad in (0.5, 2.0, "3"):
             with pytest.raises(DomainError):
                 substitute(s**2, {"s": bad})
-
-
-# Polynomials in s, t and m with few terms, whose coefficients share leading
-# digits (12 against 3, 123 against 12) or differ only in sign, so that their
-# texts often agree for a while or one is a prefix of another.
-_sort_polys = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
-    st.sampled_from([1, -1, 2, 3, -3, 12, -12, 123, 1230, 10**30 + 7, Fraction(1, 2), Fraction(-12, 7)]),
-    max_size=4,
-).map(lambda terms: sum((c * s**i * t**j * m**k for (i, j, k), c in terms.items()), Poly.zero()))
-
-
-class TestCanonicalSortKey:
-    @staticmethod
-    def rendered_key(x):
-        """The key as degrees and the whole of render()'s text."""
-        if isinstance(x, Poly):
-            return (x.total_degree(), 0, x.render())
-        if isinstance(x, RatFunc):
-            return (x.num.total_degree(), x.den.total_degree(), x.render())
-        return (-1, x, "")
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                _sort_polys,
-                st.tuples(_sort_polys, _sort_polys.filter(lambda p: not p.is_zero)).map(lambda nd: RatFunc(*nd)),
-                st.sampled_from([0, 1, -1, Fraction(1, 2)]),
-            ),
-            max_size=6,
-        )
-    )
-    def test_orders_as_the_rendered_text_property(self, values):
-        key = mp.canonical_sort_key
-        assert [x.render() if hasattr(x, "render") else x for x in sorted(values, key=key)] == [
-            x.render() if hasattr(x, "render") else x for x in sorted(values, key=self.rendered_key)
-        ]
-        for x, y in itertools.product(values, repeat=2):
-            for op in (operator.lt, operator.le, operator.eq, operator.ne, operator.gt, operator.ge):
-                assert op(key(x), key(y)) == op(self.rendered_key(x), self.rendered_key(y))
-
-    def test_digits_signs_and_prefixes(self):
-        # 12*s^4 sorts before 3*s^4 as text; s^4 before s^4 + 1; -s^4 first
-        values = [3 * s**4, 12 * s**4, s**4 + 1, s**4, -(s**4), RatFunc(s**4, t + 1), RatFunc(s**4, t + 2)]
-        assert sorted(values, key=mp.canonical_sort_key) == sorted(values, key=self.rendered_key)
-        assert [str(v) for v in sorted(values[:5], key=mp.canonical_sort_key)] == [
-            "-s^4",
-            "12*s^4",
-            "3*s^4",
-            "s^4",
-            "s^4 + 1",
-        ]

@@ -154,47 +154,64 @@ def test_certify_kinds_rejects_bad_arguments(capsys):
 def test_bench_pairs_count_wins_against_the_parent_and_itself(tmp_path, monkeypatch):
     script = _load("bench")
     parent = tmp_path / "parent"
-    # in run order: this checkout reads setup_s 0.070, the parent 0.080 and
-    # 0.084, its second run 0.082; every other metric reads the same throughout
+    workloads, end_to_end = script.declared()
+    assert workloads == ["search", "search-par", "generate", "certify"]
+    assert end_to_end == {"op_p50_ms": True, "op_tail_ms": True, "ops_per_s": False, "peak_rss_mb": True, "setup_s": True}
+    # generate's setup_s in run order: this checkout reads 0.070, the parent
+    # 0.080 and 0.084, its second run 0.082; every other value is constant
     setups = iter([0.080, 0.070, 0.082, 0.070, 0.084, 0.082])
+    calls = []
 
-    def fake(checkout, workload, seconds, trace=0):
-        assert (workload, seconds, trace) == ("generate", 1.5, 0)
-        values = {"op_p50_ms": 66.0, "op_tail_ms": 70.0, "ops_per_s": 15.0, "peak_rss_mb": 22.5, "setup_s": next(setups)}
+    def fake(checkout, workload, trace=0):
+        calls.append(("change" if checkout == script.ROOT else "parent", workload))
+        assert trace == 0
+        values = {"op_p50_ms": 66.0, "op_tail_ms": 70.0, "ops_per_s": 15.0, "peak_rss_mb": 22.5, "setup_s": 0.07}
+        if workload == "generate":
+            values["setup_s"] = next(setups)
         return {"correct": True, "metrics": {name: {"value": v} for name, v in values.items()}}
 
     monkeypatch.setattr(script, "perfbench", fake)
-    result = script.pairs(parent, "generate", 2, 1.5)
-    # the pairs alternate which side runs first, and the parent runs again after each
+    monkeypatch.setattr(script, "PAIRS", 2)
+    result = script.pairs(parent)
+    # the pairs alternate which side runs first, the parent runs again after
+    # each, and every side runs every workload
     assert [run["order"] for run in result["runs"]] == [
         ["parent", "change", "parent_again"],
         ["change", "parent", "parent_again"],
     ]
-    setup = result["summary"]["setup_s"]
+    sides = ["parent", "change", "parent", "change", "parent", "parent"]
+    assert calls == [(side, w) for side in sides for w in workloads]
+    setup = result["summary"]["generate"]["setup_s"]
     assert setup["change_wins"] == 2 and setup["change"]["median"] == 0.070
     assert setup["parent"]["median"] == pytest.approx(0.082) and setup["parent_again_wins"] == 1
     # ties count for neither side
-    assert result["summary"]["op_p50_ms"]["change_wins"] == 0
+    assert result["summary"]["search"]["setup_s"]["change_wins"] == 0
+    assert result["summary"]["generate"]["op_p50_ms"]["change_wins"] == 0
 
 
 def test_bench_writes_nothing_when_a_run_fails(tmp_path, monkeypatch, capsys):
     script = _load("bench")
 
-    def failing(cmd, cwd):
+    def failing(checkout, workload, trace=0):
         raise RuntimeError("perfbench/run.py failed")
 
-    monkeypatch.setattr(script, "last_json", failing)
+    monkeypatch.setattr(script, "perfbench", failing)
     out = tmp_path / "BENCH_0.json"
     assert script.main([str(out)]) == 1
     assert not out.exists()
     assert "failed" in capsys.readouterr().err
 
 
-def test_bench_children_write_no_bytecode_and_cached_checkouts_are_refused(tmp_path):
+def test_bench_children_write_no_bytecode_and_cached_checkouts_are_refused(tmp_path, monkeypatch):
     script = _load("bench")
     code = "import json, os; print(json.dumps(os.environ.get('PYTHONDONTWRITEBYTECODE')))"
     assert script.last_json(["-c", code], tmp_path) == "1"
+    # perfbench/run.py keeps its own run length and seed
+    cmds = []
+    monkeypatch.setattr(script, "last_json", lambda cmd, cwd: cmds.append(cmd) or {"correct": True})
+    script.perfbench(tmp_path, "generate")
+    assert cmds == [["perfbench/run.py", "--workload", "generate", "--trace", "0"]]
     # a cache beside the sources would make setup_s time a cached import
     (tmp_path / "src" / "pkg" / "__pycache__").mkdir(parents=True)
     with pytest.raises(RuntimeError, match="bytecode caches"):
-        script.perfbench(tmp_path, "generate", 1.0)
+        script.perfbench(tmp_path, "generate")
