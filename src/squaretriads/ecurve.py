@@ -19,12 +19,11 @@ domain and is the oracle for the sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, PipelineStepError, PoleError, VerificationError
-from .exactnum import _exact_scalar, _integer, promote_int
+from .exactnum import Record, _exact_scalar, _integer, promote_int
 from .families import ParametricFamily, make_family
 from .multipoly import Poly, RatFunc, _divexact, evaluate, poly_sqrt, var  # noqa: F401 (perfbench wraps ecurve.poly_sqrt)
 from .pipeline import _homogenize_m, _line_u_members
@@ -49,17 +48,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ECPoint:
+class ECPoint(Record):
     """Affine point (x, y) or the identity (x = y = None)."""
 
-    x: object = None
-    y: object = None
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if self.x is not None or self.y is not None:
-            object.__setattr__(self, "x", promote_int(self.x))
-            object.__setattr__(self, "y", promote_int(self.y))
+    def __init__(self, x=None, y=None):
+        if x is not None or y is not None:
+            x, y = promote_int(x), promote_int(y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @staticmethod
     def identity() -> "ECPoint":
@@ -70,16 +68,14 @@ class ECPoint:
         return self.x is None
 
 
-@dataclass(frozen=True)
-class WeierstrassModel:
+class WeierstrassModel(Record):
     """Y^2 = X^3 + A X + B over an exact domain; must be nonsingular."""
 
-    A: object
-    B: object
+    __slots__ = ("A", "B")
 
-    def __post_init__(self):
-        object.__setattr__(self, "A", promote_int(self.A))
-        object.__setattr__(self, "B", promote_int(self.B))
+    def __init__(self, A, B):
+        object.__setattr__(self, "A", promote_int(A))
+        object.__setattr__(self, "B", promote_int(B))
         if self.discriminant() == 0:
             raise DomainError("singular curve: discriminant vanishes")
 

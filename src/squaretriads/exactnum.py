@@ -40,9 +40,8 @@ import math
 import random
 import threading
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import index
+from operator import attrgetter, index
 
 from .errors import DomainError, VerificationError
 
@@ -58,6 +57,7 @@ __all__ = [
     "two_squares_from_factorization",
     "TwoSquares",
     "ratio_two_squares",
+    "Record",
 ]
 
 _TRIAL_BOUND = 10_000
@@ -130,6 +130,58 @@ def _exact_scalar(x, message: str = "not an exact rational: %r") -> int | Fracti
 def _fraction(x, message: str = "not an exact rational: %r") -> Fraction:
     """x as a Fraction, by the rule of _exact_scalar."""
     return x if type(x) is Fraction else Fraction(_exact_scalar(x, message))
+
+
+class Record:
+    """An immutable record: the package's value classes derive from it.
+
+    A subclass lists its fields in __slots__; a slot whose name starts with
+    "_" holds derived state and is no field.  `_fields` is the tuple of field
+    names, and `_values(obj)` the tuple of obj's field values.  A subclass
+    either sets each slot once in an __init__ of its own, through
+    object.__setattr__, or takes this __init__, which binds the fields from
+    the arguments by position or by name.
+
+    An instance equals only an instance of its own class with equal fields,
+    hashes as its field tuple, prints as Name(field=value, ...) and refuses
+    assignment and deletion.  It pickles and copies as (class, field values),
+    so every copy is built again through __init__ and its checks.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        values = dict(zip(names, args), **kwargs)
+        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+            raise TypeError("%s() takes each of the fields %s once" % (type(self).__name__, names))
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an immutable %s" % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an immutable %s" % (name, type(self).__name__))
+
+    def __reduce__(self):
+        return (type(self), self._values(self))
 
 
 def isqrt(n: int) -> int:
@@ -435,21 +487,22 @@ def sum_of_two_squares(n: int) -> tuple[int, int] | None:
     return two_squares_from_factorization(factorize(n))
 
 
-@dataclass(frozen=True)
-class TwoSquares:
+class TwoSquares(Record):
     """Witness that value = p^2 + q^2 over the rationals."""
 
-    p: Fraction
-    q: Fraction
-    value: Fraction
+    __slots__ = ("p", "q", "value")
 
-    def __post_init__(self):
-        for name in ("p", "q", "value"):
-            object.__setattr__(self, name, _fraction(getattr(self, name)))
-        if self.p * self.p + self.q * self.q != self.value:
-            raise DomainError(
-                "invalid two-squares witness: (%s)^2 + (%s)^2 != %s" % (self.p, self.q, self.value)
-            )
+    def __init__(self, p: Fraction, q: Fraction, value: Fraction):
+        p, q, value = _fraction(p), _fraction(q), _fraction(value)
+        # with p = a/b, q = c/d and value = n/m over positive denominators,
+        # p^2 + q^2 = value exactly when (a^2 d^2 + c^2 b^2) m = n b^2 d^2
+        a, c = p.numerator, q.numerator
+        b2, d2 = p.denominator ** 2, q.denominator ** 2
+        if (a * a * d2 + c * c * b2) * value.denominator != value.numerator * b2 * d2:
+            raise DomainError("invalid two-squares witness: (%s)^2 + (%s)^2 != %s" % (p, q, value))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "value", value)
 
 
 def ratio_two_squares(alpha: TwoSquares, beta: TwoSquares) -> TwoSquares:

@@ -15,12 +15,11 @@ domain: the symbolic run takes it over Q(r, s) and the numeric run over Q.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, ExcludedLocusError, VerificationError
-from .exactnum import _integer
+from .exactnum import Record, _integer
 from .multipoly import (
     Poly,
     RatFunc,
@@ -62,9 +61,10 @@ ALL_SQUARES = "all-squares"
 NO_SQUARES = "no-squares"
 
 
-@dataclass(frozen=True)
-class ParametricFamily:
+class ParametricFamily(Record):
     """A polynomial solution triple in named parameters, with square witnesses."""
+
+    __slots__ = ("name", "params", "a", "b", "c", "witnesses", "constraints", "classification", "paper_eq")
 
     name: str
     params: tuple[str, ...]
@@ -100,9 +100,10 @@ def square_classification(members) -> tuple[int, str]:
     return squares, _CLASS_BY_SQUARES[squares]
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(Record):
     """Outcome of the symbolic verification of one family."""
+
+    __slots__ = ("name", "ok", "square_members", "classification_ok", "messages")
 
     name: str
     ok: bool
@@ -403,9 +404,10 @@ def pythagorean_substitute(name: str) -> ParametricFamily:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TwoSquaresPipelineSteps:
+class TwoSquaresPipelineSteps(Record):
     """Intermediate values of the construction, for inspection and tests."""
+
+    __slots__ = ("x_known", "t_value", "u_first", "u_second", "x_second", "family")
 
     x_known: RatFunc
     t_value: RatFunc

@@ -9,10 +9,8 @@ multipoly._parts) and reduce each returned value once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CompositionError, DegenerateParameterError, DomainError, NoAscentError, VerificationError
-from .exactnum import promote_int
+from .exactnum import Record, promote_int
 from .multipoly import Poly, _parts, _quotient, exact_sqrt
 
 __all__ = [
@@ -29,24 +27,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuarticModel:
+class QuarticModel(Record):
     """v^2 = u^4 + a1 u^3 + a2 u^2 + a3 u + a4 over an exact domain.
 
     The coefficients are kept as given (integers become Fractions) and,
     for the formulas, over their base ring: with a_i = A_i / M, the model
-    times M is M v^2 = M u^4 + A1 u^3 + A2 u^2 + A3 u + A4.
+    times M is M v^2 = M u^4 + A1 u^3 + A2 u^2 + A3 u + A4.  That ring form,
+    (M, A1, A2, A3, A4), is the slot _ring, which is no field.
     """
 
-    a1: object
-    a2: object
-    a3: object
-    a4: object
+    __slots__ = ("a1", "a2", "a3", "a4", "_ring")
 
-    def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4"):
-            object.__setattr__(self, name, promote_int(getattr(self, name)))
-        *nums, M = _parts(self.a1, self.a2, self.a3, self.a4)
+    def __init__(self, a1, a2, a3, a4):
+        a1, a2, a3, a4 = promote_int(a1), promote_int(a2), promote_int(a3), promote_int(a4)
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "a3", a3)
+        object.__setattr__(self, "a4", a4)
+        *nums, M = _parts(a1, a2, a3, a4)
         object.__setattr__(self, "_ring", (M, *nums))
 
     def _form(self, p, q):
@@ -65,14 +63,12 @@ class QuarticModel:
         return r * r * self._ring[0] * q**4 == self._form(p, q) * w * w
 
 
-@dataclass(frozen=True)
-class QuarticPoint:
-    u: object
-    v: object
+class QuarticPoint(Record):
+    __slots__ = ("u", "v")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", promote_int(self.u))
-        object.__setattr__(self, "v", promote_int(self.v))
+    def __init__(self, u, v):
+        object.__setattr__(self, "u", promote_int(u))
+        object.__setattr__(self, "v", promote_int(v))
 
 
 def euler_quartic(s, t) -> QuarticModel:

@@ -68,10 +68,9 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
 
 from .errors import DomainError, VerificationError
-from .exactnum import _integer, is_perfect_square
+from .exactnum import Record, _integer, is_perfect_square
 from .families import evaluate_family
 from .triads import SquareCertificate, Triad, canonicalize, verify_triad
 
@@ -103,16 +102,14 @@ _EXACT_FLOAT = 1 << 53
 _CANDIDATE_BATCH = 1 << 13
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    bound: int
-    primitive_only: bool = False
-    workers: int = 1
+class SearchConfig(Record):
+    __slots__ = ("bound", "primitive_only", "workers")
 
-    def __post_init__(self):
-        for name in ("bound", "workers"):
-            value = _integer(getattr(self, name), "search %s must be an integer >= 1, not %%r" % name, 1)
+    def __init__(self, bound: int, primitive_only: bool = False, workers: int = 1):
+        for name, value in (("bound", bound), ("workers", workers)):
+            value = _integer(value, "search %s must be an integer >= 1, not %%r" % name, 1)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "primitive_only", primitive_only)
         if not isinstance(self.primitive_only, bool):
             raise DomainError("search primitive_only must be a bool, not %r" % (self.primitive_only,))
         if 3 * self.bound * self.bound >= _EXACT_FLOAT:
@@ -568,8 +565,9 @@ CORPUS_TRIADS: tuple[tuple[int, int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Table1Report:
+class Table1Report(Record):
+    __slots__ = ("rows", "elapsed")
+
     rows: tuple[tuple[str, tuple[int, ...], tuple[int, ...], tuple[int, ...], bool], ...]
     elapsed: float
 
@@ -590,8 +588,9 @@ def reproduce_table1() -> Table1Report:
     return Table1Report(tuple(rows), time.perf_counter() - t0)
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(Record):
+    __slots__ = ("entries", "elapsed")
+
     entries: tuple[tuple[tuple[int, int, int], SquareCertificate | None], ...]
     elapsed: float
 

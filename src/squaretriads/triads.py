@@ -9,7 +9,6 @@ roots of x^3 - f^2 x^2 + g^2 x - h^2 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactnum
@@ -18,7 +17,7 @@ from .errors import (
     DomainError,
     ExcludedBranchError,
 )
-from .exactnum import TwoSquares, _fraction, _integer, is_perfect_square, squarefree_decompose
+from .exactnum import Record, TwoSquares, _fraction, _integer, is_perfect_square, squarefree_decompose
 from .multipoly import _parts, _quotient, canonical_sort_key, exact_sqrt
 
 __all__ = [
@@ -39,25 +38,42 @@ __all__ = [
 ]
 
 
-def _int_fields(obj, names: str, message: str, least: int) -> None:
-    """Check and convert the one-letter integer fields of a frozen dataclass
-    by exactnum's rule; an int field of at least `least` is left as it is."""
-    for name in names:
-        v = getattr(obj, name)
+def _set_ints(obj, names: str, values, message: str, least: int) -> None:
+    """Set the one-letter integer fields of a record, each value converted and
+    checked by exactnum's rule; an int of at least `least` is kept as it is."""
+    for name, v in zip(names, values):
         if type(v) is not int or v < least:
-            object.__setattr__(obj, name, _integer(v, message, least))
+            v = _integer(v, message, least)
+        object.__setattr__(obj, name, v)
 
 
-@dataclass(frozen=True, order=True)
-class Triad:
-    """Three strictly positive integers; order as given (canonicalize sorts)."""
+def _set_fractions(obj, names: str, values) -> None:
+    """Set the one-letter rational fields of a record, each value a Fraction."""
+    for name, v in zip(names, values):
+        object.__setattr__(obj, name, _fraction(v))
 
-    a: int
-    b: int
-    c: int
 
-    def __post_init__(self):
-        _int_fields(self, "abc", "triad members must be positive integers, got %r", 1)
+class Triad(Record):
+    """Three strictly positive integers; order as given (canonicalize sorts).
+
+    Triads order as their member tuples do."""
+
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        _set_ints(self, "abc", (a, b, c), "triad members must be positive integers, got %r", 1)
+
+    def __lt__(self, other):
+        return self.members() < other.members() if type(other) is Triad else NotImplemented
+
+    def __le__(self, other):
+        return self.members() <= other.members() if type(other) is Triad else NotImplemented
+
+    def __gt__(self, other):
+        return self.members() > other.members() if type(other) is Triad else NotImplemented
+
+    def __ge__(self, other):
+        return self.members() >= other.members() if type(other) is Triad else NotImplemented
 
     def sorted(self) -> "Triad":
         a, b, c = sorted((self.a, self.b, self.c))
@@ -67,47 +83,35 @@ class Triad:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class SquareCertificate:
+class SquareCertificate(Record):
     """Nonnegative roots (f, g, h) of the three symmetric functions."""
 
-    f: int
-    g: int
-    h: int
+    __slots__ = ("f", "g", "h")
 
-    def __post_init__(self):
-        _int_fields(self, "fgh", "certificate entries must be nonnegative integers, got %r", 0)
+    def __init__(self, f: int, g: int, h: int):
+        _set_ints(self, "fgh", (f, g, h), "certificate entries must be nonnegative integers, got %r", 0)
 
 
-@dataclass(frozen=True)
-class CubicSpec:
+class CubicSpec(Record):
     """Coefficient data for x^3 - f^2 x^2 + g^2 x - h^2 (f, g, h enter squared)."""
 
-    f: Fraction
-    g: Fraction
-    h: Fraction
+    __slots__ = ("f", "g", "h")
 
-    def __post_init__(self):
-        for name in ("f", "g", "h"):
-            object.__setattr__(self, name, _fraction(getattr(self, name)))
+    def __init__(self, f: Fraction, g: Fraction, h: Fraction):
+        _set_fractions(self, "fgh", (f, g, h))
 
 
-@dataclass(frozen=True)
-class PQParameterization:
+class PQParameterization(Record):
     """The (p, q, m, h) data from which f and g are solved linearly.
 
     The linear solve divides by m^2 p - 2 m q - p, so that quantity must
     not vanish.
     """
 
-    p: Fraction
-    q: Fraction
-    m: Fraction
-    h: Fraction
+    __slots__ = ("p", "q", "m", "h")
 
-    def __post_init__(self):
-        for name in ("p", "q", "m", "h"):
-            object.__setattr__(self, name, _fraction(getattr(self, name)))
+    def __init__(self, p: Fraction, q: Fraction, m: Fraction, h: Fraction):
+        _set_fractions(self, "pqmh", (p, q, m, h))
         if self.m * self.m * self.p - 2 * self.m * self.q - self.p == 0:
             raise DegenerateParameterError("degenerate parameters: m^2 p - 2 m q - p = 0")
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squaretriads import exactnum as en
 from squaretriads.errors import DomainError
@@ -376,6 +378,25 @@ def test_sum_of_two_squares_matches_exhaustive_search():
 def test_two_squares_witness_type_validates():
     with pytest.raises(DomainError):
         en.TwoSquares(1, 1, 3)
+
+
+_SMALL_FRACTIONS = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SMALL_FRACTIONS, _SMALL_FRACTIONS, st.one_of(st.just(Fraction(0)), _SMALL_FRACTIONS))
+def test_two_squares_integer_check_agrees_with_the_fraction_identity(p, q, offset):
+    # the witness check runs on numerators and denominators; it must accept
+    # exactly the (p, q, value) for which p^2 + q^2 == value in Fractions
+    value = p * p + q * q + offset
+    try:
+        witness = en.TwoSquares(p, q, value)
+    except DomainError as exc:
+        assert p * p + q * q != value
+        assert str(exc) == "invalid two-squares witness: (%s)^2 + (%s)^2 != %s" % (p, q, value)
+    else:
+        assert p * p + q * q == value
+        assert (witness.p, witness.q, witness.value) == (p, q, value)
 
 
 @pytest.mark.parametrize(

@@ -314,14 +314,13 @@ class TestVieta:
 def test_int_arguments_give_the_fraction_result():
     # int / int is a float in Python; every scalar helper that divides must
     # give for ints exactly what it gives for the same values as Fractions
-    from dataclasses import astuple, is_dataclass
-
     from squaretriads.ecurve import quartic_to_xy, xy_to_quartic
+    from squaretriads.exactnum import Record
     from squaretriads.triads import roots_quad
 
     def values(x):
-        if is_dataclass(x):
-            return values(astuple(x))
+        if isinstance(x, Record):
+            return values(tuple(getattr(x, name) for name in x._fields))
         if isinstance(x, tuple):
             return [v for item in x for v in values(item)]
         return [x]
@@ -353,12 +352,11 @@ def test_int_arguments_give_the_fraction_result():
 
 def test_euler_quartic_takes_integer_types_exactly():
     # np.int64 arguments gave a float model, since int64 / int64 is a float
-    from dataclasses import astuple
-
     np = pytest.importorskip("numpy")
     got = euler_quartic(np.int64(1), np.int64(2))
     assert got == euler_quartic(1, 2)
-    assert all(type(c) is Fraction for c in astuple(got))
+    assert got._fields == ("a1", "a2", "a3", "a4")
+    assert all(type(getattr(got, name)) is Fraction for name in got._fields)
 
 
 # ---------------------------------------------------------------------------
