@@ -13,8 +13,9 @@ J. Math. 70, 1948; Washington, Elliptic Curves, section 3.2) that gives kP
 in Jacobian coordinates with exact divisions only.  P has additive
 reduction at m^2 + 1 = 0, where the valuation of W_n grows like n^2
 (Silverman, Math. Ann. 332, 2005), so each W_n is carried as
-(m^2 + 1)^v R_n.  The chord-and-tangent `ec_mul` works over any exact
-domain and is the oracle for the sequence.
+(m^2 + 1)^v R_n.  The infinite-order screen reads the same sequence over
+Q: kP is the identity exactly when W_k = psi_k(P) = 0.  ECPoint() is the
+identity; the chord-and-tangent law is the tests' oracle for the sequence.
 """
 
 from __future__ import annotations
@@ -32,9 +33,6 @@ from .quartic import phi
 __all__ = [
     "ECPoint",
     "WeierstrassModel",
-    "ec_add",
-    "ec_neg",
-    "ec_mul",
     "ecweier",
     "point_P",
     "xy_to_quartic",
@@ -58,10 +56,6 @@ class ECPoint(Record):
             x, y = promote_int(x), promote_int(y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    @staticmethod
-    def identity() -> "ECPoint":
-        return ECPoint(None, None)
 
     @property
     def is_identity(self) -> bool:
@@ -91,48 +85,9 @@ class WeierstrassModel(Record):
         return P.y * P.y == self.rhs(P.x)
 
 
-def _require_on_curve(E: WeierstrassModel, *points: ECPoint):
-    for P in points:
-        if not E.contains(P):
-            raise DomainError("point is not on the curve")
-
-
-def ec_neg(P: ECPoint) -> ECPoint:
-    if P.is_identity:
-        return P
-    return ECPoint(P.x, -P.y)
-
-
-def _add_unchecked(E: WeierstrassModel, P: ECPoint, Q: ECPoint) -> ECPoint:
-    if P.is_identity:
-        return Q
-    if Q.is_identity:
-        return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return ECPoint.identity()
-        lam = (3 * P.x * P.x + E.A) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return ECPoint(x3, y3)
-
-
-def ec_add(E: WeierstrassModel, P: ECPoint, Q: ECPoint) -> ECPoint:
-    """Chord-and-tangent sum of two points on E."""
-    _require_on_curve(E, P, Q)
-    return _add_unchecked(E, P, Q)
-
-
-def ec_mul(E: WeierstrassModel, k: int, P: ECPoint) -> ECPoint:
-    """k-fold sum of P (integer k >= 0) by chord and tangent, validated once on entry."""
-    k = _integer(k, "ec_mul requires an integer k >= 0, not %r", 0)
-    _require_on_curve(E, P)
-    acc = ECPoint.identity()
-    for _ in range(k):
-        acc = _add_unchecked(E, acc, P)
-    return acc
+def _require_on_curve(E: WeierstrassModel, P: ECPoint):
+    if not E.contains(P):
+        raise DomainError("point is not on the curve")
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +223,10 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
 
     Non-integral coordinates certify infinite order outright (Nagell-Lutz);
     otherwise no multiple kP for k <= 12 may be the identity, since
-    rational torsion orders never exceed 12 (Mazur's bound).
+    rational torsion orders never exceed 12 (Mazur's bound).  y = 0 is
+    order 2, and otherwise kP is the identity exactly when the division
+    value psi_k(P) vanishes, read from the sequence of E and P over
+    constant polynomials; W_2 = 2y is nonzero, so its divisions are exact.
     """
     message = "screen requires a curve and point over Q, not %r"
     A, B = _exact_scalar(E.A, message), _exact_scalar(E.B, message)
@@ -280,12 +238,11 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
     _require_on_curve(E, P)
     if x.denominator != 1 or y.denominator != 1:
         return True
-    acc = P
-    for _ in range(2, 13):
-        acc = _add_unchecked(E, acc, P)
-        if acc.is_identity:
-            return False
-    return True
+    if y == 0:
+        return False
+    c = Poly.const
+    W = _DivisionValues(WeierstrassModel(c(A), c(B)), ECPoint(c(x), c(y)))
+    return all(not W[k][1].is_zero for k in range(3, 13))
 
 
 # ---------------------------------------------------------------------------

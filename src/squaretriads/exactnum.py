@@ -46,17 +46,14 @@ from operator import attrgetter, index
 from .errors import DomainError, VerificationError
 
 __all__ = [
-    "isqrt",
     "promote_int",
     "is_perfect_square",
     "sqrt_fraction",
     "factorize",
     "is_prime",
     "squarefree_decompose",
-    "sum_of_two_squares",
     "two_squares_from_factorization",
     "TwoSquares",
-    "ratio_two_squares",
     "Record",
 ]
 
@@ -182,15 +179,6 @@ class Record:
 
     def __reduce__(self):
         return (type(self), self._values(self))
-
-
-def isqrt(n: int) -> int:
-    """Floor square root of a nonnegative integer."""
-    if type(n) is not int:
-        n = _integer(n)
-    if n < 0:
-        raise DomainError("isqrt of negative integer %d" % n)
-    return math.isqrt(n)
 
 
 def is_perfect_square(n: int) -> int | None:
@@ -481,12 +469,6 @@ def two_squares_from_factorization(factors: dict[int, int]) -> tuple[int, int] |
     return (min(rep), max(rep))
 
 
-def sum_of_two_squares(n: int) -> tuple[int, int] | None:
-    """(p, q) with p^2 + q^2 = n and 0 <= p <= q, or None if no such pair exists."""
-    n = _integer(n, "sum_of_two_squares requires an integer n >= 1, got %r", 1)
-    return two_squares_from_factorization(factorize(n))
-
-
 class TwoSquares(Record):
     """Witness that value = p^2 + q^2 over the rationals."""
 
@@ -503,17 +485,3 @@ class TwoSquares(Record):
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "value", value)
-
-
-def ratio_two_squares(alpha: TwoSquares, beta: TwoSquares) -> TwoSquares:
-    """Two-squares witness for alpha.value / beta.value.
-
-    Uses m = (a1 b1 + a2 b2) / (b1^2 + b2^2), n = (a1 b2 - a2 b1) / (b1^2 + b2^2),
-    for which m^2 + n^2 = alpha/beta identically.
-    """
-    if alpha.value == 0 or beta.value == 0:
-        raise DomainError("ratio_two_squares requires nonzero values")
-    denom = beta.p * beta.p + beta.q * beta.q
-    m = (alpha.p * beta.p + alpha.q * beta.q) / denom
-    n = (alpha.p * beta.q - alpha.q * beta.p) / denom
-    return TwoSquares(m, n, alpha.value / beta.value)

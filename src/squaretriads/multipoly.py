@@ -207,6 +207,9 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its scalar, so it hashes as that scalar
+        if not self.vars:
+            return hash(self.terms.get((), 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __neg__(self) -> "Poly":
@@ -1413,6 +1416,10 @@ class RatFunc:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # over a constant denominator it equals, so hashes as, the Poly num / den
+        if self.den.is_const:
+            c = self.den.terms[()]
+            return hash(self.num if c == 1 else self.num * Fraction(1, c))
         return hash((self.num, self.den))
 
     def __neg__(self):

@@ -4,7 +4,9 @@ All operations are generic over the coefficient domain: exact rationals
 (int/Fraction) or rational functions (Poly/RatFunc), since the same
 formulas are used both numerically and symbolically.  They run on
 numerators and denominators over the base ring (int or Poly, split by
-multipoly._parts) and reduce each returned value once.
+multipoly._parts) and reduce each returned value once.  The leading-side
+ascent is `fermat_ascend(Q, "leading")`: the constant-side step `_ascent`
+on the reversed quartic, mapped back by u -> 1/u.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ __all__ = [
     "psi",
     "fermat_ascend",
     "ascend_constant_side",
-    "ascend_leading_side",
     "choudhry_compose",
     "second_root_vieta",
 ]
@@ -139,18 +140,6 @@ def ascend_constant_side(c4, c3, c2, c1, c0):
     *n, d = _parts(c4, c3, c2, c1, c0)
     x, y, w = _ascent(*n, d)
     return _quotient(x, y), _quotient(w, d * y * y)
-
-
-def ascend_leading_side(c4, c3, c2, c1, c0):
-    """One Fermat step anchored at the square leading coefficient.
-
-    At u = 1/w the quartic is u^4 times the reversed quartic in w, so this is
-    the constant-side step on the reversed coefficients, mapped back.
-    Returns (u, v) with v^2 the quartic at u.
-    """
-    *n, d = _parts(c0, c1, c2, c3, c4)
-    x, y, w = _ascent(*n, d)
-    return _quotient(y, x), _quotient(w, d * x * x)
 
 
 def fermat_ascend(Q: QuarticModel, side: str = "constant") -> QuarticPoint:

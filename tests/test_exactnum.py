@@ -28,26 +28,6 @@ def _count_rho(monkeypatch) -> list[int]:
     return calls
 
 
-def test_isqrt_examples():
-    assert en.isqrt(0) == 0
-    assert en.isqrt(289) == 17
-    r = en.isqrt(518400)
-    assert r == 720 and r * r == 518400
-
-
-def test_isqrt_negative_rejected():
-    with pytest.raises(DomainError):
-        en.isqrt(-1)
-
-
-def test_isqrt_bracketing_property():
-    rng = random.Random(1)
-    for _ in range(500):
-        n = rng.randrange(0, 10**24)
-        r = en.isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
-
-
 def test_is_perfect_square_examples():
     assert en.is_perfect_square(22500) == 150
     assert en.is_perfect_square(2880) is None  # isqrt is 53 and 53^2 != 2880
@@ -231,7 +211,7 @@ def test_factorize_rejects_nonpositive():
 
 @pytest.mark.parametrize(
     "f",
-    [en.factorize, en.is_prime, en.squarefree_decompose, en.isqrt, en.is_perfect_square, en.sum_of_two_squares],
+    [en.factorize, en.is_prime, en.squarefree_decompose, en.is_perfect_square],
 )
 @pytest.mark.parametrize("n", [12.0, 7.0, True, False, Fraction(12), "12", None, pytest.param(np.float64(12), id="np.float64(12)")])
 def test_integer_functions_refuse_non_integers(f, n):
@@ -248,9 +228,7 @@ def test_integer_functions_take_numpy_integers():
         assert got == {2: 3, 3: 2, 5: 1} and all(type(p) is int for p in got)
         assert en.is_prime(t(7)) and not en.is_prime(t(9))
         assert en.squarefree_decompose(t(360)) == (10, 6)
-        assert en.isqrt(t(50)) == 7 and type(en.isqrt(t(50))) is int
         assert en.is_perfect_square(t(49)) == 7 and en.is_perfect_square(t(50)) is None
-        assert en.sum_of_two_squares(t(25)) == en.sum_of_two_squares(25)
     assert en.factorize(np.int64(2**61 - 1)) == {2**61 - 1: 1}
 
 
@@ -349,15 +327,20 @@ def test_prime_memory_under_threads():
     assert len(memory) == len(set(memory)) <= en._RECENT_PRIMES_BOUND
 
 
+def _two_squares(n):
+    return en.two_squares_from_factorization(en.factorize(n))
+
+
 def test_sum_of_two_squares_examples():
-    got = en.sum_of_two_squares(153)
+    got = _two_squares(153)
     assert got is not None and got[0] ** 2 + got[1] ** 2 == 153 and 0 <= got[0] <= got[1]
-    assert en.sum_of_two_squares(5) == (1, 2)
-    assert en.sum_of_two_squares(21) is None
+    assert _two_squares(5) == (1, 2)
+    assert _two_squares(21) is None
 
 
 def test_sum_of_two_squares_matches_exhaustive_search():
-    """Representability and witness validity agree with brute force up to 1e5."""
+    """Representability and witness validity of the Cornacchia and
+    composition code on factorize's output agree with brute force up to 1e5."""
     limit = 100_000
     reachable = set()
     p = 0
@@ -368,7 +351,7 @@ def test_sum_of_two_squares_matches_exhaustive_search():
             q += 1
         p += 1
     for n in range(1, limit + 1):
-        got = en.sum_of_two_squares(n)
+        got = _two_squares(n)
         assert (got is not None) == (n in reachable), n
         if got is not None:
             assert got[0] ** 2 + got[1] ** 2 == n
@@ -397,38 +380,3 @@ def test_two_squares_integer_check_agrees_with_the_fraction_identity(p, q, offse
     else:
         assert p * p + q * q == value
         assert (witness.p, witness.q, witness.value) == (p, q, value)
-
-
-@pytest.mark.parametrize(
-    "alpha,beta,expected",
-    [
-        ((1, 2, 5), (1, 2, 5), (1, 0, 1)),
-        ((1, 1, 2), (1, 2, 5), (Fraction(3, 5), Fraction(1, 5), Fraction(2, 5))),
-        ((0, 3, 9), (0, 1, 1), (3, 0, 9)),
-    ],
-)
-def test_ratio_two_squares_examples(alpha, beta, expected):
-    got = en.ratio_two_squares(en.TwoSquares(*alpha), en.TwoSquares(*beta))
-    assert (got.p, got.q, got.value) == tuple(map(Fraction, expected))
-
-
-def test_ratio_two_squares_identity_fuzz():
-    rng = random.Random(3)
-    for _ in range(300):
-        a1, a2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        b1, b2 = Fraction(rng.randint(-9, 9), rng.randint(1, 9)), Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        if (a1 == 0 and a2 == 0) or (b1 == 0 and b2 == 0):
-            continue
-        alpha = en.TwoSquares(a1, a2, a1 * a1 + a2 * a2)
-        beta = en.TwoSquares(b1, b2, b1 * b1 + b2 * b2)
-        out = en.ratio_two_squares(alpha, beta)
-        assert out.p**2 + out.q**2 == alpha.value / beta.value
-
-
-def test_ratio_two_squares_rejects_zero():
-    z = en.TwoSquares(0, 0, 0)
-    good = en.TwoSquares(1, 0, 1)
-    with pytest.raises(DomainError):
-        en.ratio_two_squares(z, good)
-    with pytest.raises(DomainError):
-        en.ratio_two_squares(good, z)

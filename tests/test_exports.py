@@ -1,5 +1,5 @@
-"""Every public name each module declares exists, and no module imports
-a name it never uses.
+"""Every public name each module declares exists and has a use, and no
+module imports a name it never uses.
 
 The benchmark's tracer (perfbench/spans.py) looks up every entry of each
 module's __all__, so a stale name would break a traced run.
@@ -9,6 +9,8 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +75,89 @@ def test_unused_import_check_sees_a_dead_import(tmp_path):
         "print(len([]))\n"
     )
     assert _unused_imports(str(path)) == ["gcd (line 3)", "os (line 1)"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# code outside the package whose references count as uses of its names
+CONSUMERS = [ROOT / "demos", ROOT / "scripts", ROOT / "perfbench", ROOT / "tests" / "test_acceptance.py"]
+
+
+def _identifiers(node) -> set[str]:
+    """Every name and attribute that node's code refers to."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+    return found
+
+
+def _unused_exports(package: Path, consumers: list[Path], readme: Path) -> list[str]:
+    """module.name for each __all__ entry that has no use: no code of the
+    package outside its own top-level definition refers to it, no file of
+    the consumers does, and the README does not name it in backticks."""
+    exports, users = [], {}
+    for path in sorted(package.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(stmt, ast.Assign) and any(getattr(tg, "id", None) == "__all__" for tg in stmt.targets):
+                exports += [(module, name) for name in ast.literal_eval(stmt.value)]
+            # a def or class is its own user; other statements have no name
+            for ident in _identifiers(stmt):
+                users.setdefault(ident, set()).add((module, getattr(stmt, "name", None)))
+    outside = set()
+    for consumer in consumers:
+        for path in sorted(consumer.rglob("*.py")) if consumer.is_dir() else [consumer]:
+            outside |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    # code blocks first, so that their fences do not pair with inline quotes
+    text = readme.read_text(encoding="utf-8")
+    spans = re.findall(r"```(.*?)```", text, flags=re.S)
+    spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    quoted = {ident for span in spans for ident in re.findall(r"[A-Za-z_]\w*", span)}
+    return [
+        "%s.%s" % (module, name)
+        for module, name in exports
+        if users.get(name, set()) <= {(module, name)} and name not in outside and name not in quoted
+    ]
+
+
+def test_every_public_name_has_a_use():
+    # a public name that only unit tests reach is a second path to keep
+    # working: delete it, or name it in the README as documented API
+    package = Path(squaretriads.__path__[0])
+    assert _unused_exports(package, CONSUMERS, ROOT / "README.md") == []
+
+
+def test_unused_export_check_sees_an_unused_name(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "a.py").write_text(
+        "__all__ = ['used', 'by_attribute', 'recursive', 'Klass', 'in_readme', 'in_demo', 'orphan']\n"
+        "def used(): return 1\n"
+        "def by_attribute(): return 2\n"
+        "def recursive(n): return recursive(n - 1) if n else 0\n"
+        "class Klass:\n"
+        "    def copy(self): return Klass()\n"
+        "def in_readme(): pass\n"
+        "def in_demo(): pass\n"
+        "def orphan(): pass\n"
+        "note = 'orphan, in a string, is no use'\n"
+    )
+    (package / "b.py").write_text(
+        "from . import a\n"
+        "from .a import used, orphan\n"
+        "__all__ = ['later']\n"
+        "def later(): return used() + a.by_attribute()\n"
+        "value = later()\n"
+    )
+    demo = tmp_path / "demo.py"
+    demo.write_text("from pkg import a\na.in_demo()\n")
+    readme = tmp_path / "README.md"
+    readme.write_text("```\nx = 1\n```\nCall `in_readme()`; `Klass` is documented, and recursive is not.\n")
+    assert _unused_exports(package, [demo], readme) == ["a.recursive", "a.orphan"]
+    readme.write_text("")
+    assert _unused_exports(package, [], readme) == ["a.recursive", "a.Klass", "a.in_readme", "a.in_demo", "a.orphan"]
 
 
 # SearchConfig.primitive_only is a bool setting, not an integer

@@ -5,7 +5,7 @@ rational are: ints and other integer types (numpy ints, converted to int),
 and for rationals also Fractions.  bool, floats and everything else raise
 DomainError.  Entry points that already have a parametrized refusal test of
 their own (factorize and the other integer functions of exactnum, Triad,
-SquareCertificate, SearchConfig, evaluate_family, ec_mul and
+SquareCertificate, SearchConfig, evaluate_family and
 is_sum_two_rational_squares) take these cases there.
 """
 
@@ -153,16 +153,16 @@ def test_every_boundary_follows_the_one_rule():
 
 def test_containers_compute_exactly():
     # a float coefficient was computed in floats: QuarticModel(0.5, 1, 2, 4)
-    # .rhs(0.25) gave 4.57421875, and ec_add on float points a float point
+    # .rhs(0.25) gave 4.57421875
     with pytest.raises(DomainError):
         QuarticModel(0.5, 1, 2, 4).rhs(0.25)
     with pytest.raises(DomainError):
         ec.WeierstrassModel(0.5, 1.0)
-    # integer coordinates are kept as Fractions, so the chord's slope is exact
-    E = ec.WeierstrassModel(0, 1)
-    doubled = ec.ec_add(E, ec.ECPoint(0, 1), ec.ECPoint(0, 1))
-    assert doubled == ec.ECPoint(0, -1) and type(doubled.x) is Fraction
-    assert ec.ECPoint(None, None).is_identity
+    # integers are kept as Fractions, so a quotient of coordinates is exact
+    E, P = ec.WeierstrassModel(0, 1), ec.ECPoint(0, 1)
+    assert type(E.A) is type(P.x) is Fraction and E.contains(P)
+    assert P.y / 2 == Fraction(1, 2)
+    assert ec.ECPoint().is_identity and ec.ECPoint(None, None) == ec.ECPoint()
     assert QuarticModel(1, 1, 2, 4).rhs(Fraction(1, 2)) == Fraction(87, 16)
 
 
@@ -183,7 +183,7 @@ def test_specializing_a_curve_or_point_over_q_is_refused():
         ec.specialize_curve(ec.WeierstrassModel(1, 1), 2)
     with pytest.raises(DomainError, match="Poly or RatFunc"):
         ec.specialize_point(ec.ECPoint(0, 1), 2)
-    assert ec.specialize_point(ec.ECPoint.identity(), 2).is_identity
+    assert ec.specialize_point(ec.ECPoint(), 2).is_identity
 
 
 # entry points that take polynomials only, or (polynomialize_roots and

@@ -586,6 +586,33 @@ class TestRatFunc:
         assert exact_sqrt(s**2) == s
 
 
+def test_values_that_compare_equal_hash_equal():
+    # Poly.const(3) == 3 and RatFunc(m) == m, but both hashed apart, so a
+    # set kept {Poly.const(3), 3} as two elements and a dict keyed by
+    # RatFunc(m) missed m
+    m, half = var("m"), Fraction(1, 2)
+    values = [
+        0, 3, -2, Fraction(3), half,
+        Poly.zero(), Poly.const(3), Poly.const(-2), Poly.const(half),
+        m, m * half, m * m + 1, s * t - 1,
+        RatFunc(0), RatFunc(3), RatFunc(half), RatFunc(m), RatFunc(m, 2), RatFunc(m * m + 1),
+        RatFunc(m * m - m, m - 1), RatFunc(1, m), RatFunc(m, 2 * m + 2), RatFunc(s * t - 1, 3),
+    ]
+    equal_pairs = 0
+    for a, b in itertools.product(values, repeat=2):
+        if a == b and type(a) is not type(b):
+            assert hash(a) == hash(b), (a, b)
+            equal_pairs += 1
+    assert equal_pairs == 34
+    assert len({Poly.const(3), 3, Fraction(3), RatFunc(3)}) == 1
+    assert {RatFunc(m): "m"}[m] == "m" and {m * half: "m/2"}[RatFunc(m, 2)] == "m/2"
+    # a non-constant Poly, or a RatFunc over a non-constant denominator,
+    # hashes as before
+    assert hash(m * m + 1) == hash((("m",), frozenset({(2,): 1, (0,): 1}.items())))
+    f = RatFunc(1, m)
+    assert hash(f) == hash((f.num, f.den))
+
+
 class TestHenrici:
     """RatFunc arithmetic reduces without a gcd of whole products; each
     result must equal the full reduction of the unreduced one."""

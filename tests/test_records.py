@@ -191,7 +191,7 @@ def test_generic_construction_requires_every_field(cls):
 
 def test_defaults():
     assert SearchConfig(100) == SearchConfig(100, False, 1) == SearchConfig(bound=100, primitive_only=False, workers=1)
-    assert ECPoint() == ECPoint(None, None) == ECPoint.identity()
+    assert ECPoint() == ECPoint(None, None)
     assert ECPoint().is_identity and not ECPoint(0, 1).is_identity
 
 
