@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 
 from squaretriads import ecurve as ec
@@ -138,6 +139,24 @@ class TestGroupLaw:
                 assert ec.specialize_point(kP, m0) == chord_mul(Em, k, ec.specialize_point(P, m0))
 
 
+# (order, A, B, x, y): a point of each order Mazur allows on an integral
+# short model y^2 = x^3 + Ax + B
+MAZUR_TORSION = [
+    (2, 0, 1, -1, 0),
+    (3, 0, 1, 0, 1),
+    # Tate normal forms at t = 2 (tau = 2 for order 12), scaled to integral
+    # short models
+    (4, -2619, 918, -21, -216),
+    (5, -27, 55350, -21, -216),
+    (6, -10395, 31158, -69, -648),
+    (7, -3483, 121014, -45, -432),
+    (8, -44091, 3304854, -141, -2592),
+    (9, -17739, 1205766, -117, -1296),
+    (10, -58347, 3954150, -213, -2592),
+    (12, -33339627, 73697852646, 3027, -22680),
+]
+
+
 def _constant_model(A, B, x, y):
     """A curve over Q and a point on it, with Poly coordinates in Z[m]."""
     c = Poly.const
@@ -169,6 +188,16 @@ class TestDivisionValues:
             x, y, z = (c.evaluate({}) for c in ec._kp_jacobian(E, P, k))
             kP = chord_mul(Eq, k, Pq)
             assert (x / z**2, y / z**3) == (kP.x, kP.y)
+
+    @pytest.mark.parametrize("order, A, B, x, y", [row for row in MAZUR_TORSION if row[0] > 2])
+    def test_vanishes_exactly_at_multiples_of_the_order(self, order, A, B, x, y):
+        # the screen's reading of the sequence: psi_k(P) = 0 exactly when
+        # kP = O, here for two periods of each torsion point with y != 0
+        W = ec._DivisionValues(*_constant_model(A, B, x, y))
+        E, P = ec.WeierstrassModel(A, B), ec.ECPoint(x, y)
+        vanishing = [k for k in range(1, 2 * order + 1) if W[k][1].is_zero]
+        assert vanishing == [k for k in range(1, 2 * order + 1) if chord_mul(E, k, P).is_identity]
+        assert vanishing == [order, 2 * order]
 
     def test_carried_parts_are_prime_to_m2_plus_1(self):
         m = var("m")
@@ -411,23 +440,22 @@ class TestInfiniteOrderScreen:
         with pytest.raises(DomainError, match="not on the curve"):
             ec.infinite_order_screen(E4, ec.ECPoint(Fraction(1), Fraction(1)))
 
-    @pytest.mark.parametrize(
-        "order, A, B, x, y",
-        [
-            (2, 0, 1, -1, 0),
-            (3, 0, 1, 0, 1),
-            # Tate normal forms at t = 2 (tau = 2 for order 12), scaled to
-            # integral short models
-            (4, -2619, 918, -21, -216),
-            (5, -27, 55350, -21, -216),
-            (6, -10395, 31158, -69, -648),
-            (7, -3483, 121014, -45, -432),
-            (8, -44091, 3304854, -141, -2592),
-            (9, -17739, 1205766, -117, -1296),
-            (10, -58347, 3954150, -213, -2592),
-            (12, -33339627, 73697852646, 3027, -22680),
-        ],
-    )
+    def test_identity_is_not_of_infinite_order(self):
+        assert ec.infinite_order_screen(ec.WeierstrassModel(0, -2), ec.ECPoint()) is False
+
+    def test_non_integral_point_is_infinite(self):
+        # 2(3, 5) = (129/100, -383/1000) on Y^2 = X^3 - 2; a torsion point of
+        # an integral model is integral (Nagell-Lutz)
+        E = ec.WeierstrassModel(0, -2)
+        D = chord_add(E, ec.ECPoint(3, 5), ec.ECPoint(3, 5))
+        assert D == ec.ECPoint(Fraction(129, 100), Fraction(-383, 1000))
+        assert ec.infinite_order_screen(E, D) is True
+
+    def test_curve_over_q_m_rejected(self, curve, P):
+        with pytest.raises(DomainError, match="over Q"):
+            ec.infinite_order_screen(curve, P)
+
+    @pytest.mark.parametrize("order, A, B, x, y", MAZUR_TORSION)
     def test_torsion_of_every_mazur_order(self, order, A, B, x, y):
         E, P = ec.WeierstrassModel(A, B), ec.ECPoint(x, y)
         assert [chord_mul(E, k, P).is_identity for k in range(1, order + 1)] == [False] * (order - 1) + [True]
@@ -491,6 +519,15 @@ class TestGenerateFamily:
         for k in (0, True, False, 2.0, Fraction(2)):
             with pytest.raises(DomainError):
                 ec.generate_family(k)
+
+    @pytest.mark.parametrize("k", [True, 2.5, Fraction(2), -1, False, 2.0, pytest.param(np.float64(2), id="np.float64(2)"), "2", None])
+    def test_requires_an_integer_k(self, k):
+        with pytest.raises(DomainError, match="integer k >= 1"):
+            ec.generate_family(k)
+
+    def test_takes_integer_types(self):
+        for t in (np.int64, np.int32, np.uint8):
+            assert ec.generate_family(t(1)) == ec.generate_family(1)
 
     @pytest.mark.parametrize(
         "k, digest",

@@ -33,6 +33,18 @@ def test_is_perfect_square_examples():
     assert en.is_perfect_square(2880) is None  # isqrt is 53 and 53^2 != 2880
     assert en.is_perfect_square(1) == 1
     assert en.is_perfect_square(-4) is None
+    assert en.is_perfect_square(0) == 0 and en.is_perfect_square(518400) == 720
+
+
+def test_is_perfect_square_next_to_squares():
+    # n, and the squares r^2 and (r + 1)^2 that bracket it, up to 10^24
+    rng = random.Random(1)
+    for _ in range(500):
+        n = rng.randrange(0, 10**24)
+        r = math.isqrt(n)
+        assert en.is_perfect_square(n) == (r if r * r == n else None)
+        assert en.is_perfect_square(r * r) == r and en.is_perfect_square((r + 1) ** 2) == r + 1
+        assert en.is_perfect_square((r + 1) ** 2 - 1) == (None if r else 0)
 
 
 def test_is_perfect_square_of_squares():
