@@ -26,21 +26,18 @@ from .triads import Triad, elementary_symmetric, is_sum_two_rational_squares, tr
 __all__ = ["main", "build_parser"]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%r is not a decimal integer" % text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %s" % text)
-    return value
-
-
 def _any_int(text: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
         raise argparse.ArgumentTypeError("%r is not a decimal integer" % text)
+
+
+def _positive_int(text: str) -> int:
+    value = _any_int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("expected a positive integer, got %s" % text)
+    return value
 
 
 def _rational(text: str) -> Fraction:
@@ -50,50 +47,39 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("%r is not a rational number" % text)
 
 
-def _format_flag(p: argparse.ArgumentParser, top: bool = False) -> None:
-    p.add_argument(
-        "--format",
-        choices=("json", "csv", "text"),
-        default="json" if top else argparse.SUPPRESS,
-        help="output format (default: json)" if top else argparse.SUPPRESS,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="squaretriads",
         description="Construct and certify triads of positive integers whose "
         "sum, pairwise-product sum and product are all perfect squares.",
     )
-    _format_flag(parser, top=True)
+    formats = ("json", "csv", "text")
+    parser.add_argument("--format", choices=formats, default="json", help="output format (default: json)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the subcommands accept --format too, after their own arguments; SUPPRESS
+    # keeps the top-level value when it is not given there
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=formats, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
 
-    p = sub.add_parser("verify", help="certify one triad")
-    _format_flag(p)
+    p = sub.add_parser("verify", help="certify one triad", parents=[fmt])
     p.add_argument("a", type=_positive_int)
     p.add_argument("b", type=_positive_int)
     p.add_argument("c", type=_positive_int)
 
-    p = sub.add_parser("family", help="evaluate a registered family at integer parameters")
-    _format_flag(p)
+    p = sub.add_parser("family", help="evaluate a registered family at integer parameters", parents=[fmt])
     p.add_argument("name")
     p.add_argument("params", nargs="+", type=_any_int)
 
-    p = sub.add_parser("family-list", help="list the registered families")
-    _format_flag(p)
+    sub.add_parser("family-list", help="list the registered families", parents=[fmt])
 
-    p = sub.add_parser("family-check", help="symbolically verify families")
-    _format_flag(p)
+    p = sub.add_parser("family-check", help="symbolically verify families", parents=[fmt])
     p.add_argument("name", nargs="?", help="family name (default: all)")
 
-    p = sub.add_parser("generate", help="generate a family from the k-th curve point")
-    _format_flag(p)
+    p = sub.add_parser("generate", help="generate a family from the k-th curve point", parents=[fmt])
     p.add_argument("k", type=_positive_int)
 
-    p = sub.add_parser("search", help="exhaustive verified search up to a bound")
-    _format_flag(p)
-    p.add_argument("bound", nargs="?", type=_positive_int, help="search bound (or use --bound)")
-    p.add_argument("--bound", dest="bound_flag", type=_positive_int, help="search bound")
+    p = sub.add_parser("search", help="exhaustive verified search up to a bound", parents=[fmt])
+    p.add_argument("bound", type=_positive_int, help="search bound")
     p.add_argument("--primitive", action="store_true", help="emit primitive triads only")
     p.add_argument(
         "--workers",
@@ -102,22 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes to search with (default 1); starting one costs a few ms, so more pay from about bound 30000",
     )
 
-    p = sub.add_parser("table1", help="reproduce the 21-row numerical table")
-    _format_flag(p)
-    p = sub.add_parser("corpus", help="verify the historical corpus triads")
-    _format_flag(p)
+    sub.add_parser("table1", help="reproduce the 21-row numerical table", parents=[fmt])
+    sub.add_parser("corpus", help="verify the historical corpus triads", parents=[fmt])
 
-    p = sub.add_parser("two-squares", help="two-rational-squares witness for a positive rational")
-    _format_flag(p)
+    p = sub.add_parser("two-squares", help="two-rational-squares witness for a positive rational", parents=[fmt])
     p.add_argument("value", type=_rational)
 
-    p = sub.add_parser("fermat", help="quartic ascent on the parametric model")
-    _format_flag(p)
+    p = sub.add_parser("fermat", help="quartic ascent on the parametric model", parents=[fmt])
     p.add_argument("--side", choices=("constant", "leading", "both"), default="both")
     p.add_argument("--at", nargs=2, type=_rational, metavar=("S", "T"), help="evaluate numerically")
 
-    p = sub.add_parser("compose", help="compose the trivial point with an ascent point")
-    _format_flag(p)
+    p = sub.add_parser("compose", help="compose the trivial point with an ascent point", parents=[fmt])
     p.add_argument("--with", dest="with_side", choices=("constant", "leading"), default="constant")
     p.add_argument("--at", nargs=2, type=_rational, metavar=("S", "T"), help="evaluate numerically")
 
@@ -255,16 +236,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    bound = args.bound if args.bound is not None else args.bound_flag
-    if bound is None:
-        print("search: a bound is required (positional or --bound)", file=sys.stderr)
-        return 2
-    if args.bound is not None and args.bound_flag is not None and args.bound != args.bound_flag:
-        print("search: conflicting bounds given", file=sys.stderr)
-        return 2
     from . import search
 
-    cfg = search.SearchConfig(bound, primitive_only=args.primitive, workers=args.workers)
+    cfg = search.SearchConfig(args.bound, primitive_only=args.primitive, workers=args.workers)
     t0 = time.perf_counter()
     results = search.search_triads(cfg)
     elapsed = time.perf_counter() - t0
@@ -279,7 +253,7 @@ def _cmd_search(args) -> int:
         else:
             print(_triad_text(triad, cert))
     print(
-        json.dumps({"count": str(len(results)), "bound": str(bound), "elapsed_s": "%.3f" % elapsed}, sort_keys=True),
+        json.dumps({"count": str(len(results)), "bound": str(args.bound), "elapsed_s": "%.3f" % elapsed}, sort_keys=True),
         file=sys.stderr,
     )
     return 0
@@ -346,14 +320,6 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_two_squares(args) -> int:
-    if args.value <= 0:
-        _emit(
-            {"error": "value must be positive"},
-            args.format,
-            csv_rows=[["error", "value must be positive"]],
-            text_lines=["value must be positive"],
-        )
-        return 1
     witness = is_sum_two_rational_squares(args.value)
     if witness is None:
         _emit(

@@ -182,11 +182,7 @@ def xy_to_quartic(X, Y, m):
     """(U, V) image of a curve point under the birational map.
 
     (U, V) = (u/w, v/w^2), with the weighted formulas of _weighted_uw and
-    _weighted_v at z = 1, each reduced once:
-    U = (6(m^2+1)X + mY + 72(m^6 + m^4 - m^2 - 1)) / w,
-    V = (2m^2 X^3 - 36m^2(2m^2+1)(m^2+1)X^2 - m^2 Y^2 - 432 m^3 (m^2+1)^2 Y
-         + 1728 m^2 (m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1)) / w^2,
-    w = 6(X - 12(2m^4 + 3m^2 + 1)); w = 0 raises PoleError.
+    _weighted_v at z = 1, each reduced once; w = 0 raises PoleError.
     """
     U, w = _quartic_u(X, Y, m)
     return U, _weighted_v(X, Y, m, 1) / (w * w)
@@ -196,9 +192,7 @@ def quartic_to_xy(U, V, m):
     """(X, Y) image of a quartic-model point; pole at m = 0.
 
     (X, Y) = (x/z^2, y/z^3), with the weighted formulas of _weighted_xyz at
-    w = 1 (so z = m), each reduced once:
-    X = 6(3U^2 - (6m^2+6)U + 3V - (m^2+1)(2m^4-2m^2-3)) / m^2,
-    Y = 108(U^3 - (3m^2+3)U^2 + UV - (m^2+1)(2m^4-2m^2-3)U - (m^2+1)V - (m^2+1)^2) / m^3.
+    w = 1 (so z = m), each reduced once.
     """
     if m == 0:
         raise PoleError("the map back to the curve has a pole at m = 0")
@@ -251,13 +245,15 @@ def infinite_order_screen(E: WeierstrassModel, P: ECPoint) -> bool:
 
 
 @lru_cache(maxsize=1)
-def _integral_model() -> tuple[WeierstrassModel, ECPoint]:
-    """ecweier and point_P scaled by m into Z[m]: A' = m^4 A, B' = m^6 B,
+def _integral_model() -> tuple[WeierstrassModel, ECPoint, tuple]:
+    """ecweier and point_P scaled by m into Z[m], with the point's division
+    seeds: A' = m^4 A, B' = m^6 B,
     P' = (m^2 X, m^3 Y) = (-12(m^6 - 4m^2 - 3), 216(m^2 + 1)^2)."""
     m = var("m")
     E, P = ecweier(), point_P()
     A, B, x, y = (_divexact(f.num * m**e, f.den) for f, e in ((E.A, 4), (E.B, 6), (P.x, 2), (P.y, 3)))
-    return WeierstrassModel(A, B), ECPoint(x, y)
+    E, P = WeierstrassModel(A, B), ECPoint(x, y)
+    return E, P, _division_seeds(E, P)
 
 
 _M2_PLUS_1 = var("m") ** 2 + 1
@@ -287,7 +283,6 @@ def _strip(v: int, r: Poly) -> tuple[int, Poly]:
     return v, r
 
 
-@lru_cache(maxsize=4)
 def _division_seeds(E: WeierstrassModel, P: ECPoint) -> tuple[tuple[int, tuple[int, Poly]], ...]:
     """(n, W_n) for n = -1..4, as _DivisionValues carries them."""
     A, B, x, y = E.A, E.B, P.x, P.y
@@ -310,12 +305,13 @@ class _DivisionValues:
     R = 0 or R prime to m^2 + 1: a product adds exponents, a difference
     takes out the smaller power and divides by m^2 + 1 while that is exact,
     and a division must be exact, so a failure is a VerificationError.
-    W_{-1}..W_4 of each (E, P) are computed once per process.
+    seeds are W_{-1}..W_4 from _division_seeds(E, P), computed here if not
+    given; _integral_model keeps its point's.
     """
 
-    def __init__(self, E: WeierstrassModel, P: ECPoint):
+    def __init__(self, E: WeierstrassModel, P: ECPoint, seeds=None):
         # a copy: __getitem__ adds to it
-        self.values = dict(_division_seeds(E, P))
+        self.values = dict(seeds or _division_seeds(E, P))
 
     @staticmethod
     def mul(*factors: tuple[int, Poly]) -> tuple[int, Poly]:
@@ -353,7 +349,7 @@ class _DivisionValues:
         return self.values[n]
 
 
-def _kp_jacobian(E: WeierstrassModel, P: ECPoint, k: int) -> tuple[Poly, Poly, Poly]:
+def _kp_jacobian(E: WeierstrassModel, P: ECPoint, k: int, seeds=None) -> tuple[Poly, Poly, Poly]:
     """(x, y, z) in Z[m] with kP = (x/z^2, y/z^3) on E over Z[m], for k >= 1.
 
         x = x_P W_k^2 - W_{k-1} W_{k+1},
@@ -363,10 +359,10 @@ def _kp_jacobian(E: WeierstrassModel, P: ECPoint, k: int) -> tuple[Poly, Poly, P
     (Washington, Elliptic Curves, section 3.2); z = 0 when kP is the
     identity.  Jacobian coordinates have weights (2, 3, 1), so before the
     triple is expanded it is divided by (m^2 + 1)^(2e, 3e, e) for the
-    largest e the valuations allow.
+    largest e the valuations allow.  seeds are as for _DivisionValues.
     """
     _require_on_curve(E, P)
-    W = _DivisionValues(E, P)
+    W = _DivisionValues(E, P, seeds)
     wk = W[k]
     x = W.sub(W.mul(_strip(0, P.x), wk, wk), W.mul(W[k - 1], W[k + 1]))
     y = W.div(
@@ -391,7 +387,8 @@ def generate_family(k: int) -> ParametricFamily:
     """
     k = _integer(k, "generate_family requires an integer k >= 1, not %r", 1)
     m = var("m")
-    x, y, z = _kp_jacobian(*_integral_model(), k)
+    E, P, seeds = _integral_model()
+    x, y, z = _kp_jacobian(E, P, k, seeds)
     if z.is_zero:
         raise PipelineStepError("kP is the identity at k = %d" % k)
     try:
@@ -420,19 +417,9 @@ def generate_family(k: int) -> ParametricFamily:
 # ---------------------------------------------------------------------------
 # Symbolic round-trip identities modulo the curve relations
 #
-# Both trips compose the weighted formulas over Z[m] and never divide:
-#
-#     (x, y, z) -> (u, v, w):  u = 6(m^2+1)xz + my + 72(m^6 + m^4 - m^2 - 1)z^3,
-#                              v = m^2 (2x^3 - 36(2m^2+1)(m^2+1)x^2 z^2 - y^2
-#                                       - 432m(m^2+1)^2 y z^3
-#                                       + 1728(m^2+1)^3 (8m^6 - 15m^4 - 21m^2 + 1) z^6),
-#                              w = 6z(x - 12(2m^4 + 3m^2 + 1)z^2),
-#     (u, v, w) -> (x, y, z):  x = 6(3u^2 - 6(m^2+1)uw + 3v - cw^2),
-#                              y = 108(u^3 - 3(m^2+1)u^2 w + uv - cuw^2 - (m^2+1)vw - (m^2+1)^2 w^3),
-#                              z = mw,
-#
-# with c = (m^2+1)(2m^4 - 2m^2 - 3), (X, Y) = (x/z^2, y/z^3) and
-# (U, V) = (u/w, v/w^2).  A trip from (X, Y, 1) is the identity when
+# Both trips compose the weighted formulas over Z[m] (_weighted_uw,
+# _weighted_v and _weighted_xyz) and never divide, with (X, Y) = (x/z^2,
+# y/z^3) and (U, V) = (u/w, v/w^2).  A trip from (X, Y, 1) is the identity when
 # x' = X z'^2 and y' = Y z'^3 modulo Y^2 = X^3 + AX + B, and one from
 # (U, V, 1) when u' = U w' and v' = V w'^2 modulo V^2 = phi(1, m, U);
 # reduced to degree <= 1 in Y or V, the differences are zero polynomials.

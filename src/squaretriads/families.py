@@ -29,7 +29,7 @@ from .multipoly import (
     var,
 )
 from .pipeline import _triple, polynomialize_roots, square_witnesses, strip_common_squares
-from .quartic import ascend_constant_side, second_root_vieta
+from .quartic import _psi_coefficients, ascend_constant_side, second_root_vieta
 from .triads import (
     SquareCertificate,
     Triad,
@@ -426,9 +426,7 @@ def _two_squares_roots(R, S, second_root: bool):
     x0 = S * S * (R * R + S * S) / (R * R)
     # psi(s, t, x0) = c4 t^4 + c2 t^2 + c0 is a square at t = r; shift the
     # anchor to the constant term and apply one Fermat step.
-    c4 = x0 * (S * S - x0)
-    c2 = 2 * S**4 * x0
-    c0 = S * S * x0 * (S**4 + S * S * x0 + x0 * x0)
+    c4, c2, c0 = _psi_coefficients(S, x0)
     d0 = c4 * R**4 + c2 * R * R + c0
     d1 = 4 * c4 * R**3 + 2 * c2 * R
     d2 = 6 * c4 * R * R + c2

@@ -101,7 +101,15 @@ def psi(s, t, x):
     psi = x(s^2 - x) t^4 + 2 s^4 t^2 x + s^2 (s^4 + s^2 x + x^2) x.
     """
     s, t, x = map(promote_int, (s, t, x))
-    return x * (s * s - x) * t**4 + 2 * s**4 * t * t * x + s * s * (s**4 + s * s * x + x * x) * x
+    c4, c2, c0 = _psi_coefficients(s, x)
+    t2 = t * t
+    return (c4 * t2 + c2) * t2 + c0
+
+
+def _psi_coefficients(s, x):
+    """(c4, c2, c0) with psi(s, t, x) = c4 t^4 + c2 t^2 + c0."""
+    s2 = s * s
+    return x * (s2 - x), 2 * s2 * s2 * x, s2 * x * (s2 * s2 + s2 * x + x * x)
 
 
 def _ascent(n4, n3, n2, n1, n0, d):

@@ -328,12 +328,9 @@ def _candidates(bound: int, part: int = 0, parts: int = 1):
     a square (u*v = 1), a + b + c a square.  Such a
     triad has exactly one kernel triple (kernel(a), kernel(b), kernel(c)) =
     (g*u, g*v, u*v) with g, u, v squarefree and pairwise coprime, so it is
-    (g*u*x**2, g*v*y**2, u*v*j**2) for exactly one (u, v, g, x, y, j).  Why
-    each member of a triad with certificate (f, w, h) is a sum of two squares:
-        a*f^2 = a^2 + w^2 - bc and bc = h^2 / a give a*(a^2 + w^2) = (a*f)^2 + h^2;
-        so a is a quotient of norms from Q(i), hence a norm: a = x^2 + y^2;
-        so kernel(a) has no prime p = 3 (mod 4), and nor have g, u and v.
-    So g, u and v are drawn only from the squarefree sums of two squares.
+    (g*u*x**2, g*v*y**2, u*v*j**2) for exactly one (u, v, g, x, y, j).
+    g, u and v are drawn only from the squarefree sums of two squares, as the
+    module docstring shows.
     Products of squarefree numbers are tested for coprimality on the sieve:
     m*n is squarefree iff m and n are coprime.  A kernel triple with an odd
     prime p | u and (g*v | p) = -1 holds no triad, by infinite descent:

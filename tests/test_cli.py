@@ -14,6 +14,22 @@ from squaretriads.cli import main
 from squaretriads.errors import VerificationError
 
 
+# one cheap successful invocation of every subcommand
+SUCCESS_ARGS = {
+    "verify": ["45", "64", "180"],
+    "family": ["parmsol1", "1", "2"],
+    "family-list": [],
+    "family-check": ["parmsol1"],
+    "generate": ["1"],
+    "search": ["200"],
+    "table1": [],
+    "corpus": [],
+    "two-squares": ["45"],
+    "fermat": ["--at", "1", "2"],
+    "compose": ["--at", "1", "2"],
+}
+
+
 @pytest.fixture
 def run(capsys):
     def _run(*argv):
@@ -115,12 +131,6 @@ class TestSearchCommands:
         assert lines[0] == "a,b,c,f,g,h"
         assert "45,64,180,17,150,720" in lines
 
-    def test_search_bound_flag(self, run):
-        code_pos, out_pos, _ = run("search", "200")
-        code_flag, out_flag, _ = run("search", "--bound", "200")
-        assert code_pos == code_flag == 0
-        assert out_pos == out_flag
-
     def test_search_without_bound_is_usage(self, run):
         code, _, _ = run("search")
         assert code == 2
@@ -157,6 +167,14 @@ class TestSmallTools:
         code, out, _ = run("two-squares", "21")
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_two_squares_non_positive_is_a_domain_error(self, run, value, fmt):
+        code, out, err = run("--format", fmt, "two-squares", value)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err) == {"error": "is_sum_two_rational_squares requires x > 0"}
+
     def test_fermat_symbolic(self, run):
         code, out, _ = run("fermat")
         assert code == 0
@@ -187,10 +205,12 @@ class TestDeterminism:
         _, out2, _ = run("family", "parmsol3", "1", "2")
         assert out1 == out2
 
-    def test_format_flag_position_independent(self, run):
-        _, before, _ = run("--format", "csv", "verify", "45", "64", "180")
-        _, after, _ = run("verify", "45", "64", "180", "--format", "csv")
-        assert before == after and before.startswith("a,b,c,f,g,h")
+    @pytest.mark.parametrize("command", sorted(SUCCESS_ARGS))
+    def test_format_flag_position_independent(self, run, command):
+        code_before, before, _ = run("--format", "csv", command, *SUCCESS_ARGS[command])
+        code_after, after, _ = run(command, *SUCCESS_ARGS[command], "--format", "csv")
+        assert code_before == code_after == 0
+        assert before == after and before
 
 
 def test_internal_error_exit_3(run, monkeypatch):
@@ -248,22 +268,6 @@ def test_readme_has_command_examples():
 def test_readme_command_example_exits_0(run, argv):
     code, _, err = run(*argv)
     assert code == 0, err
-
-
-# one cheap successful invocation of every subcommand
-SUCCESS_ARGS = {
-    "verify": ["45", "64", "180"],
-    "family": ["parmsol1", "1", "2"],
-    "family-list": [],
-    "family-check": ["parmsol1"],
-    "generate": ["1"],
-    "search": ["200"],
-    "table1": [],
-    "corpus": [],
-    "two-squares": ["45"],
-    "fermat": ["--at", "1", "2"],
-    "compose": ["--at", "1", "2"],
-}
 
 
 def test_success_args_cover_every_subcommand():

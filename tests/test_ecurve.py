@@ -168,7 +168,7 @@ class TestDivisionValues:
 
     def test_u_matches_the_group_law(self, curve, P):
         m = var("m")
-        E, Pi = ec._integral_model()
+        E, Pi, _ = ec._integral_model()
         assert Pi == ec.ECPoint(-12 * (m**6 - 4 * m * m - 3), 216 * (m * m + 1) ** 2)
         for k in range(1, 11):
             kP = chord_mul(curve, k, P)
@@ -217,6 +217,17 @@ class TestDivisionValues:
         assert set(fresh.values) == {-1, 0, 1, 2, 3, 4}
         assert fresh[12] == W[12]
 
+    def test_screens_keep_the_generators_seeds(self, monkeypatch):
+        E, P, seeds = ec._integral_model()
+        for _, A, B, x, y in MAZUR_TORSION:
+            assert ec.infinite_order_screen(ec.WeierstrassModel(A, B), ec.ECPoint(x, y)) is False
+        built = []
+        honest = ec._division_seeds
+        monkeypatch.setattr(ec, "_division_seeds", lambda E, P: built.append((E, P)) or honest(E, P))
+        ec.generate_family(1)
+        assert (E, P) not in built
+        assert ec._integral_model()[2] is seeds
+
     def test_vanishing_at_i_is_divisibility_by_m2_plus_1(self):
         m = var("m")
         s1 = m * m + 1
@@ -232,7 +243,7 @@ class TestDivisionValues:
         # (2, 3) on Y^2 = X^3 + 1 has order 6
         E, P = _constant_model(0, 1, 2, 3)
         assert [ec._kp_jacobian(E, P, k)[2].is_zero for k in range(1, 8)] == [False] * 5 + [True, False]
-        monkeypatch.setattr(ec, "_integral_model", lambda: (E, P))
+        monkeypatch.setattr(ec, "_integral_model", lambda: (E, P, None))
         with pytest.raises(PipelineStepError, match="kP is the identity at k = 6"):
             ec.generate_family(6)
 
@@ -242,14 +253,14 @@ class TestDivisionValues:
         pole = (12 * (2 * m**4 + 3 * m * m + 1) * m * m, Poly.zero(), Poly.one())
         with pytest.raises(PoleError):
             ec._quartic_u(pole[0], pole[1], m, m * pole[2])
-        monkeypatch.setattr(ec, "_kp_jacobian", lambda E, P, k: pole)
+        monkeypatch.setattr(ec, "_kp_jacobian", lambda E, P, k, seeds: pole)
         with pytest.raises(PipelineStepError, match="birational map has a pole at k = 2") as info:
             ec.generate_family(2)
         assert isinstance(info.value.__cause__, PoleError)
 
     def test_line_quadratic_closed_form(self):
         m = var("m")
-        E, Pi = ec._integral_model()
+        E, Pi, _ = ec._integral_model()
         for k in range(1, 5):
             x, y, z = ec._kp_jacobian(E, Pi, k)
             U, _ = ec._quartic_u(x, y, m, m * z)
@@ -562,7 +573,8 @@ class TestGenerateFamily:
     def test_constraint_is_the_denominator_of_s_u(self, k):
         # u = s U(t/s) by rational-function substitution, sign included
         m, s, t = var("m"), var("s"), var("t")
-        x, y, z = ec._kp_jacobian(*ec._integral_model(), k)
+        E, P, seeds = ec._integral_model()
+        x, y, z = ec._kp_jacobian(E, P, k, seeds)
         U, _ = ec._quartic_u(x, y, m, m * z)
         u = U.substitute({"m": RatFunc(t, s)}) * s
         assert ec.generate_family(k).constraints == (s, t, u.den)
@@ -616,7 +628,8 @@ class TestGenerateFamily:
 
 def _line_point(k):
     """(N, D) of the U-coordinate of kP on the line s = 1, t = m."""
-    x, y, z = ec._kp_jacobian(*ec._integral_model(), k)
+    E, P, seeds = ec._integral_model()
+    x, y, z = ec._kp_jacobian(E, P, k, seeds)
     U, _ = ec._quartic_u(x, y, var("m"), var("m") * z)
     return U.num, U.den
 

@@ -82,34 +82,58 @@ ROOT = Path(__file__).resolve().parent.parent
 CONSUMERS = [ROOT / "demos", ROOT / "scripts", ROOT / "perfbench", ROOT / "tests" / "test_acceptance.py"]
 
 
-def _identifiers(node) -> set[str]:
-    """Every name and attribute that node's code refers to."""
+def _module_aliases(tree, package: str, modules: set[str]) -> dict[str, str]:
+    """{expression: module} for each expression that tree binds to a module
+    of the package: `import package.mod [as X]`, `from package import mod
+    [as X]` and `from . import mod [as X]`."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, module = alias.name.partition(".")
+                if head == package and module in modules:
+                    aliases[alias.asname or alias.name] = module
+        elif isinstance(node, ast.ImportFrom) and (node.module == package or (node.level, node.module) == (1, None)):
+            for alias in node.names:
+                if alias.name in modules:
+                    aliases[alias.asname or alias.name] = alias.name
+    return aliases
+
+
+def _identifiers(node, aliases: dict[str, str]) -> set[str]:
+    """Every name that node's code refers to, and "mod.attr" for each
+    attribute of an expression that aliases binds to module mod."""
     found = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
+        elif isinstance(sub, ast.Attribute) and ast.unparse(sub.value) in aliases:
+            found.add("%s.%s" % (aliases[ast.unparse(sub.value)], sub.attr))
     return found
 
 
 def _unused_exports(package: Path, consumers: list[Path], readme: Path) -> list[str]:
     """module.name for each __all__ entry that has no use: no code of the
     package outside its own top-level definition refers to it, no file of
-    the consumers does, and the README does not name it in backticks."""
+    the consumers does, and the README does not name it in backticks.  An
+    attribute is a use only of the module its object is bound to."""
+    modules = {path.stem for path in package.glob("*.py")}
     exports, users = [], {}
     for path in sorted(package.glob("*.py")):
         module = path.stem
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = _module_aliases(tree, package.name, modules)
+        for stmt in tree.body:
             if isinstance(stmt, ast.Assign) and any(getattr(tg, "id", None) == "__all__" for tg in stmt.targets):
                 exports += [(module, name) for name in ast.literal_eval(stmt.value)]
             # a def or class is its own user; other statements have no name
-            for ident in _identifiers(stmt):
+            for ident in _identifiers(stmt, aliases):
                 users.setdefault(ident, set()).add((module, getattr(stmt, "name", None)))
     outside = set()
     for consumer in consumers:
         for path in sorted(consumer.rglob("*.py")) if consumer.is_dir() else [consumer]:
-            outside |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            outside |= _identifiers(tree, _module_aliases(tree, package.name, modules))
     # code blocks first, so that their fences do not pair with inline quotes
     text = readme.read_text(encoding="utf-8")
     spans = re.findall(r"```(.*?)```", text, flags=re.S)
@@ -118,7 +142,9 @@ def _unused_exports(package: Path, consumers: list[Path], readme: Path) -> list[
     return [
         "%s.%s" % (module, name)
         for module, name in exports
-        if users.get(name, set()) <= {(module, name)} and name not in outside and name not in quoted
+        if users.get(name, set()) | users.get("%s.%s" % (module, name), set()) <= {(module, name)}
+        and not {name, "%s.%s" % (module, name)} & outside
+        and name not in quoted
     ]
 
 
@@ -133,7 +159,7 @@ def test_unused_export_check_sees_an_unused_name(tmp_path):
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "a.py").write_text(
-        "__all__ = ['used', 'by_attribute', 'recursive', 'Klass', 'in_readme', 'in_demo', 'orphan']\n"
+        "__all__ = ['used', 'by_attribute', 'recursive', 'Klass', 'in_readme', 'in_demo', 'isqrt', 'orphan']\n"
         "def used(): return 1\n"
         "def by_attribute(): return 2\n"
         "def recursive(n): return recursive(n - 1) if n else 0\n"
@@ -141,6 +167,7 @@ def test_unused_export_check_sees_an_unused_name(tmp_path):
         "    def copy(self): return Klass()\n"
         "def in_readme(): pass\n"
         "def in_demo(): pass\n"
+        "def isqrt(n): return n\n"
         "def orphan(): pass\n"
         "note = 'orphan, in a string, is no use'\n"
     )
@@ -151,13 +178,15 @@ def test_unused_export_check_sees_an_unused_name(tmp_path):
         "def later(): return used() + a.by_attribute()\n"
         "value = later()\n"
     )
+    # math.isqrt is no use of a.isqrt
+    (package / "c.py").write_text("import math\nroot = math.isqrt(4)\n")
     demo = tmp_path / "demo.py"
-    demo.write_text("from pkg import a\na.in_demo()\n")
+    demo.write_text("import pkg.a as A\nA.in_demo()\n")
     readme = tmp_path / "README.md"
     readme.write_text("```\nx = 1\n```\nCall `in_readme()`; `Klass` is documented, and recursive is not.\n")
-    assert _unused_exports(package, [demo], readme) == ["a.recursive", "a.orphan"]
+    assert _unused_exports(package, [demo], readme) == ["a.recursive", "a.isqrt", "a.orphan"]
     readme.write_text("")
-    assert _unused_exports(package, [], readme) == ["a.recursive", "a.Klass", "a.in_readme", "a.in_demo", "a.orphan"]
+    assert _unused_exports(package, [], readme) == ["a.recursive", "a.Klass", "a.in_readme", "a.in_demo", "a.isqrt", "a.orphan"]
 
 
 # SearchConfig.primitive_only is a bool setting, not an integer
